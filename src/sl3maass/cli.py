@@ -246,7 +246,8 @@ def cmd_maass_eval(ns) -> int:
     report.add("cutoff C", complex(stats.cutoff), 0.0, "scan")
     report.add("max contributing m2", complex(stats.max_contributing_m2), 0.0, "count")
     report.add("max contributing m1", complex(stats.max_m1), 0.0, "count")
-    report.add("distinct D caches", complex(stats.n_caches), 0.0, "count")
+    report.add("distinct D caches (form)", complex(stats.n_caches), 0.0, "count")
+    report.add("D caches built (this eval)", complex(stats.n_caches_built), 0.0, "count")
     report.wall_time = dt
     print(report.render(ns.digits))
     print(f"time: {report.wall_time:.3f}s")

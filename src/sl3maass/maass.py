@@ -8,8 +8,8 @@ exceeds C), enumerates the coprime (c, d) pairs allowed by the annulus
     sqrt(m2 y2 / C) < |c z2 + d| < C / (m1 y1),
 
 and obtains all Whittaker values for one (m1, m2) pair from a single
-fixed-D cache, since D = (m1 y1)^2 m2 y2 is invariant along the (c, d)
-sum.
+fixed-D cache in one batched call, since D = (m1 y1)^2 m2 y2 is
+invariant along the (c, d) sum.
 """
 
 from __future__ import annotations
@@ -374,13 +374,19 @@ class MaassForm:
 @dataclass(frozen=True)
 class MaassEvalStats:
     """Byproducts of one evaluation: the cutoff used, the largest m2 whose
-    Whittaker terms reached the accuracy goal, term/cache counts."""
+    Whittaker terms reached the accuracy goal, and term/cache counts.
+
+    n_caches is the number of fixed-D caches the form holds after this
+    evaluation, accumulated over all its evaluations so far;
+    n_caches_built counts the caches this evaluation built.
+    """
 
     cutoff: float
     max_contributing_m2: int
     max_m1: int
     n_terms: int
     n_caches: int
+    n_caches_built: int
 
 
 def eval_maass_report(f: MaassForm, z: H3Point,
@@ -408,9 +414,12 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     z2 = z.z2
 
     caches = f.cache_map if backend == "mellin" else {}
+    n_built = 0
 
-    def whittaker(D: float, y2_arg: float) -> tuple[ScaledComplex, float]:
-        """(scaled value, log of the resolvable floor at this argument)."""
+    def whittaker(D: float, y2_args: list[float]) -> tuple[list[ScaledComplex], list[float]]:
+        """(scaled values, logs of the resolvable floors) at every y2 of
+        one (m1, m2) pair."""
+        nonlocal n_built
         if backend == "mellin":
             key = float(np.format_float_scientific(D, precision=11))
             cache = caches.get(key)
@@ -419,16 +428,20 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                                             validate=validate_caches,
                                             y2_range=(D / C ** 2 * 0.99, C * 1.01))
                 caches[key] = cache
+                n_built += 1
             # sub-eps terms only need absolute accuracy, so the relative
             # cancellation guard is suppressed; the contribution filter
-            # drops anything below the outer sum's roundoff floor
-            w = w_mellin_fixed_d(cache, y2_arg, _skip_range_check=True,
-                                 _no_guard=True)
-            return w, mellin_outer_noise_log(cache, y2_arg)
-        args = WhittakerArgs(math.sqrt(D / y2_arg), y2_arg)
+            # drops anything below the outer sums' roundoff floor
+            y2s = np.array(y2_args)
+            ws = w_mellin_fixed_d(cache, y2s, _skip_range_check=True,
+                                  _no_guard=True)
+            return ws, mellin_outer_noise_log(cache, y2s).tolist()
+        args = [WhittakerArgs(math.sqrt(D / y), y) for y in y2_args]
         if backend == "stade":
-            return w_stade(p, args), -math.inf
-        return w_eval(p, args, policy), -math.inf
+            ws = [w_stade(p, a) for a in args]
+        else:
+            ws = [w_eval(p, a, policy) for a in args]
+        return ws, [-math.inf] * len(ws)
 
     t_min = _min_lattice_radius(C, y1, z2)
     m1_cap = int(C / (y1 * min(t_min, 1.0))) + 1
@@ -464,10 +477,10 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                     break
                 continue
             D = m1y1 * m1y1 * m2y2
+            ws, floors = whittaker(D, [y2_arg for _, _, y2_arg in jobs])
             coef = None
             hit = False
-            for cos1, cos2, y2_arg in jobs:
-                w, floor_log = whittaker(D, y2_arg)
+            for (cos1, cos2, _), w, floor_log in zip(jobs, ws, floors):
                 # contributes only when above the accuracy goal AND clear
                 # of the backend's roundoff floor
                 if w.log_abs() >= max(log_eps, floor_log + 2.0):
@@ -499,7 +512,8 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     value = complex(math.fsum(t.real for t in terms),
                     math.fsum(t.imag for t in terms))
     stats = MaassEvalStats(cutoff=C, max_contributing_m2=max_m2, max_m1=max_m1,
-                           n_terms=len(terms), n_caches=len(caches))
+                           n_terms=len(terms), n_caches=len(caches),
+                           n_caches_built=n_built)
     return value, stats
 
 

@@ -18,7 +18,8 @@ w_series_origin   double power series around (0,0) from the residue
 w_series_small    single power series in the smaller argument; each term
                   needs one K-Bessel pair through polynomial recursions
 w_mellin_fixed_d  discretized double inverse Mellin transform with the
-                  inner sums cached as a function of D = y1^2 y2
+                  inner sums cached as a function of D = y1^2 y2, built
+                  from one D-independent kernel per (params, grid)
 
 The residue expansions carry an explicit factor 2 per collapsed contour
 (from d(s)/d((s+delta)/2) at each gamma pole), so the origin series has
@@ -28,11 +29,13 @@ inner Mellin integrals.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import (CancellationError, DegenerateParametersError,
                      NonConvergenceError, AccuracyRangeError, PoleError)
@@ -53,6 +56,8 @@ __all__ = [
     "w_stade",
     "w_series_origin",
     "w_series_small",
+    "MellinKernel",
+    "mellin_kernel",
     "FixedDCache",
     "default_mellin_grid",
     "default_stade_grid",
@@ -466,6 +471,14 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
 # Algorithm 4: cached double inverse Mellin transform at fixed D
 # ---------------------------------------------------------------------------
 
+# complex elements per row block of the kernel mat-vecs and of the outer
+# phase-matrix products; one block (1 MiB) is the largest temporary
+_BLOCK_ELEMS = 1 << 16
+
+# roundoff charged per accumulated term by the noise floor (about 2u)
+_ROUNDOFF = 2.3e-16
+
+
 def default_mellin_grid(p: LanglandsParams, eps: float = 1e-12) -> MellinGrid2D:
     """Heuristic discretization: h = 2 pi / (60 + 10 |p|_inf) tempers the
     exp(2 pi k sigma / h) aliasing term well below eps against the
@@ -480,14 +493,115 @@ def default_mellin_grid(p: LanglandsParams, eps: float = 1e-12) -> MellinGrid2D:
                         N1=int(math.ceil(t1 / h)), N2=int(math.ceil(t2 / h)))
 
 
+def _gamma_product_log(args: np.ndarray) -> np.ndarray:
+    if np.any(_pole_distance(args) < 1e-9):
+        raise PoleError("grid abscissa within 1e-9 of a gamma pole; "
+                        "choose positive sigma1, sigma2")
+    return _log_gamma_array(args)
+
+
+def _a_log(p: LanglandsParams, grid: MellinGrid2D) -> np.ndarray:
+    """log prod_d Gamma((sigma1 + d)/2 + i k1 h1) over k1 = -N1..N1."""
+    k1 = np.arange(-grid.N1, grid.N1 + 1)
+    la = np.zeros(k1.size, dtype=np.complex128)
+    for d in p.triple:
+        la += _gamma_product_log((grid.sigma1 + d) / 2.0 + 1j * (k1 * grid.h1))
+    return la
+
+
+def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of at most _BLOCK_ELEMS elements each."""
+    step = max(1, _BLOCK_ELEMS // width)
+    return [(j0, min(j0 + step, n_rows)) for j0 in range(0, n_rows, step)]
+
+
+def _blocked_matvec(b: np.ndarray, c: np.ndarray, x: np.ndarray,
+                    n_rows: int) -> np.ndarray:
+    """(B * C) @ x with B[j, i] = b[i + j] and C[j, i] = c[3 i + j].
+
+    B and C are zero-copy stride views; their elementwise product is
+    formed one row block at a time, so the dense matrix never exists.
+    """
+    width = x.size
+    bm = sliding_window_view(b, width)[:n_rows]
+    step = c.strides[0]
+    cm = as_strided(c, shape=(n_rows, width), strides=(step, 3 * step),
+                    writeable=False)
+    out = np.empty(n_rows, dtype=np.result_type(b, c, x))
+    for j0, j1 in _row_blocks(n_rows, width):
+        out[j0:j1] = (bm[j0:j1] * cm[j0:j1]) @ x
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class MellinKernel:
+    """The D-independent part of every fixed-D cache on one (params, grid)
+    with a shared step h = h1 = h2.
+
+    With i = k1 + N1 and j = k2 + N2, the inner sum at D is
+
+        inner_D[j] = sum_i a[i] e^{-i k1 h log(pi^3 D)} b[i + j] c[3 i + j]
+
+    where a runs over k1, b over m = k1 + k2 and c over v = 3 k1 + k2; each
+    array holds its gamma factors divided by their largest magnitude, and
+    log_scale is the sum of the three divisors' logs.  D enters only
+    through the phase, so a cache build is one blocked mat-vec.
+    abs_rows[j] = sum_i |a_i| |b_{i+j}| |c_{3i+j}| bounds the terms of
+    inner_D[j] for every D and so sets the scale of its roundoff.
+    """
+
+    grid: MellinGrid2D
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    log_scale: float
+    abs_rows: np.ndarray
+
+    def inner(self, D: float) -> np.ndarray:
+        """inner_D, all entries at the common scale exp(log_scale)."""
+        k1 = np.arange(-self.grid.N1, self.grid.N1 + 1)
+        log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
+        a_d = self.a * np.exp(-1j * (k1 * self.grid.h1) * log_pi3d)
+        return _blocked_matvec(self.b, self.c, a_d, 2 * self.grid.N2 + 1)
+
+
+@functools.lru_cache(maxsize=8)
+def mellin_kernel(p: LanglandsParams, grid: MellinGrid2D) -> MellinKernel:
+    """The kernel of (p, grid), built on first use and memoized (its
+    arrays are read-only): O(N1 + N2) log-gamma evaluations and one real
+    mat-vec for abs_rows."""
+    if abs(grid.h1 - grid.h2) >= 1e-15 * max(grid.h1, grid.h2):
+        raise ValueError("the Mellin kernel needs a shared step h1 = h2")
+    h = grid.h1
+    n1, n2 = grid.N1, grid.N2
+    s1, s2 = grid.sigma1, grid.sigma2
+    la = _a_log(p, grid)
+    m = np.arange(-(n1 + n2), n1 + n2 + 1)
+    lb = np.zeros(m.size, dtype=np.complex128)
+    for d in p.triple:
+        lb += _gamma_product_log((s2 + 1j * (m * h) - d) / 2.0)
+    v = np.arange(-(3 * n1 + n2), 3 * n1 + n2 + 1)
+    lc = -_gamma_product_log((s1 + s2) / 2.0 + 1j * (v * h) / 2.0)
+    peaks = [float(np.max(x.real)) for x in (la, lb, lc)]
+    a, b, c = (np.exp(x - s) for x, s in zip((la, lb, lc), peaks))
+    abs_rows = _blocked_matvec(np.abs(b), np.abs(c), np.abs(a), 2 * n2 + 1)
+    for arr in (a, b, c, abs_rows):
+        arr.setflags(write=False)
+    return MellinKernel(grid=grid, a=a, b=b, c=c,
+                        log_scale=sum(peaks), abs_rows=abs_rows)
+
+
 @dataclass(frozen=True, eq=False)
 class FixedDCache:
     """Precomputed inner gamma-factor sums for all Whittaker arguments
     sharing D = y1^2 y2.
 
     inner[j] holds the k1-sum for k2 = j - N2, all at the common scale
-    exp(log_scale).  Immutable after construction; w_mellin_fixed_d only
-    re-evaluates the outer k2-sum, an O(N2) operation.
+    exp(log_scale); inner_peak is max |inner| and inner_abs_peak the
+    largest absolute k1-sum sum_i |a_i b_{i+j} c_{3i+j}| over j (the
+    kernel's max abs_rows), both at that scale.  Immutable after
+    construction; w_mellin_fixed_d only evaluates the outer k2-sums,
+    O(N2) work per y2.
     """
 
     params: LanglandsParams
@@ -495,6 +609,8 @@ class FixedDCache:
     grid: MellinGrid2D
     inner: np.ndarray
     log_scale: float
+    inner_peak: float
+    inner_abs_peak: float
     y2_range: tuple[float, float] | None = None
     validation_residual: float | None = None
 
@@ -506,16 +622,21 @@ class FixedDCache:
         return np.arange(-self.grid.N2, self.grid.N2 + 1)
 
     @property
-    def inner_peak_log(self) -> float:
-        """log of the largest |inner entry| including the common scale."""
-        return self.log_scale + math.log(float(np.max(np.abs(self.inner))))
+    def noise_log(self) -> float:
+        """log of the roundoff floor of one outer sum before its y2
+        prefactor, the sum of two terms:
 
+        * every inner sum is off by at most (2 N1 + 1) u inner_abs_peak,
+          the recursive-summation bound (Higham, Accuracy and Stability
+          of Numerical Algorithms, ch. 4); at large D the inner sums
+          cancel far below inner_abs_peak and this term dominates;
+        * the outer sum adds ~u relative noise per entry, (2 N2 + 1) u
+          inner_peak in all.
 
-def _gamma_product_log(args: np.ndarray) -> np.ndarray:
-    if np.any(_pole_distance(args) < 1e-9):
-        raise PoleError("grid abscissa within 1e-9 of a gamma pole; "
-                        "choose positive sigma1, sigma2")
-    return _log_gamma_array(args)
+        u is _ROUNDOFF, which also covers the rounding of the products."""
+        n1, n2 = self.grid.N1, self.grid.N2
+        return self.log_scale + math.log(_ROUNDOFF * (
+            (2 * n1 + 1) * self.inner_abs_peak + (2 * n2 + 1) * self.inner_peak))
 
 
 def build_fixed_d_cache(p: LanglandsParams, D: float,
@@ -526,54 +647,34 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     """Precompute the inner k1-sums of the discretized double Mellin
     transform for fixed D = y1^2 y2.
 
-    Construction costs O(N1 N2) term products; with h1 = h2 the gamma
-    factors collapse onto three one-dimensional arrays indexed by k1,
-    k1 + k2 and 3 k1 + k2, so only O(N1 + N2) log-gamma evaluations are
-    needed.  When `validate` is set, the cache is compared against w_eval
-    at the end points of y2_range and the worst relative deviation is
-    stored.
+    With h1 = h2 the gamma factors live on three one-dimensional arrays
+    indexed by k1, k1 + k2 and 3 k1 + k2 that do not depend on D; they
+    are computed once per (p, grid) by mellin_kernel, so a build costs
+    one blocked O(N1 N2) mat-vec and no log-gamma evaluations.  When
+    `validate` is set, the cache is compared against w_eval at the end
+    points of y2_range and the worst relative deviation is stored.
     """
     if not (D > 0.0) or not math.isfinite(D):
         raise ValueError(f"D must be positive and finite, got {D}")
     if grid is None:
         grid = default_mellin_grid(p, eps)
-    alpha, beta, g = p.triple
     h1, h2 = grid.h1, grid.h2
     n1, n2 = grid.N1, grid.N2
-    s1, s2 = grid.sigma1, grid.sigma2
-    log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
-
-    k1 = np.arange(-n1, n1 + 1)
-    la = np.zeros(2 * n1 + 1, dtype=np.complex128)
-    for d in (alpha, beta, g):
-        la += _gamma_product_log((s1 + d) / 2.0 + 1j * (k1 * h1))
-    sa = float(np.max(la.real))
-    a_arr = np.exp(la - sa) * np.exp(-1j * (k1 * h1) * log_pi3d)
 
     if abs(h1 - h2) < 1e-15 * max(h1, h2):
-        # shared-step fast path: B over m = k1 + k2, C over v = 3 k1 + k2
-        m = np.arange(-(n1 + n2), n1 + n2 + 1)
-        lb = np.zeros(m.size, dtype=np.complex128)
-        for d in (alpha, beta, g):
-            lb += _gamma_product_log((s2 + 1j * (m * h1) - d) / 2.0)
-        v = np.arange(-(3 * n1 + n2), 3 * n1 + n2 + 1)
-        lc = -_gamma_product_log((s1 + s2) / 2.0 + 1j * (v * h1) / 2.0)
-        sb = float(np.max(lb.real))
-        sc = float(np.max(lc.real))
-        b_arr = np.exp(lb - sb)
-        c_arr = np.exp(lc - sc)
-        inner = np.empty(2 * n2 + 1, dtype=np.complex128)
-        width = 2 * n1 + 1
-        for j in range(2 * n2 + 1):
-            # m-index k1+k2+n1+n2 and v-index 3k1+k2+3n1+n2 are contiguous
-            # (stride 1 and 3) in the 1-D arrays
-            bs = b_arr[j: j + width]
-            cs = c_arr[j: j + 6 * n1 + 1: 3]
-            inner[j] = np.sum(a_arr * bs * cs)
-        scale = sa + sb + sc
+        kernel = mellin_kernel(p, grid)
+        inner = kernel.inner(D)
+        scale = kernel.log_scale
+        inner_abs_peak = float(np.max(kernel.abs_rows))
     else:
+        alpha, beta, g = p.triple
+        s1, s2 = grid.sigma1, grid.sigma2
+        log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
+        k1 = np.arange(-n1, n1 + 1)
+        la = _a_log(p, grid)
+        sa = float(np.max(la.real))
+        a_arr = np.exp(la - sa) * np.exp(-1j * (k1 * h1) * log_pi3d)
         inner = np.empty(2 * n2 + 1, dtype=np.complex128)
-        scale = sa
         rows = []
         row_max = -math.inf
         for j in range(2 * n2 + 1):
@@ -585,12 +686,16 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
             lb -= _gamma_product_log((s1 + s2) / 2.0 + 1j * (3.0 * k1 * h1 + k2h) / 2.0)
             rows.append(lb)
             row_max = max(row_max, float(np.max(lb.real)))
+        inner_abs_peak = 0.0
         for j in range(2 * n2 + 1):
-            inner[j] = np.sum(a_arr * np.exp(rows[j] - row_max))
+            terms = a_arr * np.exp(rows[j] - row_max)
+            inner[j] = np.sum(terms)
+            inner_abs_peak = max(inner_abs_peak, float(np.sum(np.abs(terms))))
         scale = sa + row_max
 
     cache = FixedDCache(params=p, D=float(D), grid=grid, inner=inner,
-                        log_scale=scale, y2_range=y2_range)
+                        log_scale=scale, inner_peak=float(np.max(np.abs(inner))),
+                        inner_abs_peak=inner_abs_peak, y2_range=y2_range)
     if validate:
         lo, hi = y2_range if y2_range is not None else (D ** (1.0 / 3.0) / 8.0,
                                                         D ** (1.0 / 3.0) * 8.0)
@@ -599,73 +704,87 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
         # assembly needs there
         floor_log = math.log(eps)
         resid = 0.0
-        for y2 in (lo, hi):
-            y1 = math.sqrt(D / y2)
-            ref = w_eval(p, WhittakerArgs(y1, y2))
-            got = w_mellin_fixed_d(cache, y2, _skip_range_check=True,
-                                   _no_guard=True)
-            diff = (got - ref).log_abs()
+        got = w_mellin_fixed_d(cache, np.array([lo, hi]), _skip_range_check=True,
+                               _no_guard=True)
+        for y2, w in zip((lo, hi), got):
+            ref = w_eval(p, WhittakerArgs(math.sqrt(D / y2), y2))
+            diff = (w - ref).log_abs()
             resid = max(resid, math.exp(diff - max(ref.log_abs(), floor_log)))
-        cache = FixedDCache(params=p, D=float(D), grid=grid, inner=inner,
-                            log_scale=scale, y2_range=(lo, hi),
-                            validation_residual=resid)
+        cache = replace(cache, y2_range=(lo, hi), validation_residual=resid)
         if resid > 1e-2:
             log.warning("fixed-D cache validation residual %.2e at D=%g", resid, D)
     return cache
 
 
-def _outer_prefactor_log(cache: FixedDCache, y2: float) -> float:
+def _outer_prefactor_log(cache: FixedDCache, y2):
     grid = cache.grid
     log_pi3d = 3.0 * math.log(math.pi) + math.log(cache.D)
     return (0.5 * (1.0 - grid.sigma1) * log_pi3d
-            + 0.5 * (1.0 - 2.0 * grid.sigma2 + grid.sigma1) * math.log(math.pi * y2)
+            + 0.5 * (1.0 - 2.0 * grid.sigma2 + grid.sigma1) * np.log(math.pi * y2)
             + math.log(grid.h1 * grid.h2 / (2.0 * math.pi ** 2)))
 
 
-def mellin_outer_noise_log(cache: FixedDCache, y2: float) -> float:
-    """log of the roundoff floor of w_mellin_fixed_d at y2, in the shared
-    scaling convention: outer-sum values below this level are
-    indistinguishable from zero at binary64."""
-    n_terms = 2 * cache.grid.N2 + 1
-    return (cache.inner_peak_log + _outer_prefactor_log(cache, y2)
-            + cache.params.scale_shift + math.log(n_terms * 2.3e-16))
+def mellin_outer_noise_log(cache: FixedDCache, y2):
+    """log of the roundoff floor of w_mellin_fixed_d at y2 (a scalar or a
+    1-D array), in the shared scaling convention: values below this level
+    are indistinguishable from zero at binary64."""
+    return (cache.noise_log + _outer_prefactor_log(cache, np.asarray(y2, dtype=float))
+            + cache.params.scale_shift)
 
 
-def w_mellin_fixed_d(cache: FixedDCache, y2: float,
+def w_mellin_fixed_d(cache: FixedDCache, y2,
                      _skip_range_check: bool = False,
-                     _no_guard: bool = False) -> ScaledComplex:
+                     _no_guard: bool = False):
     """W(y1, y2) with y1 = sqrt(D / y2), from the cached inner sums.
 
-    Only the outer sum against (pi y2)^(-i k2 h2) is evaluated, so the
-    cost is O(N2).  Raises AccuracyRangeError outside the validated y2
-    range and CancellationError when the outer sum loses the guard ratio
+    y2 is a scalar, giving one ScaledComplex, or a 1-D array, giving a
+    list of them.  Only the outer sums against (pi y2)^(-i k2 h2) are
+    evaluated, all as one phase-matrix product taken in row blocks, so the
+    cost is O(N2) per y2.  Raises AccuracyRangeError outside the validated
+    y2 range and CancellationError when an outer sum loses the guard ratio
     (suppressed by _no_guard for callers that only need absolute accuracy
     near the decay boundary).
     """
-    if not (y2 > 0.0) or not math.isfinite(y2):
-        raise ValueError(f"y2 must be positive and finite, got {y2}")
-    if (not _skip_range_check and cache.y2_range is not None
-            and not (cache.y2_range[0] * (1 - 1e-12) <= y2 <= cache.y2_range[1] * (1 + 1e-12))):
-        raise AccuracyRangeError(
-            f"y2={y2:g} outside the validated range [{cache.y2_range[0]:g}, "
-            f"{cache.y2_range[1]:g}] of this cache")
-    grid = cache.grid
-    p = cache.params
-    log_py2 = math.log(math.pi * y2)
-    k2 = cache.k2
-    phases = np.exp(-1j * (k2 * grid.h2) * log_py2)
-    terms = cache.inner * phases
-    total = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    peak = float(np.max(np.abs(cache.inner)))
-    if not _no_guard and (total == 0 or peak / abs(total) > CANCELLATION_GUARD_RATIO):
-        raise CancellationError(
-            f"outer sum cancellation exceeds guard ratio at y2={y2:g}; "
-            "increase working precision or use another algorithm")
-    if total == 0:
-        return ScaledComplex.zero()
-    pref = _outer_prefactor_log(cache, y2)
-    out = ScaledComplex(total, cache.log_scale) * ScaledComplex.from_log(complex(pref))
-    return out.scaled_by(p.scale_shift)
+    y2s = np.atleast_1d(np.asarray(y2, dtype=float))
+    if y2s.ndim != 1:
+        raise ValueError("y2 must be a scalar or a 1-D array")
+    bad = ~((y2s > 0.0) & np.isfinite(y2s))
+    if bad.any():
+        raise ValueError(f"y2 must be positive and finite, got {y2s[bad][0]}")
+    if not _skip_range_check and cache.y2_range is not None:
+        lo, hi = cache.y2_range
+        outside = (y2s < lo * (1 - 1e-12)) | (y2s > hi * (1 + 1e-12))
+        if outside.any():
+            raise AccuracyRangeError(
+                f"y2={y2s[outside][0]:g} outside the validated range [{lo:g}, "
+                f"{hi:g}] of this cache")
+    log_py2 = np.log(math.pi * y2s)
+    k2h = cache.k2 * cache.grid.h2
+    # e^{-i theta} (re + i im) = (re cos + im sin) + i (im cos - re sin):
+    # the phase matrix as two real products, cheaper than a complex exp
+    re_im = np.stack([cache.inner.real, cache.inner.imag], axis=1)
+    totals = np.empty(y2s.size, dtype=np.complex128)
+    for r0, r1 in _row_blocks(y2s.size, k2h.size):
+        theta = np.outer(log_py2[r0:r1], k2h)
+        cos = np.cos(theta) @ re_im
+        sin = np.sin(theta) @ re_im
+        totals.real[r0:r1] = cos[:, 0] + sin[:, 1]
+        totals.imag[r0:r1] = cos[:, 1] - sin[:, 0]
+    if not _no_guard:
+        lost = (totals == 0) | (cache.inner_peak > CANCELLATION_GUARD_RATIO * np.abs(totals))
+        if lost.any():
+            raise CancellationError(
+                f"outer sum cancellation exceeds guard ratio at y2={y2s[lost][0]:g}; "
+                "increase working precision or use another algorithm")
+    shift = cache.params.scale_shift
+    values = []
+    for total, pref in zip(totals.tolist(), _outer_prefactor_log(cache, y2s).tolist()):
+        if total == 0:
+            values.append(ScaledComplex.zero())
+            continue
+        out = ScaledComplex(total, cache.log_scale) * ScaledComplex.from_log(complex(pref))
+        values.append(out.scaled_by(shift))
+    return values if np.ndim(y2) else values[0]
 
 
 # ---------------------------------------------------------------------------

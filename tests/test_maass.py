@@ -10,9 +10,12 @@ from sl3maass.maass import (GENERATORS, GroupWord, H3Point, MaassForm,
                             eval_maass, eval_maass_report,
                             expand_coefficients, iwasawa_act, mobius,
                             word_matrix, _inverse_mod)
-from sl3maass.whittaker import WhittakerArgs, w_eval
+from sl3maass.whittaker import WhittakerArgs, mellin_kernel, w_eval
 
 SMALL = LanglandsParams(-1.3, 2.1)
+GENERIC = LanglandsParams(-3.7, 1.2)
+# the synthetic form's benchmark point
+E2_POINT = H3Point(0.13, 0.27, -0.41, 1.1, 0.95)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +218,8 @@ def test_representative_shift_invariance():
 # cutoff and evaluation
 # ---------------------------------------------------------------------------
 
-def synthetic_form(eps=1e-8) -> MaassForm:
-    return MaassForm(params=SMALL, eps=eps,
+def synthetic_form(eps=1e-8, params=SMALL) -> MaassForm:
+    return MaassForm(params=params, eps=eps,
                      coeff_fn=lambda m1, m2: 1.0 / (1.0 + m1 + m2))
 
 
@@ -290,6 +293,30 @@ def test_eval_determinism():
     form = synthetic_form()
     z = H3Point(0.13, 0.27, -0.41, 1.1, 0.95)
     assert eval_maass(form, z) == eval_maass(form, z)
+
+
+def test_fresh_forms_are_bit_identical():
+    """The determinism contract: identical inputs give bit-identical
+    values and statistics, also when every cache and kernel is rebuilt."""
+    mellin_kernel.cache_clear()
+    v1, s1 = eval_maass_report(synthetic_form(params=GENERIC), E2_POINT)
+    mellin_kernel.cache_clear()
+    v2, s2 = eval_maass_report(synthetic_form(params=GENERIC), E2_POINT)
+    assert v1 == v2
+    assert s1 == s2
+
+
+def test_caches_built_per_evaluation():
+    form = synthetic_form(params=GENERIC)
+    _, first = eval_maass_report(form, E2_POINT)
+    _, again = eval_maass_report(form, E2_POINT)
+    _, image = eval_maass_report(form, iwasawa_act(word_matrix("S1"), E2_POINT))
+    assert first.n_caches_built == first.n_caches > 0
+    assert again.n_caches_built == 0
+    assert again.n_caches == first.n_caches
+    # an S1 image lands on new values of D
+    assert image.n_caches_built > 0
+    assert image.n_caches == first.n_caches + image.n_caches_built
 
 
 def test_missing_coefficient_is_hard_error():

@@ -10,11 +10,14 @@ from sl3maass.quadrature import MellinGrid2D, QuadratureGrid, inverse_mellin_lin
 from sl3maass.scaled import ScaledComplex
 from sl3maass.specfun import (GammaRatioSpec, bessel_k_prime_scaled,
                               bessel_k_scaled, gamma_ratio)
+from sl3maass import whittaker
 from sl3maass.whittaker import (SeriesBudget, WhittakerArgs,
                                 build_fixed_d_cache, build_pq_table,
                                 choose_algorithm, default_mellin_grid,
+                                mellin_kernel, mellin_outer_noise_log,
                                 pq_build, w_eval, w_mellin_fixed_d,
-                                w_series_origin, w_series_small, w_stade)
+                                w_series_origin, w_series_small, w_stade,
+                                _outer_prefactor_log)
 
 LIFT_R = 9.533695
 LIFT = LanglandsParams(-2.0 * LIFT_R, 2.0 * LIFT_R)
@@ -304,6 +307,113 @@ def test_cache_unequal_steps_path():
     got = w_mellin_fixed_d(cache, 0.7, _skip_range_check=True)
     ref = w_eval(SMALL, WhittakerArgs(math.sqrt(0.5 / 0.7), 0.7))
     assert got.rel_diff(ref) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Mellin kernel: blocked inner mat-vecs and batched outer sums
+# ---------------------------------------------------------------------------
+
+# roundoff charged per term: u for the recursive-summation bound
+# (Higham, ch. 4) and u more for the products
+TWO_U = float(np.finfo(float).eps)
+
+
+def row_wise_inner(p, grid, D):
+    """inner_D from the kernel arrays, one exactly rounded sum per row."""
+    kernel = mellin_kernel(p, grid)
+    n1, n2 = grid.N1, grid.N2
+    k1 = np.arange(-n1, n1 + 1)
+    a_d = kernel.a * np.exp(-1j * (k1 * grid.h1) * (3.0 * math.log(math.pi) + math.log(D)))
+    out = np.empty(2 * n2 + 1, dtype=np.complex128)
+    for j in range(2 * n2 + 1):
+        t = a_d * kernel.b[j:j + 2 * n1 + 1] * kernel.c[j:j + 6 * n1 + 1:3]
+        out[j] = complex(math.fsum(t.real), math.fsum(t.imag))
+    return out
+
+
+@pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
+@pytest.mark.parametrize("D", [0.5, 3.7])
+def test_kernel_inner_matches_row_sums(p, D):
+    grid = default_mellin_grid(p)
+    cache = build_fixed_d_cache(p, D, grid=grid, validate=False)
+    kernel = mellin_kernel(p, grid)
+    ref = row_wise_inner(p, grid, D)
+    bound = (2 * grid.N1 + 1) * TWO_U * kernel.abs_rows
+    assert np.all(np.abs(cache.inner - ref) <= bound)
+    assert cache.inner_abs_peak == float(np.max(kernel.abs_rows))
+
+
+@pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
+def test_batched_outer_sums_match_scalar_calls(p):
+    cache = build_fixed_d_cache(p, 3.7, validate=False)
+    # more points than one row block holds, so several blocks are used
+    ys = np.geomspace(0.05, 20.0, 120)
+    batch = w_mellin_fixed_d(cache, ys, _skip_range_check=True, _no_guard=True)
+    floors = mellin_outer_noise_log(cache, ys)
+    assert len(batch) == ys.size
+    for y, w, floor in zip(ys, batch, floors):
+        one = w_mellin_fixed_d(cache, float(y), _skip_range_check=True, _no_guard=True)
+        assert isinstance(one, ScaledComplex)
+        assert (w - one).log_abs() < floor
+        assert mellin_outer_noise_log(cache, float(y)) == pytest.approx(floor, abs=1e-12)
+
+
+def test_kernel_log_gamma_only_on_first_build(monkeypatch):
+    calls = []
+    log_gamma = whittaker._log_gamma_array
+
+    def counted(z):
+        calls.append(np.size(z))
+        return log_gamma(z)
+
+    monkeypatch.setattr(whittaker, "_log_gamma_array", counted)
+    mellin_kernel.cache_clear()
+    grid = default_mellin_grid(GENERIC)
+    build_fixed_d_cache(GENERIC, 0.8, grid=grid, validate=False)
+    first = len(calls)
+    build_fixed_d_cache(GENERIC, 5.3, grid=grid, validate=False)
+    assert first > 0
+    assert len(calls) == first
+
+
+@pytest.mark.parametrize("D, cancels", [(3.7, False), (40.0, True)])
+def test_noise_floor_bounds_batched_error(D, cancels):
+    """Batched values against exactly rounded row and outer sums.  At
+    D = 40 the inner sums cancel far below their terms, so the blocked
+    mat-vec and the row sums differ by much more than the outer sums' own
+    roundoff and no value is resolved; the floor still bounds the
+    difference.  At D = 3.7 the values stand clear of the floor."""
+    grid = default_mellin_grid(GENERIC)
+    cache = build_fixed_d_cache(GENERIC, D, grid=grid, validate=False)
+    ref_inner = row_wise_inner(GENERIC, grid, D)
+    outer_only = (2 * grid.N2 + 1) * TWO_U * cache.inner_peak
+    inner_dev = float(np.max(np.abs(cache.inner - ref_inner)))
+    ys = np.geomspace(0.05, 30.0, 25)
+    got = w_mellin_fixed_d(cache, ys, _skip_range_check=True, _no_guard=True)
+    floors = mellin_outer_noise_log(cache, ys)
+    k2h = cache.k2 * grid.h2
+    resolved = 0
+    for y, w, floor in zip(ys, got, floors):
+        t = ref_inner * np.exp(-1j * k2h * math.log(math.pi * y))
+        total = complex(math.fsum(t.real), math.fsum(t.imag))
+        ref = (ScaledComplex(total, cache.log_scale)
+               * ScaledComplex.from_log(complex(_outer_prefactor_log(cache, y))))
+        ref = ref.scaled_by(GENERIC.scale_shift)
+        assert (w - ref).log_abs() < floor
+        resolved += ref.log_abs() > floor + 2.0
+    assert (inner_dev > 1e3 * outer_only) == cancels
+    assert (resolved == 0) == cancels
+
+
+def test_array_query_validation():
+    cache = build_fixed_d_cache(SMALL, 0.4, validate=False, y2_range=(0.2, 1.5))
+    assert w_mellin_fixed_d(cache, np.array([])) == []
+    with pytest.raises(ValueError):
+        w_mellin_fixed_d(cache, np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        w_mellin_fixed_d(cache, np.array([0.5, -1.0]))
+    with pytest.raises(AccuracyRangeError):
+        w_mellin_fixed_d(cache, np.array([0.5, 5.0]))
 
 
 # ---------------------------------------------------------------------------
