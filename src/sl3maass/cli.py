@@ -77,8 +77,16 @@ def _add_param_flags(p):
                         "(default: -(alpha+beta); checked if given)")
 
 
+def _positive_finite(text: str) -> float:
+    v = float(text)
+    if not (v > 0.0) or not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return v
+
+
 def _add_grid_flags(p):
-    p.add_argument("--grid-h", type=float, default=None, help="override step size")
+    p.add_argument("--grid-h", type=_positive_finite, default=None,
+                   help="override step size (positive and finite)")
     p.add_argument("--grid-n", type=int, default=None, help="override half-width in steps")
     p.add_argument("--sigma1", type=float, default=2.0)
     p.add_argument("--sigma2", type=float, default=2.0)
@@ -117,8 +125,8 @@ def _series_with_error(fn, p, a):
 def _mellin_grid_from(ns, p):
     grid = default_mellin_grid(p)
     if ns.grid_h is not None:
-        n_scale = grid.h1 / ns.grid_h
-        grid = replace(grid, h1=ns.grid_h, h2=ns.grid_h,
+        n_scale = grid.h / ns.grid_h
+        grid = replace(grid, h=ns.grid_h,
                        N1=int(grid.N1 * n_scale) + 1, N2=int(grid.N2 * n_scale) + 1)
     if ns.grid_n is not None:
         grid = replace(grid, N1=ns.grid_n, N2=ns.grid_n)
@@ -130,7 +138,7 @@ def _mellin_grid_from(ns, p):
 def _mellin_with_error(p, a, grid):
     cache = build_fixed_d_cache(p, a.y1 * a.y1 * a.y2, grid=grid, validate=True,
                                 y2_range=(a.y2 / 2.0, a.y2 * 2.0))
-    v = w_mellin_fixed_d(cache, a.y2, _skip_range_check=True)
+    v = w_mellin_fixed_d(cache, a.y2)
     return v, cache.validation_residual or 0.0
 
 

@@ -25,7 +25,7 @@ from .errors import (DegenerateLatticeError, DomainError,
                      MissingCoefficientError, NonConvergenceError)
 from .langlands import LanglandsParams
 from .scaled import ScaledComplex
-from .whittaker import (EvalPolicy, WhittakerArgs, build_fixed_d_cache,
+from .whittaker import (WhittakerArgs, build_fixed_d_cache,
                         mellin_outer_noise_log, w_eval, w_mellin_fixed_d,
                         w_stade)
 
@@ -221,13 +221,11 @@ def expand_coefficients(a: Mapping[int, complex], M: int) -> dict[tuple[int, int
 
 _CUTOFF_PROBES = (0.3, 0.6, 1.0, 1.6, 2.5)
 _CUTOFF_RATIO = 1.25
+_CUTOFF_START = 0.64
+_CUTOFF_STEPS = 70
 
 
-def _cutoff_scan(p: LanglandsParams, eps: float,
-                 policy: EvalPolicy | None = None,
-                 probes: tuple[float, ...] = _CUTOFF_PROBES,
-                 start: float = 0.64,
-                 max_steps: int = 70) -> tuple[float, float]:
+def _cutoff_scan(p: LanglandsParams, eps: float) -> tuple[float, float]:
     """(C, peak_log): the decay cutoff and the peak log|W| seen on the
     scan.
 
@@ -239,9 +237,9 @@ def _cutoff_scan(p: LanglandsParams, eps: float,
         raise ValueError("eps must be positive")
 
     def max_log(y: float) -> float:
-        return max(w_eval(p, WhittakerArgs(q, y), policy).log_abs() for q in probes)
+        return max(w_eval(p, WhittakerArgs(q, y)).log_abs() for q in _CUTOFF_PROBES)
 
-    ys = [start * _CUTOFF_RATIO ** k for k in range(max_steps)]
+    ys = [_CUTOFF_START * _CUTOFF_RATIO ** k for k in range(_CUTOFF_STEPS)]
     logs: dict[int, float] = {}
 
     def level(i: int) -> float:
@@ -251,24 +249,20 @@ def _cutoff_scan(p: LanglandsParams, eps: float,
 
     # the peak sits at small-to-moderate y; scan until clearly past it
     peak = -math.inf
-    for i in range(max_steps):
+    for i in range(_CUTOFF_STEPS):
         peak = max(peak, level(i))
         if level(i) < peak - 8.0:
             break
     log_thr = math.log(eps) + peak
-    for i in range(max_steps - 2):
+    for i in range(_CUTOFF_STEPS - 2):
         if level(i) < log_thr and level(i + 1) < log_thr and level(i + 2) < log_thr:
             return ys[i], peak
     raise NonConvergenceError(
         f"no decay cutoff found below {ys[-1]:g} for eps={eps:g}")
 
 
-def decay_cutoff(p: LanglandsParams, eps: float,
-                 policy: EvalPolicy | None = None,
-                 probes: tuple[float, ...] = _CUTOFF_PROBES,
-                 start: float = 0.64,
-                 max_steps: int = 70) -> float:
-    """Smallest value C on the geometric grid start * 1.25^k such that the
+def decay_cutoff(p: LanglandsParams, eps: float) -> float:
+    """Smallest value C on the geometric grid 0.64 * 1.25^k such that the
     scaled |W(y1, y2)| stays below eps (relative to the peak of |W| over
     the scanned region) whenever either argument exceeds C.
 
@@ -277,7 +271,7 @@ def decay_cutoff(p: LanglandsParams, eps: float,
     orientation covers both axes.  Confirmed on two further grid points
     before returning.
     """
-    return _cutoff_scan(p, eps, policy, probes, start, max_steps)[0]
+    return _cutoff_scan(p, eps)[0]
 
 
 def enumerate_cd(C: float, m1y1: float, m2y2: float, z2: complex) -> list[tuple[int, int]]:
@@ -365,9 +359,9 @@ class MaassForm:
             return complex(self.coeff_fn(m1, m2))
         raise MissingCoefficientError(m1, m2)
 
-    def cutoff_value(self, policy: EvalPolicy | None = None) -> float:
+    def cutoff_value(self) -> float:
         if self.cutoff is None or self.peak_log is None:
-            self.cutoff, self.peak_log = _cutoff_scan(self.params, self.eps, policy)
+            self.cutoff, self.peak_log = _cutoff_scan(self.params, self.eps)
         return self.cutoff
 
 
@@ -391,21 +385,20 @@ class MaassEvalStats:
 
 def eval_maass_report(f: MaassForm, z: H3Point,
                       backend: str = "mellin",
-                      policy: EvalPolicy | None = None,
                       validate_caches: bool = True,
                       count_only: bool = False) -> tuple[complex, MaassEvalStats]:
     """Truncated even cosine expansion at z, with evaluation statistics.
 
     backend selects the Whittaker engine: "mellin" (fixed-D caches, the
-    default), "stade" (direct double-Bessel integral), or "auto" (the
-    dispatcher).  With count_only the coefficient table is never touched
-    and the returned value is meaningless; only the statistics are valid.
+    default) or "stade" (direct double-Bessel integral).  With count_only
+    the coefficient table is never touched and the returned value is
+    meaningless; only the statistics are valid.
     """
-    if backend not in ("mellin", "stade", "auto"):
+    if backend not in ("mellin", "stade"):
         raise ValueError(f"unknown backend {backend!r}")
     p = f.params
     eps = f.eps
-    C = f.cutoff_value(policy)
+    C = f.cutoff_value()
     shift = p.scale_shift
     # contribution threshold: eps relative to the peak of |W| over the
     # truncation scan (the form's natural term scale)
@@ -433,14 +426,9 @@ def eval_maass_report(f: MaassForm, z: H3Point,
             # cancellation guard is suppressed; the contribution filter
             # drops anything below the outer sums' roundoff floor
             y2s = np.array(y2_args)
-            ws = w_mellin_fixed_d(cache, y2s, _skip_range_check=True,
-                                  _no_guard=True)
+            ws = w_mellin_fixed_d(cache, y2s, _no_guard=True)
             return ws, mellin_outer_noise_log(cache, y2s).tolist()
-        args = [WhittakerArgs(math.sqrt(D / y), y) for y in y2_args]
-        if backend == "stade":
-            ws = [w_stade(p, a) for a in args]
-        else:
-            ws = [w_eval(p, a, policy) for a in args]
+        ws = [w_stade(p, WhittakerArgs(math.sqrt(D / y), y)) for y in y2_args]
         return ws, [-math.inf] * len(ws)
 
     t_min = _min_lattice_radius(C, y1, z2)
@@ -517,22 +505,19 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     return value, stats
 
 
-def eval_maass(f: MaassForm, z: H3Point,
-               backend: str = "mellin",
-               policy: EvalPolicy | None = None) -> complex:
+def eval_maass(f: MaassForm, z: H3Point, backend: str = "mellin") -> complex:
     """f(z) by the truncated even cosine expansion (see
     eval_maass_report)."""
-    value, _ = eval_maass_report(f, z, backend=backend, policy=policy)
+    value, _ = eval_maass_report(f, z, backend=backend)
     return value
 
 
-def coefficient_demand(p: LanglandsParams, z: H3Point, eps: float,
-                       policy: EvalPolicy | None = None) -> MaassEvalStats:
+def coefficient_demand(p: LanglandsParams, z: H3Point, eps: float) -> MaassEvalStats:
     """How many coefficients an evaluation at z would need: runs the
     truncation walk without touching any coefficient table and reports the
     largest contributing m2 (and m1)."""
     form = MaassForm(params=p, coeff_fn=lambda m1, m2: 1.0, eps=eps)
-    _, stats = eval_maass_report(form, z, backend="mellin", policy=policy,
+    _, stats = eval_maass_report(form, z, backend="mellin",
                                  validate_caches=False, count_only=True)
     return stats
 

@@ -60,19 +60,19 @@ class QuadratureGrid:
 
 @dataclass(frozen=True)
 class MellinGrid2D:
-    """Discretization parameters for the double inverse Mellin transform."""
+    """Discretization parameters for the double inverse Mellin transform:
+    one step h on both lines, abscissas sigma1 and sigma2, and half-widths
+    N1 and N2 in steps."""
 
-    h1: float
-    h2: float
+    h: float
     sigma1: float
     sigma2: float
     N1: int
     N2: int
 
     def __post_init__(self):
-        for name in ("h1", "h2"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
+        if not (self.h > 0.0) or not math.isfinite(self.h):
+            raise ValueError("grid step h must be positive and finite")
         for name in ("N1", "N2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -48,7 +48,6 @@ from .specfun import (GammaRatioSpec, bessel_k_prime_scaled, bessel_k_scaled,
 __all__ = [
     "WhittakerArgs",
     "SeriesBudget",
-    "EvalPolicy",
     "PQSlice",
     "PQTable",
     "pq_build",
@@ -110,27 +109,6 @@ class SeriesBudget:
     def __post_init__(self):
         if self.nmax < 1:
             raise ValueError("nmax must be at least 1")
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Dispatcher policy: below small_cut the smaller argument routes to
-    the small-argument series, above it to the double-Bessel integral.
-
-    product_cut additionally bounds y1*y2 for the series route: the
-    closed-form polynomial/Bessel combination loses roughly
-    (pi y1 * 2 pi y2)^(2n/3) digits to internal cancellation, which at
-    binary64 exceeds the guard ratio once the product grows past ~1.3.
-    """
-
-    small_cut: float = 1.0
-    product_cut: float = 1.3
-    budget: SeriesBudget = field(default_factory=SeriesBudget)
-    stade_grid: QuadratureGrid | None = None
-    degenerate_tol: float = 1e-9
-
-
-_DEFAULT_POLICY = EvalPolicy()
 
 
 def _require_nondegenerate(p: LanglandsParams, tol: float = 1e-9):
@@ -397,8 +375,7 @@ def build_pq_table(p: LanglandsParams, nmax: int = 60) -> PQTable:
 
 
 def w_series_small(p: LanglandsParams, a: WhittakerArgs,
-                   budget: SeriesBudget | None = None,
-                   pq: PQTable | None = None) -> ScaledComplex:
+                   budget: SeriesBudget | None = None) -> ScaledComplex:
     """W(y1,y2) as three single-variable power series in (pi y1)^2, one per
     leading parameter d1:
 
@@ -413,10 +390,7 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
     if budget is None:
         budget = SeriesBudget()
     _require_nondegenerate(p)
-    if pq is None:
-        pq = build_pq_table(p, budget.nmax)
-    if pq.nmax < budget.nmax:
-        raise ValueError("PQ table shorter than the requested budget")
+    pq = build_pq_table(p, budget.nmax)
     y1, y2 = a.y1, a.y2
     x2 = TWO_PI * y2
     log_py1_sq = 2.0 * math.log(math.pi * y1)
@@ -489,7 +463,7 @@ def default_mellin_grid(p: LanglandsParams, eps: float = 1e-12) -> MellinGrid2D:
     tau = -math.log(eps) + 14.0
     t1 = tau / math.pi + 0.5 * p.sup_norm + 6.0
     t2 = 2.0 * tau / math.pi + p.sup_norm + 10.0
-    return MellinGrid2D(h1=h, h2=h, sigma1=2.0, sigma2=2.0,
+    return MellinGrid2D(h=h, sigma1=2.0, sigma2=2.0,
                         N1=int(math.ceil(t1 / h)), N2=int(math.ceil(t2 / h)))
 
 
@@ -498,15 +472,6 @@ def _gamma_product_log(args: np.ndarray) -> np.ndarray:
         raise PoleError("grid abscissa within 1e-9 of a gamma pole; "
                         "choose positive sigma1, sigma2")
     return _log_gamma_array(args)
-
-
-def _a_log(p: LanglandsParams, grid: MellinGrid2D) -> np.ndarray:
-    """log prod_d Gamma((sigma1 + d)/2 + i k1 h1) over k1 = -N1..N1."""
-    k1 = np.arange(-grid.N1, grid.N1 + 1)
-    la = np.zeros(k1.size, dtype=np.complex128)
-    for d in p.triple:
-        la += _gamma_product_log((grid.sigma1 + d) / 2.0 + 1j * (k1 * grid.h1))
-    return la
 
 
 def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
@@ -535,8 +500,7 @@ def _blocked_matvec(b: np.ndarray, c: np.ndarray, x: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class MellinKernel:
-    """The D-independent part of every fixed-D cache on one (params, grid)
-    with a shared step h = h1 = h2.
+    """The D-independent part of every fixed-D cache on one (params, grid).
 
     With i = k1 + N1 and j = k2 + N2, the inner sum at D is
 
@@ -561,7 +525,7 @@ class MellinKernel:
         """inner_D, all entries at the common scale exp(log_scale)."""
         k1 = np.arange(-self.grid.N1, self.grid.N1 + 1)
         log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
-        a_d = self.a * np.exp(-1j * (k1 * self.grid.h1) * log_pi3d)
+        a_d = self.a * np.exp(-1j * (k1 * self.grid.h) * log_pi3d)
         return _blocked_matvec(self.b, self.c, a_d, 2 * self.grid.N2 + 1)
 
 
@@ -570,12 +534,13 @@ def mellin_kernel(p: LanglandsParams, grid: MellinGrid2D) -> MellinKernel:
     """The kernel of (p, grid), built on first use and memoized (its
     arrays are read-only): O(N1 + N2) log-gamma evaluations and one real
     mat-vec for abs_rows."""
-    if abs(grid.h1 - grid.h2) >= 1e-15 * max(grid.h1, grid.h2):
-        raise ValueError("the Mellin kernel needs a shared step h1 = h2")
-    h = grid.h1
+    h = grid.h
     n1, n2 = grid.N1, grid.N2
     s1, s2 = grid.sigma1, grid.sigma2
-    la = _a_log(p, grid)
+    k1 = np.arange(-n1, n1 + 1)
+    la = np.zeros(k1.size, dtype=np.complex128)
+    for d in p.triple:
+        la += _gamma_product_log((s1 + d) / 2.0 + 1j * (k1 * h))
     m = np.arange(-(n1 + n2), n1 + n2 + 1)
     lb = np.zeros(m.size, dtype=np.complex128)
     for d in p.triple:
@@ -647,7 +612,7 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     """Precompute the inner k1-sums of the discretized double Mellin
     transform for fixed D = y1^2 y2.
 
-    With h1 = h2 the gamma factors live on three one-dimensional arrays
+    The gamma factors live on three one-dimensional arrays
     indexed by k1, k1 + k2 and 3 k1 + k2 that do not depend on D; they
     are computed once per (p, grid) by mellin_kernel, so a build costs
     one blocked O(N1 N2) mat-vec and no log-gamma evaluations.  When
@@ -658,44 +623,13 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
         raise ValueError(f"D must be positive and finite, got {D}")
     if grid is None:
         grid = default_mellin_grid(p, eps)
-    h1, h2 = grid.h1, grid.h2
-    n1, n2 = grid.N1, grid.N2
-
-    if abs(h1 - h2) < 1e-15 * max(h1, h2):
-        kernel = mellin_kernel(p, grid)
-        inner = kernel.inner(D)
-        scale = kernel.log_scale
-        inner_abs_peak = float(np.max(kernel.abs_rows))
-    else:
-        alpha, beta, g = p.triple
-        s1, s2 = grid.sigma1, grid.sigma2
-        log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
-        k1 = np.arange(-n1, n1 + 1)
-        la = _a_log(p, grid)
-        sa = float(np.max(la.real))
-        a_arr = np.exp(la - sa) * np.exp(-1j * (k1 * h1) * log_pi3d)
-        inner = np.empty(2 * n2 + 1, dtype=np.complex128)
-        rows = []
-        row_max = -math.inf
-        for j in range(2 * n2 + 1):
-            k2h = (j - n2) * h2
-            u = k1 * h1 + k2h
-            lb = np.zeros(u.size, dtype=np.complex128)
-            for d in (alpha, beta, g):
-                lb += _gamma_product_log((s2 + 1j * u - d) / 2.0)
-            lb -= _gamma_product_log((s1 + s2) / 2.0 + 1j * (3.0 * k1 * h1 + k2h) / 2.0)
-            rows.append(lb)
-            row_max = max(row_max, float(np.max(lb.real)))
-        inner_abs_peak = 0.0
-        for j in range(2 * n2 + 1):
-            terms = a_arr * np.exp(rows[j] - row_max)
-            inner[j] = np.sum(terms)
-            inner_abs_peak = max(inner_abs_peak, float(np.sum(np.abs(terms))))
-        scale = sa + row_max
-
+    kernel = mellin_kernel(p, grid)
+    inner = kernel.inner(D)
     cache = FixedDCache(params=p, D=float(D), grid=grid, inner=inner,
-                        log_scale=scale, inner_peak=float(np.max(np.abs(inner))),
-                        inner_abs_peak=inner_abs_peak, y2_range=y2_range)
+                        log_scale=kernel.log_scale,
+                        inner_peak=float(np.max(np.abs(inner))),
+                        inner_abs_peak=float(np.max(kernel.abs_rows)),
+                        y2_range=y2_range)
     if validate:
         lo, hi = y2_range if y2_range is not None else (D ** (1.0 / 3.0) / 8.0,
                                                         D ** (1.0 / 3.0) * 8.0)
@@ -704,8 +638,7 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
         # assembly needs there
         floor_log = math.log(eps)
         resid = 0.0
-        got = w_mellin_fixed_d(cache, np.array([lo, hi]), _skip_range_check=True,
-                               _no_guard=True)
+        got = w_mellin_fixed_d(cache, np.array([lo, hi]), _no_guard=True)
         for y2, w in zip((lo, hi), got):
             ref = w_eval(p, WhittakerArgs(math.sqrt(D / y2), y2))
             diff = (w - ref).log_abs()
@@ -721,7 +654,7 @@ def _outer_prefactor_log(cache: FixedDCache, y2):
     log_pi3d = 3.0 * math.log(math.pi) + math.log(cache.D)
     return (0.5 * (1.0 - grid.sigma1) * log_pi3d
             + 0.5 * (1.0 - 2.0 * grid.sigma2 + grid.sigma1) * np.log(math.pi * y2)
-            + math.log(grid.h1 * grid.h2 / (2.0 * math.pi ** 2)))
+            + math.log(grid.h * grid.h / (2.0 * math.pi ** 2)))
 
 
 def mellin_outer_noise_log(cache: FixedDCache, y2):
@@ -732,18 +665,18 @@ def mellin_outer_noise_log(cache: FixedDCache, y2):
             + cache.params.scale_shift)
 
 
-def w_mellin_fixed_d(cache: FixedDCache, y2,
-                     _skip_range_check: bool = False,
-                     _no_guard: bool = False):
+def w_mellin_fixed_d(cache: FixedDCache, y2, _no_guard: bool = False):
     """W(y1, y2) with y1 = sqrt(D / y2), from the cached inner sums.
 
     y2 is a scalar, giving one ScaledComplex, or a 1-D array, giving a
-    list of them.  Only the outer sums against (pi y2)^(-i k2 h2) are
+    list of them.  Only the outer sums against (pi y2)^(-i k2 h) are
     evaluated, all as one phase-matrix product taken in row blocks, so the
-    cost is O(N2) per y2.  Raises AccuracyRangeError outside the validated
-    y2 range and CancellationError when an outer sum loses the guard ratio
-    (suppressed by _no_guard for callers that only need absolute accuracy
-    near the decay boundary).
+    cost is O(N2) per y2.  Raises AccuracyRangeError for any y2 outside
+    the cache's y2_range (always checked when the cache has one), and
+    CancellationError when an outer sum loses the guard ratio against the
+    inner sums or lies within e^2 of its roundoff floor
+    (mellin_outer_noise_log).  _no_guard suppresses the CancellationError
+    for callers that only need absolute accuracy near the decay boundary.
     """
     y2s = np.atleast_1d(np.asarray(y2, dtype=float))
     if y2s.ndim != 1:
@@ -751,7 +684,7 @@ def w_mellin_fixed_d(cache: FixedDCache, y2,
     bad = ~((y2s > 0.0) & np.isfinite(y2s))
     if bad.any():
         raise ValueError(f"y2 must be positive and finite, got {y2s[bad][0]}")
-    if not _skip_range_check and cache.y2_range is not None:
+    if cache.y2_range is not None:
         lo, hi = cache.y2_range
         outside = (y2s < lo * (1 - 1e-12)) | (y2s > hi * (1 + 1e-12))
         if outside.any():
@@ -759,7 +692,7 @@ def w_mellin_fixed_d(cache: FixedDCache, y2,
                 f"y2={y2s[outside][0]:g} outside the validated range [{lo:g}, "
                 f"{hi:g}] of this cache")
     log_py2 = np.log(math.pi * y2s)
-    k2h = cache.k2 * cache.grid.h2
+    k2h = cache.k2 * cache.grid.h
     # e^{-i theta} (re + i im) = (re cos + im sin) + i (im cos - re sin):
     # the phase matrix as two real products, cheaper than a complex exp
     re_im = np.stack([cache.inner.real, cache.inner.imag], axis=1)
@@ -771,10 +704,15 @@ def w_mellin_fixed_d(cache: FixedDCache, y2,
         totals.real[r0:r1] = cos[:, 0] + sin[:, 1]
         totals.imag[r0:r1] = cos[:, 1] - sin[:, 0]
     if not _no_guard:
-        lost = (totals == 0) | (cache.inner_peak > CANCELLATION_GUARD_RATIO * np.abs(totals))
+        # the floor test also catches inner sums that cancelled to noise,
+        # where max |inner| is noise itself and the ratio test passes
+        mags = np.abs(totals)
+        floor = math.exp(cache.noise_log - cache.log_scale + 2.0)
+        lost = (mags < floor) | (cache.inner_peak > CANCELLATION_GUARD_RATIO * mags)
         if lost.any():
             raise CancellationError(
-                f"outer sum cancellation exceeds guard ratio at y2={y2s[lost][0]:g}; "
+                f"outer sum at y2={y2s[lost][0]:g} exceeds the cancellation guard "
+                "or lies within e^2 of its roundoff floor; "
                 "increase working precision or use another algorithm")
     shift = cache.params.scale_shift
     values = []
@@ -791,44 +729,50 @@ def w_mellin_fixed_d(cache: FixedDCache, y2,
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def choose_algorithm(p: LanglandsParams, a: WhittakerArgs,
-                     policy: EvalPolicy | None = None) -> tuple[str, bool]:
+# the smaller argument routes to the small-argument series up to _SMALL_CUT
+# and to the double-Bessel integral above it
+_SMALL_CUT = 1.0
+
+# the series route also needs y1*y2 <= _PRODUCT_CUT: the closed-form
+# polynomial/Bessel combination loses roughly (pi y1 * 2 pi y2)^(2n/3)
+# digits to internal cancellation, which at binary64 exceeds the guard
+# ratio once the product grows past ~1.3
+_PRODUCT_CUT = 1.3
+
+
+def choose_algorithm(p: LanglandsParams, a: WhittakerArgs) -> tuple[str, bool]:
     """(algorithm, swapped): which route w_eval takes for these arguments.
 
     swapped means the conjugate-swap W(y1,y2) = conj(W(y2,y1)) is applied
     first so that the evaluated pair has y1 <= y2.
     """
-    if policy is None:
-        policy = _DEFAULT_POLICY
     swapped = a.y1 > a.y2
     y_min = min(a.y1, a.y2)
-    if p.is_degenerate(policy.degenerate_tol):
+    if p.is_degenerate():
         return "stade", swapped
-    if y_min <= policy.small_cut and a.y1 * a.y2 <= policy.product_cut:
+    if y_min <= _SMALL_CUT and a.y1 * a.y2 <= _PRODUCT_CUT:
         return "smallarg", swapped
     return "stade", swapped
 
 
-def w_eval(p: LanglandsParams, a: WhittakerArgs,
-           policy: EvalPolicy | None = None) -> ScaledComplex:
+def w_eval(p: LanglandsParams, a: WhittakerArgs) -> ScaledComplex:
     """Dispatching evaluator: canonicalizes to y1 <= y2 via the conjugate
     swap, then uses the small-argument series when the smaller argument is
-    at most policy.small_cut and the integral algorithm otherwise
-    (degenerate parameter triples always take the integral route).
+    at most _SMALL_CUT and y1*y2 at most _PRODUCT_CUT, and the integral
+    algorithm otherwise (degenerate parameter triples always take the
+    integral route).
     """
-    if policy is None:
-        policy = _DEFAULT_POLICY
     if not isinstance(a, WhittakerArgs):
         a = WhittakerArgs(*a)
-    algo, swapped = choose_algorithm(p, a, policy)
+    algo, swapped = choose_algorithm(p, a)
     work = a.swapped if swapped else a
     if algo == "smallarg":
         try:
-            val = w_series_small(p, work, policy.budget)
+            val = w_series_small(p, work)
         except CancellationError:
             log.warning("series guard tripped at (%g, %g); falling back to "
                         "the integral algorithm", work.y1, work.y2)
-            val = w_stade(p, work, policy.stade_grid)
+            val = w_stade(p, work)
     else:
-        val = w_stade(p, work, policy.stade_grid)
+        val = w_stade(p, work)
     return val.conjugate() if swapped else val

@@ -84,6 +84,15 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("h", ["0", "-0.1", "inf", "nan"])
+def test_grid_h_must_be_positive_and_finite(h, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["whittaker", *PARAMS, "--y1", "0.4", "--y2", "0.6",
+              "--algo", "mellin", f"--grid-h={h}"])
+    assert exc.value.code == 1
+    assert "--grid-h" in capsys.readouterr().err
+
+
 def test_maass_eval_and_periodicity(tmp_path, capsys):
     coeffs = write_sample_c1(tmp_path)
     base = ["maass-eval", "--coeffs", str(coeffs), "--eps", "1e-6", "--digits", "14"]

@@ -27,7 +27,10 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         QuadratureGrid(h=0.5, stop_threshold=1e-10, stop_run=2)
     with pytest.raises(ValueError):
-        MellinGrid2D(h1=0.1, h2=0.1, sigma1=2, sigma2=2, N1=0, N2=5)
+        MellinGrid2D(h=0.1, sigma1=2, sigma2=2, N1=0, N2=5)
+    for h in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MellinGrid2D(h=h, sigma1=2, sigma2=2, N1=5, N2=5)
 
 
 def test_gaussian():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sl3maass.errors import (AccuracyRangeError, CancellationError,
                              DegenerateParametersError)
@@ -258,21 +259,21 @@ def test_smallarg_leading_term_structure():
 # ---------------------------------------------------------------------------
 
 def test_cache_structure_and_determinism():
-    grid = MellinGrid2D(h1=0.05, h2=0.05, sigma1=2.0, sigma2=2.0, N1=300, N2=500)
+    grid = MellinGrid2D(h=0.05, sigma1=2.0, sigma2=2.0, N1=300, N2=500)
     c1 = build_fixed_d_cache(SMALL, 0.5, grid=grid, validate=False)
     c2 = build_fixed_d_cache(SMALL, 0.5, grid=grid, validate=False)
     assert c1.inner.shape == (2 * grid.N2 + 1,)
     assert np.array_equal(c1.inner, c2.inner)
     assert c1.log_scale == c2.log_scale
-    v1 = w_mellin_fixed_d(c1, 0.8, _skip_range_check=True)
-    v2 = w_mellin_fixed_d(c1, 0.8, _skip_range_check=True)
+    v1 = w_mellin_fixed_d(c1, 0.8)
+    v2 = w_mellin_fixed_d(c1, 0.8)
     assert v1.mantissa == v2.mantissa and v1.log_scale == v2.log_scale
 
 
 def test_cache_n1_doubling():
     base = default_mellin_grid(GENERIC, eps=1e-10)
-    doubled = MellinGrid2D(h1=base.h1, h2=base.h2, sigma1=base.sigma1,
-                           sigma2=base.sigma2, N1=2 * base.N1, N2=base.N2)
+    doubled = MellinGrid2D(h=base.h, sigma1=base.sigma1, sigma2=base.sigma2,
+                           N1=2 * base.N1, N2=base.N2)
     c1 = build_fixed_d_cache(GENERIC, 0.7, grid=base, validate=False)
     c2 = build_fixed_d_cache(GENERIC, 0.7, grid=doubled, validate=False)
     ref = c2.inner * math.exp(c2.log_scale - c1.log_scale)
@@ -286,7 +287,7 @@ def test_cache_slice_consistency_vs_stade():
     for t in (1.0, 2.0):
         y2 = 1.0 / (t * t)
         y1 = math.sqrt(D / y2)
-        got = w_mellin_fixed_d(cache, y2, _skip_range_check=True)
+        got = w_mellin_fixed_d(cache, y2)
         ref = w_stade(LIFT, WhittakerArgs(y1, y2))
         assert got.rel_diff(ref) < 1e-6
 
@@ -299,14 +300,6 @@ def test_cache_validation_and_range():
         w_mellin_fixed_d(cache, 5.0)
     with pytest.raises(AccuracyRangeError):
         w_mellin_fixed_d(cache, 0.01)
-
-
-def test_cache_unequal_steps_path():
-    grid = MellinGrid2D(h1=0.08, h2=0.05, sigma1=2.0, sigma2=2.0, N1=260, N2=520)
-    cache = build_fixed_d_cache(SMALL, 0.5, grid=grid, validate=False)
-    got = w_mellin_fixed_d(cache, 0.7, _skip_range_check=True)
-    ref = w_eval(SMALL, WhittakerArgs(math.sqrt(0.5 / 0.7), 0.7))
-    assert got.rel_diff(ref) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +316,7 @@ def row_wise_inner(p, grid, D):
     kernel = mellin_kernel(p, grid)
     n1, n2 = grid.N1, grid.N2
     k1 = np.arange(-n1, n1 + 1)
-    a_d = kernel.a * np.exp(-1j * (k1 * grid.h1) * (3.0 * math.log(math.pi) + math.log(D)))
+    a_d = kernel.a * np.exp(-1j * (k1 * grid.h) * (3.0 * math.log(math.pi) + math.log(D)))
     out = np.empty(2 * n2 + 1, dtype=np.complex128)
     for j in range(2 * n2 + 1):
         t = a_d * kernel.b[j:j + 2 * n1 + 1] * kernel.c[j:j + 6 * n1 + 1:3]
@@ -348,11 +341,11 @@ def test_batched_outer_sums_match_scalar_calls(p):
     cache = build_fixed_d_cache(p, 3.7, validate=False)
     # more points than one row block holds, so several blocks are used
     ys = np.geomspace(0.05, 20.0, 120)
-    batch = w_mellin_fixed_d(cache, ys, _skip_range_check=True, _no_guard=True)
+    batch = w_mellin_fixed_d(cache, ys, _no_guard=True)
     floors = mellin_outer_noise_log(cache, ys)
     assert len(batch) == ys.size
     for y, w, floor in zip(ys, batch, floors):
-        one = w_mellin_fixed_d(cache, float(y), _skip_range_check=True, _no_guard=True)
+        one = w_mellin_fixed_d(cache, float(y), _no_guard=True)
         assert isinstance(one, ScaledComplex)
         assert (w - one).log_abs() < floor
         assert mellin_outer_noise_log(cache, float(y)) == pytest.approx(floor, abs=1e-12)
@@ -389,9 +382,9 @@ def test_noise_floor_bounds_batched_error(D, cancels):
     outer_only = (2 * grid.N2 + 1) * TWO_U * cache.inner_peak
     inner_dev = float(np.max(np.abs(cache.inner - ref_inner)))
     ys = np.geomspace(0.05, 30.0, 25)
-    got = w_mellin_fixed_d(cache, ys, _skip_range_check=True, _no_guard=True)
+    got = w_mellin_fixed_d(cache, ys, _no_guard=True)
     floors = mellin_outer_noise_log(cache, ys)
-    k2h = cache.k2 * grid.h2
+    k2h = cache.k2 * grid.h
     resolved = 0
     for y, w, floor in zip(ys, got, floors):
         t = ref_inner * np.exp(-1j * k2h * math.log(math.pi * y))
@@ -403,6 +396,18 @@ def test_noise_floor_bounds_batched_error(D, cancels):
         resolved += ref.log_abs() > floor + 2.0
     assert (inner_dev > 1e3 * outer_only) == cancels
     assert (resolved == 0) == cancels
+
+
+def test_guard_rejects_values_at_the_floor():
+    """At GEN D = 40 the inner sums cancel to noise (see above), so
+    max |inner| is noise too and the ratio test alone passes the roundoff
+    through; the floor test rejects it.  A resolved value passes."""
+    noisy = build_fixed_d_cache(GENERIC, 40.0, validate=False)
+    with pytest.raises(CancellationError):
+        w_mellin_fixed_d(noisy, 1.0)
+    cache = build_fixed_d_cache(GENERIC, 3.7, validate=False)
+    v = w_mellin_fixed_d(cache, 1.0)
+    assert v.log_abs() > mellin_outer_noise_log(cache, 1.0) + 2.0
 
 
 def test_array_query_validation():
@@ -429,6 +434,23 @@ def test_dispatcher_routing():
     assert choose_algorithm(deg, WhittakerArgs(0.05, 0.5)) == ("stade", False)
     # large product routes to the integral even when one argument is small
     assert choose_algorithm(GENERIC, WhittakerArgs(0.3, 15.0)) == ("stade", False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([GENERIC, SMALL, LanglandsParams(1.5, 1.5)]),
+       st.floats(0.05, 3.0), st.floats(0.05, 3.0))
+def test_dispatcher_rule_and_swap(p, y1, y2):
+    """The route follows the fixed thresholds (smaller argument <= 1 and
+    product <= 1.3 for the series; degenerate triples always integrate),
+    and w_eval of the swapped pair is the bit-exact conjugate."""
+    assume(y1 != y2)
+    a = WhittakerArgs(y1, y2)
+    series = min(y1, y2) <= 1.0 and y1 * y2 <= 1.3 and not p.is_degenerate()
+    assert choose_algorithm(p, a) == ("smallarg" if series else "stade", y1 > y2)
+    v = w_eval(p, a)
+    w = w_eval(p, a.swapped)
+    assert w.conjugate().mantissa == v.mantissa
+    assert w.log_scale == v.log_scale
 
 
 def test_w_eval_dual_symmetry_is_canonical():
