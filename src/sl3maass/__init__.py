@@ -16,8 +16,8 @@ from .quadrature import (MellinGrid2D, QuadratureGrid, inverse_mellin_line,
                          refine_check, trapezoid_line)
 from .langlands import (EigenvaluePair, LanglandsParams, eigenvalues, from_nu,
                         permutations)
-from .whittaker import (FixedDCache, PQSlice, PQTable, SeriesBudget,
-                        WhittakerArgs, build_fixed_d_cache, build_pq_table,
+from .whittaker import (FixedDCache, PQSlice, SeriesBudget, WhittakerArgs,
+                        build_fixed_d_cache, build_pq_table,
                         choose_algorithm, default_mellin_grid,
                         default_stade_grid, pq_build, w_eval,
                         w_mellin_fixed_d, w_series_origin, w_series_small,

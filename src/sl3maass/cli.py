@@ -88,8 +88,8 @@ def _add_grid_flags(p):
     p.add_argument("--grid-h", type=_positive_finite, default=None,
                    help="override step size (positive and finite)")
     p.add_argument("--grid-n", type=int, default=None, help="override half-width in steps")
-    p.add_argument("--sigma1", type=float, default=2.0)
-    p.add_argument("--sigma2", type=float, default=2.0)
+    p.add_argument("--sigma1", type=_positive_finite, default=2.0)
+    p.add_argument("--sigma2", type=_positive_finite, default=2.0)
 
 
 def _params(ns) -> LanglandsParams:
@@ -112,7 +112,7 @@ def _fmt_scaled(v: ScaledComplex, digits: int) -> str:
 def _stade_with_error(p, a, grid=None):
     grid = grid if grid is not None else default_stade_grid(p)
     v1 = w_stade(p, a, grid)
-    v2 = w_stade(p, a, replace(grid, h=grid.h / 2.0, N=2 * grid.N))
+    v2 = w_stade(p, a, grid.halved())
     return v2, v2.rel_diff(v1) if not v2.is_zero else 0.0
 
 

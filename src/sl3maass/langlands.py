@@ -34,6 +34,10 @@ class LanglandsParams:
     r_gamma: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        for name in ("r_alpha", "r_beta", "r_gamma"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(float(v)):
+                raise ValueError(f"{name} must be finite, got {v}")
         ra = float(self.r_alpha)
         rb = float(self.r_beta)
         rg = -(ra + rb)

@@ -233,8 +233,8 @@ def _cutoff_scan(p: LanglandsParams, eps: float) -> tuple[float, float]:
     an absolute threshold would be meaningless across the exp(pi|a-b|)
     scaling and parameter-dependent bulk size of W.
     """
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
 
     def max_log(y: float) -> float:
         return max(w_eval(p, WhittakerArgs(q, y)).log_abs() for q in _CUTOFF_PROBES)

@@ -71,8 +71,11 @@ class MellinGrid2D:
     N2: int
 
     def __post_init__(self):
-        if not (self.h > 0.0) or not math.isfinite(self.h):
-            raise ValueError("grid step h must be positive and finite")
+        # sigma > 0 keeps both lines right of the gamma poles on Re s = 0
+        for name in ("h", "sigma1", "sigma2"):
+            v = getattr(self, name)
+            if not (v > 0.0) or not math.isfinite(v):
+                raise ValueError(f"grid {name} must be positive and finite, got {v}")
         for name in ("N1", "N2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

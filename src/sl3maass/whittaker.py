@@ -49,7 +49,6 @@ __all__ = [
     "WhittakerArgs",
     "SeriesBudget",
     "PQSlice",
-    "PQTable",
     "pq_build",
     "build_pq_table",
     "w_stade",
@@ -294,7 +293,8 @@ def w_series_origin(p: LanglandsParams, a: WhittakerArgs,
 class PQSlice:
     """Polynomial tables P_0..P_nmax, Q_0..Q_nmax for one permutation.
 
-    Coefficient vectors are in ascending powers of y and satisfy
+    Row n of `p_coeffs` (`q_coeffs`) holds P_n (Q_n) in ascending powers
+    of y, zero-padded to 2 nmax + 1 columns.  The polynomials satisfy
 
         P_{n+1} = y P_n' + ((2 pi y)^2 + mu^2) Q_n + a_n P_n,   P_0 = 4
         Q_{n+1} = P_n + y Q_n' + a_n Q_n,                       Q_0 = 0
@@ -305,73 +305,59 @@ class PQSlice:
 
     delta: tuple[complex, complex, complex]
     mu: complex
-    p_coeffs: tuple
-    q_coeffs: tuple
+    p_coeffs: np.ndarray
+    q_coeffs: np.ndarray
 
-    @property
-    def nmax(self) -> int:
-        return len(self.p_coeffs) - 1
+    def values(self, y: float) -> tuple[np.ndarray, np.ndarray]:
+        """(P_n(y), Q_n(y)) for n = 0..nmax, from one Horner pass over all
+        rows; each row gets the bits `np.polynomial.polynomial.polyval`
+        gives it."""
+        rows = np.concatenate((self.p_coeffs, self.q_coeffs))
+        acc = np.zeros(len(rows), dtype=np.complex128)
+        for column in rows.T[::-1]:
+            acc = acc * y + column
+        return acc[:len(self.p_coeffs)], acc[len(self.p_coeffs):]
 
-    def p_at(self, n: int, y: float) -> complex:
-        return complex(np.polynomial.polynomial.polyval(y, self.p_coeffs[n]))
 
-    def q_at(self, n: int, y: float) -> complex:
-        return complex(np.polynomial.polynomial.polyval(y, self.q_coeffs[n]))
+def _cmul(c, z: np.ndarray) -> np.ndarray:
+    """c z from real products: numpy's complex array multiply may round
+    differently from the scalar complex product."""
+    out = np.empty_like(z)
+    out.real = c.real * z.real - c.imag * z.imag
+    out.imag = c.real * z.imag + c.imag * z.real
+    return out
 
 
-def pq_build(p: LanglandsParams, delta: tuple[complex, complex, complex],
-             nmax: int) -> PQSlice:
-    """Build the P/Q coefficient tables for one ordered triple delta.
-
-    The recursion is exact in coefficient arithmetic; only the final
-    polynomial evaluations round.
-    """
+def pq_build(delta: tuple[complex, complex, complex], nmax: int) -> PQSlice:
+    """Build the P/Q coefficient tables for one ordered triple delta by
+    whole-row updates.  Each coefficient sums (k + a_n) P_n[k], then
+    (2 pi)^2 Q_n[k-2], then mu^2 Q_n[k], in that order and with complex
+    products formed from real ones, so the tables are bit-identical to a
+    coefficient-by-coefficient recursion."""
     if nmax < 0:
         raise ValueError("nmax must be non-negative")
     d1, d2, d3 = delta
     mu = (d2 - d3) / 2.0
     mu2 = mu * mu
     four_pi2 = (2.0 * math.pi) ** 2
-    p_list = [np.array([4.0 + 0j])]
-    q_list = [np.array([0j])]
+    p_coeffs = np.zeros((nmax + 1, 2 * nmax + 1), dtype=np.complex128)
+    q_coeffs = np.zeros_like(p_coeffs)
+    p_coeffs[0, 0] = 4.0
+    k = np.arange(2 * nmax + 1)
     for n in range(nmax):
-        a_n = 1.5 * d1 + 2.0 * n + 2.0
-        pn = p_list[n]
-        qn = q_list[n]
-        deg_p = 2 * (n + 1)
-        deg_q = 2 * (n + 1) - 1
-        new_p = np.zeros(deg_p + 1, dtype=np.complex128)
-        new_q = np.zeros(deg_q + 1, dtype=np.complex128)
-        for k in range(len(pn)):
-            new_p[k] += (k + a_n) * pn[k]      # y P' + a_n P
-            new_q[k] += pn[k]                  # P
-        for k in range(len(qn)):
-            new_p[k] += mu2 * qn[k]            # mu^2 Q
-            new_p[k + 2] += four_pi2 * qn[k]   # (2 pi y)^2 Q
-            new_q[k] += (k + a_n) * qn[k]      # y Q' + a_n Q
-        p_list.append(new_p)
-        q_list.append(new_q)
-    return PQSlice(delta=tuple(delta), mu=mu,
-                   p_coeffs=tuple(p_list), q_coeffs=tuple(q_list))
+        ka = k + (1.5 * d1 + 2.0 * n + 2.0)              # k + a_n
+        new_p = _cmul(ka, p_coeffs[n])                   # y P' + a_n P
+        new_p[2:] += four_pi2 * q_coeffs[n, :-2]         # (2 pi y)^2 Q
+        p_coeffs[n + 1] = new_p + _cmul(mu2, q_coeffs[n])        # mu^2 Q
+        q_coeffs[n + 1] = p_coeffs[n] + _cmul(ka, q_coeffs[n])   # P + y Q' + a_n Q
+    return PQSlice(delta=tuple(delta), mu=mu, p_coeffs=p_coeffs, q_coeffs=q_coeffs)
 
 
-@dataclass(frozen=True)
-class PQTable:
+def build_pq_table(p: LanglandsParams, nmax: int = 60) -> tuple[PQSlice, PQSlice, PQSlice]:
     """The three PQSlice tables used by the small-argument series, one per
     leading parameter (cyclic order alpha, beta, gamma)."""
-
-    slices: tuple[PQSlice, PQSlice, PQSlice]
-
-    @property
-    def nmax(self) -> int:
-        return self.slices[0].nmax
-
-
-def build_pq_table(p: LanglandsParams, nmax: int = 60) -> PQTable:
     a, b, g = p.triple
-    return PQTable(slices=(pq_build(p, (a, b, g), nmax),
-                           pq_build(p, (b, g, a), nmax),
-                           pq_build(p, (g, a, b), nmax)))
+    return tuple(pq_build(d, nmax) for d in ((a, b, g), (b, g, a), (g, a, b)))
 
 
 def w_series_small(p: LanglandsParams, a: WhittakerArgs,
@@ -390,14 +376,13 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
     if budget is None:
         budget = SeriesBudget()
     _require_nondegenerate(p)
-    pq = build_pq_table(p, budget.nmax)
     y1, y2 = a.y1, a.y2
     x2 = TWO_PI * y2
     log_py1_sq = 2.0 * math.log(math.pi * y1)
 
     totals: list[ScaledComplex] = []
     max_term_log = -math.inf
-    for sl in pq.slices:
+    for sl in build_pq_table(p, budget.nmax):
         d1, d2, d3 = sl.delta
         kv = bessel_k_scaled(sl.mu, x2)
         kp = bessel_k_prime_scaled(sl.mu, x2)
@@ -407,6 +392,7 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
         pref = pref * _CONTOUR_WEIGHT
         q12 = 1.0 + (d1 - d2) / 2.0
         q13 = 1.0 + (d1 - d3) / 2.0
+        p_vals, q_vals = (v.tolist() for v in sl.values(y2))
 
         coef = ScaledComplex.one()
         acc = ScaledComplex.zero()
@@ -414,7 +400,7 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
         small_run = 0
         converged = False
         for n in range(budget.nmax + 1):
-            combo = kv * sl.p_at(n, y2) + kp * (x2 * sl.q_at(n, y2))
+            combo = kv * p_vals[n] + kp * (x2 * q_vals[n])
             term = coef * combo
             acc = acc + term
             acc_top = max(acc_top, acc.log_abs())

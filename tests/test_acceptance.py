@@ -105,7 +105,7 @@ def test_recursion_oracles():
         worst = max(worst, abs(got - ref) / abs(ref))
     degrees_ok = True
     table = build_pq_table(GENERIC, 40)
-    for sl in table.slices:
+    for sl in table:
         for n in range(41):
             if _effective_degree(sl.p_coeffs[n]) > 2 * n:
                 degrees_ok = False

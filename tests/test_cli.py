@@ -93,6 +93,35 @@ def test_grid_h_must_be_positive_and_finite(h, capsys):
     assert "--grid-h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--sigma1", "--sigma2"])
+@pytest.mark.parametrize("sigma", ["0", "-0.5", "-3", "inf", "nan"])
+def test_sigma_must_be_positive_and_finite(flag, sigma, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["whittaker", *PARAMS, "--y1", "0.4", "--y2", "0.6",
+              "--algo", "mellin", f"{flag}={sigma}"])
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+def test_non_finite_parameter_exits_1(alpha, capsys):
+    rc = main(["whittaker", f"--alpha-im={alpha}", "--beta-im", "2.1",
+               "--y1", "0.4", "--y2", "0.6"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "r_alpha must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["10", "inf"])
+def test_maass_eval_eps_must_be_below_one(eps, tmp_path, capsys):
+    coeffs = write_sample_c1(tmp_path)
+    rc = main(["maass-eval", "--coeffs", str(coeffs), "--eps", eps,
+               "--point", "0.2,0.3,0.4,1.1,1.0"])
+    assert rc == 1
+    assert "eps" in capsys.readouterr().err
+
+
 def test_maass_eval_and_periodicity(tmp_path, capsys):
     coeffs = write_sample_c1(tmp_path)
     base = ["maass-eval", "--coeffs", str(coeffs), "--eps", "1e-6", "--digits", "14"]

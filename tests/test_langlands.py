@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sl3maass.errors import NonTemperedError
@@ -38,6 +40,16 @@ def test_from_nu_rejects_nontempered():
 def test_inconsistent_gamma_rejected():
     with pytest.raises(ValueError):
         LanglandsParams(1.0, 2.0, 5.0)
+
+
+@pytest.mark.parametrize("part", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_part_rejected(part, bad):
+    parts = [1.0, 2.0, -3.0]
+    parts[part] = bad
+    name = ("r_alpha", "r_beta", "r_gamma")[part]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LanglandsParams(*parts)
 
 
 def test_eigenvalues_center():

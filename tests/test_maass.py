@@ -229,6 +229,12 @@ def test_cutoff_monotone_in_eps():
     assert c_loose <= c_tight
 
 
+@pytest.mark.parametrize("eps", [1.0, 10.0, math.inf])
+def test_cutoff_requires_eps_below_one(eps):
+    with pytest.raises(ValueError, match="eps"):
+        decay_cutoff(SMALL, eps)
+
+
 def test_eval_periodicity():
     form = synthetic_form()
     z0 = H3Point(0.13, 0.27, -0.41, 1.1, 0.95)

@@ -31,6 +31,11 @@ def test_grid_validation():
     for h in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError):
             MellinGrid2D(h=h, sigma1=2, sigma2=2, N1=5, N2=5)
+    for sigma in (0.0, -0.5, -3.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma1"):
+            MellinGrid2D(h=0.1, sigma1=sigma, sigma2=2, N1=5, N2=5)
+        with pytest.raises(ValueError, match="sigma2"):
+            MellinGrid2D(h=0.1, sigma1=2, sigma2=sigma, N1=5, N2=5)
 
 
 def test_gaussian():

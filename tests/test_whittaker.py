@@ -40,15 +40,15 @@ def test_args_validation():
 # ---------------------------------------------------------------------------
 
 def test_pq_base_cases():
-    sl = pq_build(GENERIC, GENERIC.triple, 2)
-    assert np.array_equal(sl.p_coeffs[0], np.array([4.0 + 0j]))
-    assert np.array_equal(sl.q_coeffs[0], np.array([0j]))
+    sl = pq_build(GENERIC.triple, 2)
+    assert np.array_equal(sl.p_coeffs[0], np.array([4.0 + 0j, 0, 0, 0, 0]))
+    assert np.array_equal(sl.q_coeffs[0], np.zeros(5, dtype=complex))
     # one recursion step: Q_1 = P_0 = 4 (constant), P_1 = a_0 P_0 = 6 d1 + 8
     d1 = GENERIC.alpha
     a0 = 1.5 * d1 + 2.0
-    assert sl.q_at(1, 0.37) == 4.0
-    assert abs(sl.p_at(1, 0.83) - (6.0 * d1 + 8.0)) < 1e-14
-    assert abs(sl.p_at(1, 0.83) - 4.0 * a0) < 1e-14
+    assert sl.values(0.37)[1][1] == 4.0
+    assert abs(sl.values(0.83)[0][1] - (6.0 * d1 + 8.0)) < 1e-14
+    assert abs(sl.values(0.83)[0][1] - 4.0 * a0) < 1e-14
 
 
 def _effective_degree(coeffs) -> int:
@@ -58,7 +58,7 @@ def _effective_degree(coeffs) -> int:
 
 def test_pq_degree_bounds():
     table = build_pq_table(GENERIC, 40)
-    for sl in table.slices:
+    for sl in table:
         for n in range(41):
             assert _effective_degree(sl.p_coeffs[n]) <= 2 * n
             if n >= 1:
@@ -72,7 +72,7 @@ def test_pq_constant_term_recursion():
     # at y = 0 the recursion collapses to P_{n+1}(0) = mu^2 Q_n(0) + a_n P_n(0),
     # Q_{n+1}(0) = P_n(0) + a_n Q_n(0); closed-form check of stored tables
     d = GENERIC.triple
-    sl = pq_build(GENERIC, d, 12)
+    sl = pq_build(d, 12)
     mu2 = sl.mu * sl.mu
     p0, q0 = 4.0 + 0j, 0j
     for n in range(12):
@@ -80,6 +80,27 @@ def test_pq_constant_term_recursion():
         p0, q0 = mu2 * q0 + a_n * p0, p0 + a_n * q0
         assert abs(sl.p_coeffs[n + 1][0] - p0) < 1e-12 * max(1.0, abs(p0))
         assert abs(sl.q_coeffs[n + 1][0] - q0) < 1e-12 * max(1.0, abs(q0))
+
+
+@pytest.mark.parametrize("y", [0.3, 1.7])
+def test_pq_recursion_off_zero(y):
+    # the y P', y Q' and (2 pi y)^2 Q terms vanish at y = 0, so only y > 0
+    # checks them; values() must also give polyval's bits on every row
+    poly = np.polynomial.polynomial
+    for sl in build_pq_table(GENERIC, 40):
+        p_vals, q_vals = sl.values(y)
+        for rows, vals in ((sl.p_coeffs, p_vals), (sl.q_coeffs, q_vals)):
+            ref = np.array([poly.polyval(y, row) for row in rows])
+            assert ref.tobytes() == vals.tobytes()
+        mu2 = sl.mu * sl.mu
+        for n in range(40):
+            a_n = 1.5 * sl.delta[0] + 2.0 * n + 2.0
+            dp = poly.polyval(y, poly.polyder(sl.p_coeffs[n]))
+            dq = poly.polyval(y, poly.polyder(sl.q_coeffs[n]))
+            p_next = y * dp + ((2.0 * math.pi * y) ** 2 + mu2) * q_vals[n] + a_n * p_vals[n]
+            q_next = p_vals[n] + y * dq + a_n * q_vals[n]
+            assert abs(p_vals[n + 1] - p_next) <= 1e-12 * abs(p_next)
+            assert abs(q_vals[n + 1] - q_next) <= 1e-12 * abs(q_next)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +123,13 @@ def in_integral_oracle(p: LanglandsParams, n: int, y: float) -> complex:
 
 def in_closed_form(p: LanglandsParams, n: int, y: float) -> complex:
     """I_n(y) from the polynomial recursion and one K-Bessel pair."""
-    sl = pq_build(p, p.triple, n)
+    sl = pq_build(p.triple, n)
     mu = sl.mu
     x = 2.0 * math.pi * y
     kv = bessel_k_scaled(mu, x).to_complex().real
     kp = bessel_k_prime_scaled(mu, x).to_complex().real
-    return (-2.0) ** (-n) * (sl.p_at(n, y) * kv + x * sl.q_at(n, y) * kp)
+    p_vals, q_vals = sl.values(y)
+    return (-2.0) ** (-n) * (p_vals[n] * kv + x * q_vals[n] * kp)
 
 
 @pytest.mark.parametrize("y", [0.3, 0.7, 1.5])
