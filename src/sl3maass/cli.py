@@ -100,7 +100,10 @@ def _point(text: str) -> H3Point:
     vals = [float(v) for v in text.split(",")]
     if len(vals) != 5:
         raise argparse.ArgumentTypeError("point must be x1,x2,x3,y1,y2")
-    return H3Point(*vals)
+    try:
+        return H3Point(*vals)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt_scaled(v: ScaledComplex, digits: int) -> str:

@@ -66,6 +66,9 @@ class H3Point:
     y2: float
 
     def __post_init__(self):
+        for name in ("x1", "x2", "x3", "y1", "y2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("y1", "y2"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
@@ -348,6 +351,10 @@ class MaassForm:
     # fixed-D caches keyed by D rounded to 12 significant digits, shared
     # across evaluations of this form
     cache_map: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError(f"eps must lie strictly between 0 and 1, got {self.eps}")
 
     def coefficient(self, m1: int, m2: int) -> complex:
         if self.coeffs is not None:

@@ -5,9 +5,10 @@ For integrands that decay at least exponentially the infinite trapezoid
 sum ``h * sum f(k h)`` carries a discretization error of size O(e^{-c/h});
 truncation is controlled by requiring a run of consecutive terms below a
 threshold on each tail, so oscillatory gamma products cannot stop the sum
-early at an accidental zero.  Reductions are exactly rounded (common-scale
-fsum) and always performed in ascending k order, so identical inputs give
-bit-identical outputs.
+early at an accidental zero.  Integrands are vector functions: they map a
+1-D array of abscissas to a ScaledArray, and the rule calls them on blocks
+of nodes.  Reductions are exactly rounded (common-scale fsum), so identical
+inputs give bit-identical outputs whatever the block layout.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
+
 from .errors import NonConvergenceError
-from .scaled import ScaledComplex, scaled_sum
+from .scaled import ScaledArray, ScaledComplex
 
 __all__ = [
     "QuadratureGrid",
@@ -81,71 +84,101 @@ class MellinGrid2D:
                 raise ValueError(f"{name} must be at least 1")
 
 
+# nodes per side in one integrand call
+BLOCK = 32
+
+
 def _log_threshold(grid: QuadratureGrid) -> float:
     if grid.stop_threshold == 0.0:
         return -math.inf
     return math.log(grid.stop_threshold)
 
 
-def _collect_tail(f, grid: QuadratureGrid, step: int) -> list:
-    """Samples f at k = step, 2*step, ... following the truncation rule.
-
-    Returns the list of sampled values (in sampling order).  Raises
-    NonConvergenceError if adaptive truncation never found stop_run
-    consecutive small terms within N steps.
-    """
-    log_thr = _log_threshold(grid)
-    adaptive = math.isfinite(log_thr)
-    out = []
-    run = 0
-    for j in range(1, grid.N + 1):
-        v = f(j * step * grid.h)
-        out.append(v)
-        if adaptive:
-            if v.log_abs() < log_thr:
-                run += 1
-                if run >= grid.stop_run:
-                    return out
-            else:
-                run = 0
-    if adaptive:
-        raise NonConvergenceError(
-            f"tail did not fall below {grid.stop_threshold:g} for "
-            f"{grid.stop_run} consecutive terms within N={grid.N} steps")
-    return out
+def _stop_position(small: list, run: int, stop_run: int) -> tuple[int | None, int]:
+    """Walk one tail's block of below-threshold flags outward, with `run`
+    small samples carried in from the previous block.  Returns (number of
+    the block's nodes kept if the tail stops in this block, else None;
+    the run carried on)."""
+    for j, below in enumerate(small):
+        run = run + 1 if below else 0
+        if run >= stop_run:
+            return j + 1, run
+    return None, run
 
 
-def trapezoid_line(f: Callable[[float], ScaledComplex],
+def trapezoid_line(f: Callable[[np.ndarray], ScaledArray],
                    grid: QuadratureGrid) -> ScaledComplex:
     """h * sum_k f(k h) over k = -N..N, truncated per the grid rule.
 
-    The reduction runs over ascending k with exactly rounded common-scale
-    summation, so the output is deterministic for identical inputs.
+    f maps a 1-D array of abscissas to a ScaledArray of the same length.
+    Nodes are evaluated outward from 0 in blocks of BLOCK per open tail,
+    both tails (and, in the first block, the centre) in one call of f.
+    The nodes kept are exactly those of a node-by-node walk: a tail ends
+    after stop_run consecutive samples below stop_threshold, and nodes of
+    its last block past that point are dropped.  NonConvergenceError is
+    raised when a tail reaches N without stopping under adaptive
+    truncation.
+
+    The kept nodes are reduced with the exactly rounded common-scale sum,
+    so the output is deterministic for identical inputs and independent
+    of BLOCK.
     """
-    left = _collect_tail(f, grid, -1)
-    center = f(0.0)
-    right = _collect_tail(f, grid, +1)
-    values = list(reversed(left)) + [center] + right
-    return scaled_sum(values) * grid.h
+    log_thr = _log_threshold(grid)
+    adaptive = math.isfinite(log_thr)
+    kept: list[ScaledArray] = []
+    runs = {-1: 0, +1: 0}
+    tails = [-1, +1]
+    start = 1
+    while tails:
+        k = np.arange(start, min(start + BLOCK, grid.N + 1))
+        t = [side * k * grid.h for side in tails]
+        if start == 1:
+            t.insert(0, np.zeros(1))
+        t = np.concatenate(t)
+        values = f(t)
+        if not isinstance(values, ScaledArray) or len(values) != len(t):
+            raise TypeError("integrand must map an array of abscissas to a "
+                            "ScaledArray of the same length")
+        if start == 1:
+            kept.append(values[:1])
+            values = values[1:]
+        small = (values.log_abs() < log_thr).tolist()
+        still_open = []
+        for i, side in enumerate(tails):
+            lo = i * k.size
+            stop, runs[side] = _stop_position(small[lo:lo + k.size], runs[side],
+                                              grid.stop_run)
+            kept.append(values[lo:lo + (k.size if stop is None else stop)])
+            if stop is None and k[-1] < grid.N:
+                still_open.append(side)
+            elif stop is None and adaptive:
+                raise NonConvergenceError(
+                    f"tail did not fall below {grid.stop_threshold:g} for "
+                    f"{grid.stop_run} consecutive terms within N={grid.N} steps")
+        tails = still_open
+        start += BLOCK
+    return ScaledArray.concatenate(kept).sum() * grid.h
 
 
-def inverse_mellin_line(transform: Callable[[complex], ScaledComplex],
+def inverse_mellin_line(transform: Callable[[np.ndarray], ScaledArray],
                         y: float,
                         grid: QuadratureGrid) -> ScaledComplex:
     """(h / 2 pi) * sum_k M(sigma + i k h) y^(-sigma - i k h).
 
-    Discretizes the inverse Mellin integral along Re s = sigma; with an
-    exponentially decaying original the combined discretization and
-    truncation error follows the same O(e^{-c/h}) law as trapezoid_line.
+    transform maps a 1-D complex array of points s on the line Re s =
+    sigma to a ScaledArray of the same length; the line is walked in
+    trapezoid_line's blocks.  With an exponentially decaying original the
+    combined discretization and truncation error follows the same
+    O(e^{-c/h}) law as trapezoid_line.
     """
     if not (y > 0.0):
         raise ValueError("inverse Mellin argument y must be positive")
     log_y = math.log(y)
     sigma = grid.sigma
 
-    def term(t: float) -> ScaledComplex:
-        s = complex(sigma, t)
-        return transform(s) * ScaledComplex.from_log(-s * log_y)
+    def term(t: np.ndarray) -> ScaledArray:
+        s = sigma + 1j * t
+        return transform(s) * ScaledArray.from_log(-s * log_y)
 
     total = trapezoid_line(term, grid)
     return total * (1.0 / (2.0 * math.pi))
@@ -157,7 +190,8 @@ def refine_check(integrand,
     """Evaluate at step h and h/2 and return (h/2 value, |difference|).
 
     With y given the integrand is treated as a Mellin transform on the
-    line Re s = grid.sigma; otherwise as a real-line integrand.  The
+    line Re s = grid.sigma (inverse_mellin_line's contract); otherwise as
+    a real-line vector integrand (trapezoid_line's contract).  The
     difference of the two evaluations estimates the discretization error
     of the coarser grid.
     """

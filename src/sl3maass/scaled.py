@@ -4,6 +4,9 @@ A ScaledComplex stores a value as ``mantissa * exp(log_scale)`` with the
 mantissa normalized into [1/e, e].  Products of many gamma values and
 exponentially small Bessel factors stay representable this way even when
 the represented quantity is far outside binary64 range.
+
+A ScaledArray holds a 1-D array of such values (one log scale per
+element) for the vectorized quadrature integrands.
 """
 
 from __future__ import annotations
@@ -11,9 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-__all__ = ["ScaledComplex", "scaled_sum"]
+import numpy as np
+
+__all__ = ["ScaledComplex", "ScaledArray", "scaled_sum"]
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,82 @@ class ScaledComplex:
         return f"({self.mantissa.real:+.15e}{self.mantissa.imag:+.15e}j)*exp({self.log_scale:.6f})"
 
 
+@dataclass(frozen=True)
+class ScaledArray:
+    """Elementwise values ``mantissa * exp(log_scale)`` of two 1-D arrays
+    of equal length.
+
+    Mantissas are not normalized: callers keep them inside binary64 range
+    and put the exponential size into log_scale.  A zero mantissa is a
+    zero value whatever its scale.
+    """
+
+    mantissa: np.ndarray
+    log_scale: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.mantissa)
+        if m.ndim != 1:
+            raise ValueError(f"ScaledArray needs a 1-D mantissa, got shape {m.shape}")
+        s = np.asarray(self.log_scale, dtype=np.float64)
+        if s.shape != m.shape:
+            s = np.broadcast_to(s, m.shape)
+        object.__setattr__(self, "mantissa", m)
+        object.__setattr__(self, "log_scale", s)
+
+    @staticmethod
+    def from_log(w) -> "ScaledArray":
+        """The values exp(w), with Re(w) absorbed into the scale."""
+        w = np.asarray(w, dtype=np.complex128)
+        return ScaledArray(np.exp(1j * w.imag), w.real)
+
+    @staticmethod
+    def concatenate(parts: Sequence["ScaledArray"]) -> "ScaledArray":
+        return ScaledArray(np.concatenate([p.mantissa for p in parts]),
+                           np.concatenate([p.log_scale for p in parts]))
+
+    def __len__(self) -> int:
+        return self.mantissa.shape[0]
+
+    def __getitem__(self, idx) -> "ScaledArray":
+        return ScaledArray(self.mantissa[idx], self.log_scale[idx])
+
+    def item(self, i: int) -> ScaledComplex:
+        """Element i as a (normalized) ScaledComplex."""
+        return ScaledComplex(complex(self.mantissa[i]), float(self.log_scale[i]))
+
+    def log_abs(self) -> np.ndarray:
+        """log|value| per element, -inf for zeros."""
+        a = np.abs(self.mantissa)
+        with np.errstate(divide="ignore"):
+            return np.where(a > 0.0, np.log(a) + self.log_scale, -np.inf)
+
+    def __mul__(self, other: "ScaledArray") -> "ScaledArray":
+        return ScaledArray(self.mantissa * other.mantissa,
+                           self.log_scale + other.log_scale)
+
+    def sum(self) -> ScaledComplex:
+        """Exactly rounded sum of the elements at a common scale (see
+        scaled_sum)."""
+        return _common_scale_fsum(self.mantissa, self.log_scale)
+
+
+def _common_scale_fsum(mantissa: np.ndarray, log_scale: np.ndarray) -> ScaledComplex:
+    nonzero = mantissa != 0
+    if not nonzero.any():
+        return ScaledComplex.zero()
+    m = mantissa[nonzero]
+    s = log_scale[nonzero]
+    top = float(s.max())
+    d = s - top
+    keep = d >= -800.0
+    f = np.exp(d[keep])
+    m = m[keep]
+    re = (m.real * f).tolist()
+    im = (m.imag * f).tolist() if np.iscomplexobj(m) else []
+    return ScaledComplex(complex(math.fsum(re), math.fsum(im)), top)
+
+
 def scaled_sum(values: Iterable[ScaledComplex]) -> ScaledComplex:
     """Exactly rounded sum of ScaledComplex values at a common scale.
 
@@ -178,17 +259,6 @@ def scaled_sum(values: Iterable[ScaledComplex]) -> ScaledComplex:
     not change the result, but callers are expected to pass terms in a
     deterministic order anyway.
     """
-    vals = [v for v in values if not v.is_zero]
-    if not vals:
-        return ScaledComplex.zero()
-    top = max(v.log_scale for v in vals)
-    re = []
-    im = []
-    for v in vals:
-        d = v.log_scale - top
-        if d < -800.0:
-            continue
-        f = math.exp(d)
-        re.append(v.mantissa.real * f)
-        im.append(v.mantissa.imag * f)
-    return ScaledComplex(complex(math.fsum(re), math.fsum(im)), top)
+    vals = list(values)
+    return _common_scale_fsum(np.array([v.mantissa for v in vals], dtype=np.complex128),
+                              np.array([v.log_scale for v in vals], dtype=np.float64))

@@ -8,7 +8,12 @@ The K-Bessel function has two independent backends:
   large compared to the argument, the same integral is evaluated on the
   Cauchy-equivalent horizontal contour ``t = s + i*theta``; this pulls the
   exp(-pi|mu|/2) amplitude out as an explicit prefactor instead of losing
-  it to cancellation between O(1) samples.
+  it to cancellation between O(1) samples.  ``bessel_k_scaled`` and
+  ``bessel_k_prime_scaled`` take one order and a scalar or a 1-D array of
+  arguments: every argument gets its own truncation and its own choice of
+  rule, the samples of one rule form one (arguments x nodes) array, and
+  each argument's samples are reduced on their own, within an ulp of
+  their exact sum (see _half_line_sums and the README).
 
 * backend B inverts the Mellin transform
   ``4 K_mu(2 pi y) = (1/2 pi i) int Gamma((s+mu)/2) Gamma((s-mu)/2) (pi y)^-s ds``
@@ -26,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, PoleError, UnderflowError
-from .scaled import ScaledComplex
+from .scaled import ScaledArray, ScaledComplex
 
 __all__ = [
     "GammaRatioSpec",
@@ -191,8 +196,35 @@ _SHIFT_MARGIN = 2.0
 _TAIL_LOG = 46.0
 
 
-def _bessel_plain(m: float, x: float, derivative: bool) -> ScaledComplex:
-    """Real-axis trapezoid sum for K_{im}(x), scaled by exp(x).
+def _half_line_sums(g: np.ndarray, n: np.ndarray, h: float) -> np.ndarray:
+    """h * (g[i, 0] / 2 + g[i, 1] + ... + g[i, n[i]]) for every row i: the
+    trapezoid sum of an even integrand from its samples at s >= 0.  g has
+    more than n.max() + 1 columns; later columns are ignored.
+
+    Each row is reduced over its own samples only (np.add.reduceat on its
+    segment), so its sum does not depend on the other rows.  The reduction
+    is error-free up to the last rounding (the extraction step of AccSum,
+    Rump, Ogita & Oishi 2008): with sigma a power of two of at least
+    2 (n + 2) max|g|, q = (sigma + g) - sigma is g on a grid where sum(q)
+    is exact in any order, r = g - q is exact (|r| <= u sigma <=
+    4 (n + 2) u max|g|), and numpy's pairwise sum of r adds at most about
+    4 (n + 2)^2 ceil(log2 n) u^2 max|g|.
+    """
+    rows, width = g.shape
+    g[:, 0] *= 0.5
+    seg = np.empty(2 * rows, dtype=np.int64)
+    seg[0::2] = np.arange(rows) * width
+    seg[1::2] = seg[0::2] + n + 1
+    amax = np.maximum.reduceat(np.abs(g).ravel(), seg)[0::2]
+    sigma = np.ldexp(2.0, np.frexp(amax * (n + 2.0))[1])[:, None]
+    q = (sigma + g) - sigma
+    r = g - q
+    return h * (np.add.reduceat(q.ravel(), seg)[0::2] + np.add.reduceat(r.ravel(), seg)[0::2])
+
+
+def _bessel_plain(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Real-axis trapezoid sums for K_{im}(x), as (mantissa, log scale)
+    with the scale exp(-x) pulled out.
 
     Integrand exp(-x(cosh t - 1)) cos(m t) decays doubly exponentially;
     uniform step min(1/64, 1/(4m)) resolves the cosine.
@@ -200,70 +232,92 @@ def _bessel_plain(m: float, x: float, derivative: bool) -> ScaledComplex:
     h = 1.0 / 64.0
     if m > 0:
         h = min(h, 1.0 / (4.0 * m))
-    t_max = math.acosh(1.0 + (_TAIL_LOG + 4.0) / x)
-    n = int(math.ceil(t_max / h)) + 2
-    t = np.arange(n + 1) * h
-    envelope = np.exp(-x * (np.cosh(t) - 1.0))
-    g = envelope * np.cos(m * t)
+    t_max = np.arccosh(1.0 + (_TAIL_LOG + 4.0) / x)
+    n = np.ceil(t_max / h).astype(np.int64) + 2
+    t = np.arange(n.max() + 2) * h
+    cosh_t = np.cosh(t)
+    g = np.exp(-x[:, None] * (cosh_t - 1.0)) * np.cos(m * t)
     if derivative:
-        g = -np.cosh(t) * g
-    g[0] *= 0.5
-    val = h * math.fsum(g)
-    return ScaledComplex(complex(val), -x)
+        g = -cosh_t * g
+    return _half_line_sums(g, n, h), -x
 
 
-def _bessel_shifted(m: float, x: float, derivative: bool) -> ScaledComplex:
-    """Trapezoid sum for K_{im}(x) on the line Im t = theta < pi/2.
+def _bessel_shifted(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid sums for K_{im}(x) on the line Im t = theta < pi/2, as
+    (mantissa, log scale).
 
     K_{im}(x) = (1/2) int_R exp(-x cosh t + i m t) dt; pushing the whole
     line up to t = s + i theta multiplies the integrand by exp(-m theta)
     and leaves the envelope exp(-x cos(theta) cosh s), which removes the
-    exp(-pi m / 2) cancellation of the real-axis form.
+    exp(-pi m / 2) cancellation of the real-axis form.  The imaginary part
+    of the line integral vanishes and the real part of the integrand is
+    even in s, so only Re of the s >= 0 half is summed.
     """
     eps = _SHIFT_MARGIN / m
     cos_t = math.sin(eps)   # cos(theta) for theta = pi/2 - eps
     sin_t = math.cos(eps)
     xc = x * cos_t
-    cosh_smax = 1.0 + (_TAIL_LOG + 6.0) / xc
-    s_max = math.acosh(cosh_smax)
+    s_max = np.arccosh(1.0 + (_TAIL_LOG + 6.0) / xc)
     # aliasing bound: shifting the line by iv maps theta -> theta + v, so
     # |f| <= exp(-m v) for 0 < v < eps and <= exp(m|v|) below; the step
     # must beat both exp(-(2 pi/h) 0.9 eps) and exp(-(2 pi/h - m) * 1)
     h = min(1.0 / 64.0, eps / 10.0, 2.0 * math.pi / (m + _TAIL_LOG + 10.0))
-    n = int(math.ceil(s_max / h)) + 2
-    s = np.arange(-n, n + 1) * h
+    n = np.ceil(s_max / h).astype(np.int64) + 2
+    s = np.arange(n.max() + 2) * h
     cosh_s = np.cosh(s)
     sinh_s = np.sinh(s)
-    phase = m * s - x * sin_t * sinh_s
-    w = np.exp(-xc * (cosh_s - 1.0)) * (np.cos(phase) + 1j * np.sin(phase))
+    phase = m * s - (x * sin_t)[:, None] * sinh_s
+    g = np.exp(-xc[:, None] * (cosh_s - 1.0))
     if derivative:
-        w = -(cosh_s * cos_t + 1j * sinh_s * sin_t) * w
-    val = 0.5 * h * complex(math.fsum(w.real), math.fsum(w.imag))
-    # the imaginary part of the full-line integral vanishes analytically
-    return ScaledComplex(complex(val.real), -m * (0.5 * math.pi - eps) - xc)
+        # Re of -(cosh s cos theta + i sinh s sin theta) e^{i phase}
+        g = -g * (cosh_s * cos_t * np.cos(phase) - sinh_s * sin_t * np.sin(phase))
+    else:
+        g = g * np.cos(phase)
+    return _half_line_sums(g, n, h), -m * (0.5 * math.pi - eps) - xc
 
 
-def _bessel_backend_a(mu, x: float, derivative: bool) -> ScaledComplex:
+def _bessel_backend_a(mu, x, derivative: bool):
     order = _as_order(mu)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"K-Bessel argument must be positive, got {x}")
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim > 1:
+        raise ValueError(f"K-Bessel argument must be a scalar or 1-D array, got shape {xs.shape}")
+    flat = xs.reshape(-1)
+    # NaN fails the first test, inf the second
+    if not (flat.min() > 0.0 and flat.max() < math.inf):
+        bad = flat[~((flat > 0.0) & np.isfinite(flat))]
+        raise DomainError(f"K-Bessel argument must be positive, got {bad[0]}")
     m = order.t
-    if m > 4.0 and 0.5 * math.pi * m - x > _SHIFT_THRESHOLD:
-        return _bessel_shifted(m, x, derivative)
-    return _bessel_plain(m, x, derivative)
+    shifted = (m > 4.0) & (0.5 * math.pi * m - flat > _SHIFT_THRESHOLD)
+    n_shifted = np.count_nonzero(shifted)
+    if n_shifted in (0, flat.size):
+        rule = _bessel_shifted if n_shifted else _bessel_plain
+        out = ScaledArray(*rule(m, flat, derivative))
+    else:
+        mantissa = np.empty(flat.shape)
+        log_scale = np.empty(flat.shape)
+        for rule, rows in ((_bessel_shifted, shifted), (_bessel_plain, ~shifted)):
+            mantissa[rows], log_scale[rows] = rule(m, flat[rows], derivative)
+        out = ScaledArray(mantissa, log_scale)
+    return out if xs.ndim else out.item(0)
 
 
-def bessel_k_scaled(mu, x: float) -> ScaledComplex:
+def bessel_k_scaled(mu, x):
     """K_mu(x) for purely imaginary mu, in scaled form (backend A).
 
-    Real-valued; exact magnitude is mantissa * exp(log_scale), which stays
-    representable even deep in the exponential tail.
+    x is a positive float or a 1-D array of them; a float gives a
+    ScaledComplex, an array a ScaledArray of the same length.  Real-valued;
+    exact magnitude is mantissa * exp(log_scale), which stays
+    representable even deep in the exponential tail.  Every element is
+    computed from its own samples, so an array call equals the elementwise
+    scalar calls bit for bit.  Raises DomainError if any element is not
+    positive and finite.
     """
     return _bessel_backend_a(mu, x, derivative=False)
 
 
-def bessel_k_prime_scaled(mu, x: float) -> ScaledComplex:
-    """d/dx K_mu(x) in scaled form, from the differentiated integrand."""
+def bessel_k_prime_scaled(mu, x):
+    """d/dx K_mu(x) in scaled form, from the differentiated integrand;
+    takes x like bessel_k_scaled."""
     return _bessel_backend_a(mu, x, derivative=True)
 
 
@@ -309,13 +363,14 @@ def bessel_k_mellin(mu, x: float, h: float = 0.125, sigma: float | None = None) 
         sigma = max(2.0, float(x) - order.t)
     mu_c = order.mu
 
-    def transform(s: complex) -> ScaledComplex:
-        return gamma_ratio(GammaRatioSpec([(s + mu_c) / 2.0, (s - mu_c) / 2.0]))
+    def transform(s: np.ndarray) -> ScaledArray:
+        return ScaledArray.from_log(_log_gamma_array((s + mu_c) / 2.0)
+                                    + _log_gamma_array((s - mu_c) / 2.0))
 
     # plateau of the gamma product extends to |t| ~ 2|mu|; beyond it the
     # terms decay like exp(-pi(|t|-2m)/4) per gamma pair
     m = order.t
-    peak = transform(complex(sigma)).log_abs()
+    peak = float(transform(np.array([complex(sigma)])).log_abs()[0])
     n_max = int((2.0 * m + 4.0 * (_TAIL_LOG + 8.0) / math.pi + 20.0) / h) + 8
     grid = QuadratureGrid(h=h, sigma=sigma, N=n_max,
                           stop_threshold=math.exp(peak - _TAIL_LOG - 6.0),

@@ -41,7 +41,7 @@ from .errors import (CancellationError, DegenerateParametersError,
                      NonConvergenceError, AccuracyRangeError, PoleError)
 from .langlands import LanglandsParams, permutations
 from .quadrature import MellinGrid2D, QuadratureGrid, trapezoid_line
-from .scaled import ScaledComplex, scaled_sum
+from .scaled import ScaledArray, ScaledComplex, scaled_sum
 from .specfun import (GammaRatioSpec, bessel_k_prime_scaled, bessel_k_scaled,
                       gamma_ratio, _log_gamma_array, _pole_distance)
 
@@ -146,8 +146,8 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
 
     mu = (alpha-beta)/2, evaluated by trapezoid_line.  The grid is
     recentred at u0 = log(y2/y1), where the doubly exponentially decaying
-    integrand peaks.  Applicable for all argument sizes; costs two
-    K-Bessel evaluations per node.
+    integrand peaks.  Applicable for all argument sizes; each block of
+    trapezoid nodes costs two array K-Bessel calls.
     """
     if grid is None:
         grid = default_stade_grid(p)
@@ -157,21 +157,20 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
     y1, y2 = a.y1, a.y2
     u0 = math.log(y2 / y1)
 
-    peak_log = [-math.inf]
+    peak_log = -math.inf
 
-    def integrand(v: float) -> ScaledComplex:
+    def integrand(v: np.ndarray) -> ScaledArray:
+        nonlocal peak_log
         u = v + u0
-        if u >= 0.0:
-            x1 = TWO_PI * y1 * math.exp(0.5 * u) * math.sqrt(1.0 + math.exp(-u))
-            x2 = TWO_PI * y2 * math.sqrt(1.0 + math.exp(-u))
-        else:
-            x1 = TWO_PI * y1 * math.sqrt(1.0 + math.exp(u))
-            x2 = TWO_PI * y2 * math.exp(-0.5 * u) * math.sqrt(1.0 + math.exp(u))
-        k1 = bessel_k_scaled(mu, x1)
-        k2 = bessel_k_scaled(mu, x2)
-        osc = ScaledComplex.from_log(complex(0.0, -0.75 * p.r_gamma * u))
-        out = k1 * k2 * osc
-        peak_log[0] = max(peak_log[0], out.log_abs())
+        # x1 = 2 pi y1 sqrt(1+e^u), x2 = 2 pi y2 sqrt(1+e^-u), with the
+        # growing factor e^{|u|/2} split off so nothing overflows
+        root = np.sqrt(1.0 + np.exp(-np.abs(u)))
+        grow = np.exp(0.5 * np.abs(u))
+        x1 = TWO_PI * y1 * np.where(u >= 0.0, grow, 1.0) * root
+        x2 = TWO_PI * y2 * np.where(u >= 0.0, 1.0, grow) * root
+        out = (bessel_k_scaled(mu, x1) * bessel_k_scaled(mu, x2)
+               * ScaledArray.from_log(-0.75j * p.r_gamma * u))
+        peak_log = max(peak_log, float(out.log_abs().max()))
         return out
 
     # threshold relative to the integrand scale near the peak; |K| can
@@ -187,7 +186,7 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
     # size; each node carries ~1e-14 relative Bessel noise, so the result
     # keeps only ~14 - log10(ratio) digits
     if not total.is_zero:
-        cancel_log = peak_log[0] + math.log(grid.h) - total.log_abs()
+        cancel_log = peak_log + math.log(grid.h) - total.log_abs()
         if cancel_log > math.log(1e8):
             log.warning(
                 "oscillation cancellation ~e^%.1f in the double-Bessel "

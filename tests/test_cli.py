@@ -122,6 +122,23 @@ def test_maass_eval_eps_must_be_below_one(eps, tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point, name", [("nan,0.1,0.2,1,1", "x1"),
+                                         ("0.1,inf,0.3,1,1", "x2"),
+                                         ("0.1,0.2,-inf,1,1", "x3"),
+                                         ("0.1,0.2,0.3,nan,1", "y1"),
+                                         ("0.1,0.2,0.3,inf,1", "y1"),
+                                         ("0.1,0.2,0.3,1,inf", "y2")])
+def test_maass_eval_non_finite_point_exits_1(point, name, tmp_path, capsys):
+    coeffs = write_sample_c1(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["maass-eval", "--coeffs", str(coeffs), "--eps", "1e-6",
+              f"--point={point}"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"{name} must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_maass_eval_and_periodicity(tmp_path, capsys):
     coeffs = write_sample_c1(tmp_path)
     base = ["maass-eval", "--coeffs", str(coeffs), "--eps", "1e-6", "--digits", "14"]

@@ -235,6 +235,21 @@ def test_cutoff_requires_eps_below_one(eps):
         decay_cutoff(SMALL, eps)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, 10.0, math.inf, math.nan])
+def test_form_requires_eps_in_unit_interval(eps):
+    with pytest.raises(ValueError, match="eps"):
+        MaassForm(params=SMALL, eps=eps, coeff_fn=lambda m1, m2: 1.0)
+
+
+@pytest.mark.parametrize("name", ["x1", "x2", "x3", "y1", "y2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_rejects_non_finite_coordinates(name, bad):
+    coords = dict(x1=0.1, x2=0.2, x3=0.3, y1=1.0, y2=1.0)
+    coords[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        H3Point(**coords)
+
+
 def test_eval_periodicity():
     form = synthetic_form()
     z0 = H3Point(0.13, 0.27, -0.41, 1.1, 0.95)

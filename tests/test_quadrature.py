@@ -1,24 +1,29 @@
 import math
 
+import numpy as np
 import pytest
 
 from sl3maass.errors import NonConvergenceError
-from sl3maass.quadrature import (MellinGrid2D, QuadratureGrid,
+from sl3maass.quadrature import (BLOCK, MellinGrid2D, QuadratureGrid,
                                  inverse_mellin_line, refine_check,
                                  trapezoid_line)
-from sl3maass.scaled import ScaledComplex
-from sl3maass.specfun import GammaRatioSpec, bessel_k, gamma_ratio
+from sl3maass.scaled import ScaledArray
+from sl3maass.specfun import _log_gamma_array, bessel_k
 
 from test_specfun import k0_series
 
 
-def gaussian(x: float) -> ScaledComplex:
-    return ScaledComplex.from_log(-x * x)
+def gaussian(x: np.ndarray) -> ScaledArray:
+    return ScaledArray.from_log(-x * x)
 
 
-def k0_integrand(x: float) -> ScaledComplex:
+def k0_integrand(x: np.ndarray) -> ScaledArray:
     # exp(-cosh x) over the whole line integrates to 2 K_0(1)
-    return ScaledComplex.from_log(-math.cosh(x))
+    return ScaledArray.from_log(-np.cosh(x))
+
+
+def zero_integrand(x: np.ndarray) -> ScaledArray:
+    return ScaledArray(np.zeros_like(x), 0.0)
 
 
 def test_grid_validation():
@@ -46,7 +51,7 @@ def test_gaussian():
 
 def test_zero_integrand():
     g = QuadratureGrid(h=0.5, N=20, stop_threshold=0.0)
-    v = trapezoid_line(lambda x: ScaledComplex.zero(), g)
+    v = trapezoid_line(zero_integrand, g)
     assert v.is_zero
 
 
@@ -72,15 +77,103 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
+# block evaluation keeps the node set of a node-by-node walk
+# ---------------------------------------------------------------------------
+
+def pattern_integrand(small_nodes: set, h: float):
+    """Value 1 at every node k except those in small_nodes (value 1/4),
+    plus k * 2^-20 so that every node changes the exactly rounded sum."""
+    def f(t: np.ndarray) -> ScaledArray:
+        k = np.rint(t / h).astype(int)
+        base = np.where(np.isin(k, list(small_nodes)), 0.25, 1.0)
+        return ScaledArray(base + k * 2.0 ** -20, 0.0)
+    return f
+
+
+def node_walk(f, grid: QuadratureGrid) -> list:
+    """The nodes kept by walking each tail one node at a time: a tail
+    stops after stop_run consecutive samples below the threshold."""
+    log_thr = math.log(grid.stop_threshold) if grid.stop_threshold > 0 else -math.inf
+    kept = [0]
+    for side in (-1, 1):
+        run = 0
+        for j in range(1, grid.N + 1):
+            kept.append(side * j)
+            if f(np.array([side * j * grid.h])).log_abs()[0] < log_thr:
+                run += 1
+                if run >= grid.stop_run:
+                    break
+            else:
+                run = 0
+        else:
+            if math.isfinite(log_thr):
+                raise NonConvergenceError("walk reached N")
+    return kept
+
+
+def walked_sum(f, grid):
+    nodes = np.array(node_walk(f, grid)) * grid.h
+    return f(nodes).sum() * grid.h
+
+
+@pytest.mark.parametrize("stops, n", [
+    ((6, 11), 400),                              # inside the first block
+    ((BLOCK, BLOCK - 2), 400),                   # a run ending on the block boundary
+    ((BLOCK - 2, BLOCK + 1), 400),               # a run straddling it
+    ((3 * BLOCK + 7, 5 * BLOCK + 2), 400),       # after several blocks
+    ((6, BLOCK + 10), BLOCK + 14),               # inside a partial last block
+    ((6, BLOCK + 14), BLOCK + 14),               # on N, in a partial last block
+])
+def test_blocks_keep_the_walked_nodes(stops, n):
+    h = 0.5
+    left, right = stops
+    run = 5
+    # each tail: scattered small nodes that never make a run, then a run
+    # of stop_run small nodes ending at its stop
+    small = {k for k in range(1, max(stops) + 1) if k % 3 == 0}
+    small = {-k for k in small if k < left - run} | {k for k in small if k < right - run}
+    small |= {-k for k in range(left - run + 1, left + 1)}
+    small |= {k for k in range(right - run + 1, right + 1)}
+    f = pattern_integrand(small, h)
+    g = QuadratureGrid(h=h, N=n, stop_threshold=0.5, stop_run=run)
+    assert sorted(node_walk(f, g)) == list(range(-left, right + 1))
+    v = trapezoid_line(f, g)
+    ref = walked_sum(f, g)
+    assert (v.mantissa, v.log_scale) == (ref.mantissa, ref.log_scale)
+
+
+def test_blocks_raise_when_n_ends_inside_a_block():
+    h = 0.5
+    n = BLOCK + 9
+    # the right tail's run would end one node past N
+    small = {k for k in range(n - 3, n + 2)} | {-k for k in range(1, 6)}
+    g = QuadratureGrid(h=h, N=n, stop_threshold=0.5, stop_run=5)
+    f = pattern_integrand(small, h)
+    with pytest.raises(NonConvergenceError):
+        node_walk(f, g)
+    with pytest.raises(NonConvergenceError):
+        trapezoid_line(f, g)
+
+
+def test_blocks_without_truncation_keep_all_nodes():
+    h = 0.5
+    g = QuadratureGrid(h=h, N=2 * BLOCK + 5, stop_threshold=0.0)
+    f = pattern_integrand(set(), h)
+    v = trapezoid_line(f, g)
+    ref = walked_sum(f, g)
+    assert (v.mantissa, v.log_scale) == (ref.mantissa, ref.log_scale)
+
+
+# ---------------------------------------------------------------------------
 # inverse Mellin
 # ---------------------------------------------------------------------------
 
-def gamma_transform(s: complex) -> ScaledComplex:
-    return gamma_ratio(GammaRatioSpec([s]))
+def gamma_transform(s: np.ndarray) -> ScaledArray:
+    return ScaledArray.from_log(_log_gamma_array(s))
 
 
-def bessel_pair_transform(s: complex) -> ScaledComplex:
-    return gamma_ratio(GammaRatioSpec([s / 2.0, s / 2.0]))
+def bessel_pair_transform(s: np.ndarray) -> ScaledArray:
+    return ScaledArray.from_log(_log_gamma_array(s / 2.0) + _log_gamma_array(s / 2.0))
 
 
 MELLIN_GRID = QuadratureGrid(h=0.2, sigma=2.0, N=3000, stop_threshold=1e-24, stop_run=6)
@@ -120,7 +213,7 @@ def test_refine_gaussian():
 
 def test_refine_zero():
     g = QuadratureGrid(h=0.5, N=20)
-    v, err = refine_check(lambda x: ScaledComplex.zero(), g)
+    v, err = refine_check(zero_integrand, g)
     assert v.is_zero and err == 0.0
 
 

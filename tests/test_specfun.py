@@ -259,3 +259,58 @@ def test_bessel_against_mpmath():
         ref = float(mp.re(mp.besselk(1j * m, x + h) - mp.besselk(1j * m, x - h)) / (2 * h))
         got = bessel_k_prime(1j * m, x)
         assert abs(got - ref) <= 1e-8 * abs(ref), (m, x)
+
+
+# ---------------------------------------------------------------------------
+# K-Bessel over an argument vector
+# ---------------------------------------------------------------------------
+
+LIFT_M = 19.06739
+GEN_M = 2.45
+# the LIFT order switches from the shifted contour to the real-axis rule
+# at x = pi m / 2 - 8 (about 21.95); these arguments sit on both sides.
+# Just past the switch the real-axis rule cancels ~e^8 and holds only
+# ~2.5e-12 (x = 22 .. 25), so the plain-side points start at 30.
+LIFT_XS = np.array([0.3, 1.0, 5.0, 12.0, 20.0, 21.5, 21.9, 30.0, 40.0])
+GEN_XS = np.array([0.05, 0.3, 1.0, 3.7, 8.0, 20.0, 60.0])
+
+
+def test_bessel_array_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for m, xs in ((LIFT_M, LIFT_XS), (GEN_M, GEN_XS)):
+        k = bessel_k_scaled(1j * m, xs)
+        kp = bessel_k_prime_scaled(1j * m, xs)
+        assert len(k) == len(kp) == len(xs)
+        for i, x in enumerate(xs.tolist()):
+            ref = mp.re(mp.besselk(1j * m, x))
+            # K'_mu = -(K_{mu-1} + K_{mu+1}) / 2
+            ref_p = -mp.re(mp.besselk(1j * m - 1, x) + mp.besselk(1j * m + 1, x)) / 2
+            got = mp.mpf(k.mantissa[i]) * mp.exp(k.log_scale[i])
+            got_p = mp.mpf(kp.mantissa[i]) * mp.exp(kp.log_scale[i])
+            assert abs(got - ref) <= 5e-13 * abs(ref), (m, x)
+            assert abs(got_p - ref_p) <= 1e-8 * abs(ref_p), (m, x)
+
+
+def test_bessel_array_equals_scalar_calls():
+    # determinism contract: every element is reduced from its own samples
+    # only, so neither the other elements nor the order changes its bits
+    rng = np.random.default_rng(5)
+    for m, xs in ((LIFT_M, LIFT_XS), (GEN_M, GEN_XS), (0.0, GEN_XS)):
+        xs = np.concatenate([xs, rng.uniform(0.1, 40.0, 20)])
+        for fn in (bessel_k_scaled, bessel_k_prime_scaled):
+            batch = fn(1j * m, xs)
+            backwards = fn(1j * m, xs[::-1])
+            for i, x in enumerate(xs.tolist()):
+                one = fn(1j * m, x)
+                assert batch.item(i) == one, (fn.__name__, m, x)
+                assert backwards.item(len(xs) - 1 - i) == one
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_bessel_array_rejects_any_bad_element(bad):
+    xs = np.array([0.5, 2.0, bad, 3.0])
+    for fn in (bessel_k_scaled, bessel_k_prime_scaled):
+        with pytest.raises(DomainError):
+            fn(1j * LIFT_M, xs)
+

@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 from sl3maass.errors import (AccuracyRangeError, CancellationError,
                              DegenerateParametersError)
 from sl3maass.langlands import LanglandsParams, permutations
-from sl3maass.quadrature import MellinGrid2D, QuadratureGrid, inverse_mellin_line
-from sl3maass.scaled import ScaledComplex
-from sl3maass.specfun import (GammaRatioSpec, bessel_k_prime_scaled,
+from sl3maass.quadrature import (BLOCK, MellinGrid2D, QuadratureGrid,
+                                 inverse_mellin_line, trapezoid_line)
+from sl3maass.scaled import ScaledArray, ScaledComplex
+from sl3maass.specfun import (GammaRatioSpec, _log_gamma_array,
+                              _pole_distance, bessel_k_prime_scaled,
                               bessel_k_scaled, gamma_ratio)
 from sl3maass import whittaker
 from sl3maass.whittaker import (SeriesBudget, WhittakerArgs,
@@ -112,10 +114,15 @@ def in_integral_oracle(p: LanglandsParams, n: int, y: float) -> complex:
     integral (independent of the polynomial recursion path)."""
     a, b, g = p.triple
 
-    def transform(s: complex) -> ScaledComplex:
-        return gamma_ratio(GammaRatioSpec(
-            [(s - 1.5 * a) / 2.0, (s - b - 0.5 * a) / 2.0, (s - g - 0.5 * a) / 2.0],
-            [(s - 1.5 * a) / 2.0 - n]))
+    def transform(s: np.ndarray) -> ScaledArray:
+        # 1/Gamma vanishes at the poles of the denominator (as in gamma_ratio)
+        den = (s - 1.5 * a) / 2.0 - n
+        pole = _pole_distance(den) < 1e-12
+        out = ScaledArray.from_log(
+            _log_gamma_array((s - 1.5 * a) / 2.0) + _log_gamma_array((s - b - 0.5 * a) / 2.0)
+            + _log_gamma_array((s - g - 0.5 * a) / 2.0)
+            - _log_gamma_array(np.where(pole, 1.0, den)))
+        return ScaledArray(np.where(pole, 0.0, out.mantissa), out.log_scale)
 
     grid = QuadratureGrid(h=0.1, sigma=2.0, N=5000, stop_threshold=1e-26, stop_run=6)
     return inverse_mellin_line(transform, math.pi * y, grid).to_complex()
@@ -215,6 +222,30 @@ def test_whittaker_decay():
     v44 = w_stade(LIFT, WhittakerArgs(4.0, 4.0))
     v22 = w_stade(LIFT, WhittakerArgs(2.0, 2.0))
     assert v44.log_abs() - v22.log_abs() < -4.0
+
+
+def test_stade_bessel_calls_per_block(monkeypatch):
+    # the integrand is evaluated on blocks of nodes, with one array K call
+    # per Bessel factor; a per-node loop would make two calls per node
+    k_calls = []
+    blocks = []
+
+    def counting_k(mu, x):
+        k_calls.append(np.size(x))
+        return bessel_k_scaled(mu, x)
+
+    def counting_rule(f, grid):
+        def block(t):
+            blocks.append(t.size)
+            return f(t)
+        return trapezoid_line(block, grid)
+
+    monkeypatch.setattr(whittaker, "bessel_k_scaled", counting_k)
+    monkeypatch.setattr(whittaker, "trapezoid_line", counting_rule)
+    w_stade(LIFT, WhittakerArgs(0.6, 1.0))
+    assert len(blocks) <= math.ceil(sum(blocks) / BLOCK)
+    assert len(k_calls) <= 2 * len(blocks)
+    assert sum(k_calls) == 2 * sum(blocks)
 
 
 def test_stade_oscillation_cancellation_diagnostics(caplog):
