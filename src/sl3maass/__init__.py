@@ -16,7 +16,7 @@ from .quadrature import (MellinGrid2D, QuadratureGrid, inverse_mellin_line,
                          refine_check, trapezoid_line)
 from .langlands import (EigenvaluePair, LanglandsParams, eigenvalues, from_nu,
                         permutations)
-from .whittaker import (FixedDCache, PQSlice, SeriesBudget, WhittakerArgs,
+from .whittaker import (FixedDCache, SeriesBudget, WhittakerArgs,
                         build_fixed_d_cache, build_pq_table,
                         choose_algorithm, default_mellin_grid,
                         default_stade_grid, pq_build, w_eval,

@@ -318,8 +318,8 @@ def _build_parser() -> _Parser:
     _add_param_flags(px)
     px.add_argument("--y-grid", default="0.3,0.6,1.0",
                     help="comma-separated values used for both arguments")
-    px.add_argument("--tol", type=float, default=1e-6,
-                    help="max allowed pairwise relative deviation")
+    px.add_argument("--tol", type=_positive_finite, default=1e-6,
+                    help="max allowed pairwise relative deviation (positive and finite)")
     _add_grid_flags(px)
     px.set_defaults(func=cmd_xcheck)
 

@@ -26,8 +26,8 @@ from .errors import (DegenerateLatticeError, DomainError,
 from .langlands import LanglandsParams
 from .scaled import ScaledComplex
 from .whittaker import (WhittakerArgs, build_fixed_d_cache,
-                        mellin_outer_noise_log, w_eval, w_mellin_fixed_d,
-                        w_stade)
+                        default_mellin_grid, mellin_outer_noise_log, w_eval,
+                        w_mellin_fixed_d, w_stade)
 
 __all__ = [
     "H3Point",
@@ -346,11 +346,11 @@ class MaassForm:
     coeffs: Mapping[tuple[int, int], complex] | None = None
     eps: float = 1e-10
     coeff_fn: Callable[[int, int], complex] | None = None
-    cutoff: float | None = field(default=None)
-    peak_log: float | None = field(default=None)
+    cutoff: float | None = field(default=None, init=False)
+    peak_log: float | None = field(default=None, init=False)
     # fixed-D caches keyed by D rounded to 12 significant digits, shared
     # across evaluations of this form
-    cache_map: dict = field(default_factory=dict, repr=False)
+    cache_map: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -392,14 +392,13 @@ class MaassEvalStats:
 
 def eval_maass_report(f: MaassForm, z: H3Point,
                       backend: str = "mellin",
-                      validate_caches: bool = True,
                       count_only: bool = False) -> tuple[complex, MaassEvalStats]:
     """Truncated even cosine expansion at z, with evaluation statistics.
 
     backend selects the Whittaker engine: "mellin" (fixed-D caches, the
     default) or "stade" (direct double-Bessel integral).  With count_only
-    the coefficient table is never touched and the returned value is
-    meaningless; only the statistics are valid.
+    the coefficient table is never touched, caches are not validated and
+    the returned value is meaningless; only the statistics are valid.
     """
     if backend not in ("mellin", "stade"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -408,12 +407,14 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     C = f.cutoff_value()
     shift = p.scale_shift
     # contribution threshold: eps relative to the peak of |W| over the
-    # truncation scan (the form's natural term scale)
-    log_eps = math.log(eps) + (f.peak_log or 0.0)
+    # truncation scan (the form's natural term scale); W carries that
+    # scale, so caches are validated against this level, not against eps
+    log_eps = math.log(eps) + f.peak_log
     y1, y2 = z.y1, z.y2
     z2 = z.z2
 
     caches = f.cache_map if backend == "mellin" else {}
+    grid = default_mellin_grid(p, eps * 1e-2)
     n_built = 0
 
     def whittaker(D: float, y2_args: list[float]) -> tuple[list[ScaledComplex], list[float]]:
@@ -424,8 +425,8 @@ def eval_maass_report(f: MaassForm, z: H3Point,
             key = float(np.format_float_scientific(D, precision=11))
             cache = caches.get(key)
             if cache is None:
-                cache = build_fixed_d_cache(p, D, eps=eps * 1e-2,
-                                            validate=validate_caches,
+                cache = build_fixed_d_cache(p, D, grid=grid, eps=math.exp(log_eps),
+                                            validate=not count_only,
                                             y2_range=(D / C ** 2 * 0.99, C * 1.01))
                 caches[key] = cache
                 n_built += 1
@@ -524,8 +525,7 @@ def coefficient_demand(p: LanglandsParams, z: H3Point, eps: float) -> MaassEvalS
     truncation walk without touching any coefficient table and reports the
     largest contributing m2 (and m1)."""
     form = MaassForm(params=p, coeff_fn=lambda m1, m2: 1.0, eps=eps)
-    _, stats = eval_maass_report(form, z, backend="mellin",
-                                 validate_caches=False, count_only=True)
+    _, stats = eval_maass_report(form, z, backend="mellin", count_only=True)
     return stats
 
 

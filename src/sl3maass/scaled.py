@@ -56,10 +56,6 @@ class ScaledComplex:
         return ScaledComplex(0j, 0.0)
 
     @staticmethod
-    def one() -> "ScaledComplex":
-        return ScaledComplex(1 + 0j, 0.0)
-
-    @staticmethod
     def from_complex(value: complex) -> "ScaledComplex":
         return ScaledComplex(complex(value), 0.0)
 
@@ -124,16 +120,6 @@ class ScaledComplex:
         return ScaledComplex(self.mantissa * complex(other), self.log_scale)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ScaledComplex":
-        if isinstance(other, ScaledComplex):
-            if other.is_zero:
-                raise ZeroDivisionError("division by zero ScaledComplex")
-            if self.is_zero:
-                return ScaledComplex.zero()
-            return ScaledComplex(self.mantissa / other.mantissa,
-                                 self.log_scale - other.log_scale)
-        return ScaledComplex(self.mantissa / complex(other), self.log_scale)
 
     def __add__(self, other: "ScaledComplex") -> "ScaledComplex":
         if not isinstance(other, ScaledComplex):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,7 +49,6 @@ from .specfun import (GammaRatioSpec, bessel_k_prime_scaled, bessel_k_scaled,
 __all__ = [
     "WhittakerArgs",
     "SeriesBudget",
-    "PQSlice",
     "pq_build",
     "build_pq_table",
     "w_stade",
@@ -288,36 +288,6 @@ def w_series_origin(p: LanglandsParams, a: WhittakerArgs,
 # Algorithm 3: small-argument series via polynomial recursions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PQSlice:
-    """Polynomial tables P_0..P_nmax, Q_0..Q_nmax for one permutation.
-
-    Row n of `p_coeffs` (`q_coeffs`) holds P_n (Q_n) in ascending powers
-    of y, zero-padded to 2 nmax + 1 columns.  The polynomials satisfy
-
-        P_{n+1} = y P_n' + ((2 pi y)^2 + mu^2) Q_n + a_n P_n,   P_0 = 4
-        Q_{n+1} = P_n + y Q_n' + a_n Q_n,                       Q_0 = 0
-
-    with a_n = 3 d1/2 + 2n + 2 and mu = (d2 - d3)/2; hence
-    deg P_n <= 2n and deg Q_n <= 2n-1.
-    """
-
-    delta: tuple[complex, complex, complex]
-    mu: complex
-    p_coeffs: np.ndarray
-    q_coeffs: np.ndarray
-
-    def values(self, y: float) -> tuple[np.ndarray, np.ndarray]:
-        """(P_n(y), Q_n(y)) for n = 0..nmax, from one Horner pass over all
-        rows; each row gets the bits `np.polynomial.polynomial.polyval`
-        gives it."""
-        rows = np.concatenate((self.p_coeffs, self.q_coeffs))
-        acc = np.zeros(len(rows), dtype=np.complex128)
-        for column in rows.T[::-1]:
-            acc = acc * y + column
-        return acc[:len(self.p_coeffs)], acc[len(self.p_coeffs):]
-
-
 def _cmul(c, z: np.ndarray) -> np.ndarray:
     """c z from real products: numpy's complex array multiply may round
     differently from the scalar complex product."""
@@ -327,36 +297,68 @@ def _cmul(c, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def pq_build(delta: tuple[complex, complex, complex], nmax: int) -> PQSlice:
-    """Build the P/Q coefficient tables for one ordered triple delta by
-    whole-row updates.  Each coefficient sums (k + a_n) P_n[k], then
+def pq_build(deltas: Sequence[tuple[complex, complex, complex]],
+             nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """P/Q coefficient tables for a stack of ordered triples
+    (d1, d2, d3), as two complex arrays of shape
+    (len(deltas), nmax + 1, 2 nmax + 1).
+
+    Entry [j, n] of the first (second) array holds P_n (Q_n) of triple j
+    in ascending powers of y, zero-padded.  The polynomials satisfy
+
+        P_{n+1} = y P_n' + ((2 pi y)^2 + mu^2) Q_n + a_n P_n,   P_0 = 4
+        Q_{n+1} = P_n + y Q_n' + a_n Q_n,                       Q_0 = 0
+
+    with a_n = 3 d1/2 + 2n + 2 and mu = (d2 - d3)/2; hence
+    deg P_n <= 2n and deg Q_n <= 2n-1.  One step updates the rows of all
+    triples at once.  Each coefficient sums (k + a_n) P_n[k], then
     (2 pi)^2 Q_n[k-2], then mu^2 Q_n[k], in that order and with complex
     products formed from real ones, so the tables are bit-identical to a
     coefficient-by-coefficient recursion."""
     if nmax < 0:
         raise ValueError("nmax must be non-negative")
-    d1, d2, d3 = delta
-    mu = (d2 - d3) / 2.0
-    mu2 = mu * mu
+    # mu^2 per triple in scalar complex arithmetic, as the
+    # coefficient-by-coefficient recursion forms it
+    d1 = np.array([[d[0]] for d in deltas], dtype=np.complex128)
+    mu2 = np.array([[((d[1] - d[2]) / 2.0) * ((d[1] - d[2]) / 2.0)] for d in deltas],
+                   dtype=np.complex128)
     four_pi2 = (2.0 * math.pi) ** 2
-    p_coeffs = np.zeros((nmax + 1, 2 * nmax + 1), dtype=np.complex128)
+    p_coeffs = np.zeros((len(deltas), nmax + 1, 2 * nmax + 1), dtype=np.complex128)
     q_coeffs = np.zeros_like(p_coeffs)
-    p_coeffs[0, 0] = 4.0
+    p_coeffs[:, 0, 0] = 4.0
     k = np.arange(2 * nmax + 1)
     for n in range(nmax):
-        ka = k + (1.5 * d1 + 2.0 * n + 2.0)              # k + a_n
-        new_p = _cmul(ka, p_coeffs[n])                   # y P' + a_n P
-        new_p[2:] += four_pi2 * q_coeffs[n, :-2]         # (2 pi y)^2 Q
-        p_coeffs[n + 1] = new_p + _cmul(mu2, q_coeffs[n])        # mu^2 Q
-        q_coeffs[n + 1] = p_coeffs[n] + _cmul(ka, q_coeffs[n])   # P + y Q' + a_n Q
-    return PQSlice(delta=tuple(delta), mu=mu, p_coeffs=p_coeffs, q_coeffs=q_coeffs)
+        ka = k + (1.5 * d1 + 2.0 * n + 2.0)                     # k + a_n
+        new_p = _cmul(ka, p_coeffs[:, n])                       # y P' + a_n P
+        new_p[:, 2:] += four_pi2 * q_coeffs[:, n, :-2]          # (2 pi y)^2 Q
+        p_coeffs[:, n + 1] = new_p + _cmul(mu2, q_coeffs[:, n])            # mu^2 Q
+        q_coeffs[:, n + 1] = p_coeffs[:, n] + _cmul(ka, q_coeffs[:, n])    # P + y Q' + a_n Q
+    return p_coeffs, q_coeffs
 
 
-def build_pq_table(p: LanglandsParams, nmax: int = 60) -> tuple[PQSlice, PQSlice, PQSlice]:
-    """The three PQSlice tables used by the small-argument series, one per
-    leading parameter (cyclic order alpha, beta, gamma)."""
+def _cyclic_triples(p: LanglandsParams):
     a, b, g = p.triple
-    return tuple(pq_build(d, nmax) for d in ((a, b, g), (b, g, a), (g, a, b)))
+    return (a, b, g), (b, g, a), (g, a, b)
+
+
+def build_pq_table(p: LanglandsParams, nmax: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """The P and Q tables of the small-argument series (see pq_build), one
+    slice per leading parameter in the cyclic order alpha, beta, gamma."""
+    return pq_build(_cyclic_triples(p), nmax)
+
+
+def _pq_values(p_coeffs: np.ndarray, q_coeffs: np.ndarray,
+               y: float) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(y) and Q_n(y) for every row of the two tables, from one Horner
+    pass over the columns; each row gets the bits
+    `np.polynomial.polynomial.polyval` gives it."""
+    rows = np.stack((p_coeffs, q_coeffs))
+    acc = np.zeros(rows.shape[:-1], dtype=np.complex128)
+    # high rows overflow at large y; w_series_small never sums them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column in np.moveaxis(rows, -1, 0)[::-1]:
+            acc = acc * y + column
+    return acc[0], acc[1]
 
 
 def w_series_small(p: LanglandsParams, a: WhittakerArgs,
@@ -371,52 +373,61 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
     with mu = (d2-d3)/2.  Costs six K-Bessel evaluations total plus
     polynomial arithmetic; intended for small y1 (the dispatcher swaps
     arguments first when y1 > y2).
+
+    Each n-series is summed in complex128 at the larger log scale of its
+    K and K'.  It stops once three consecutive terms (n >= 2) lie below
+    target_eps times the largest partial sum so far; a term or partial sum
+    that leaves binary64 range before that raises CancellationError.
     """
     if budget is None:
         budget = SeriesBudget()
     _require_nondegenerate(p)
     y1, y2 = a.y1, a.y2
     x2 = TWO_PI * y2
-    log_py1_sq = 2.0 * math.log(math.pi * y1)
+    nmax = budget.nmax
+    triples = _cyclic_triples(p)
+    p_vals, q_vals = _pq_values(*build_pq_table(p, nmax), y2)
+    log_gammas = _log_gamma_array(np.array([((d2 - d1) / 2.0, (d3 - d1) / 2.0)
+                                            for d1, d2, d3 in triples]))
+    k = np.arange(nmax)
 
     totals: list[ScaledComplex] = []
     max_term_log = -math.inf
-    for sl in build_pq_table(p, budget.nmax):
-        d1, d2, d3 = sl.delta
-        kv = bessel_k_scaled(sl.mu, x2)
-        kp = bessel_k_prime_scaled(sl.mu, x2)
-        pref = gamma_ratio(GammaRatioSpec([(d2 - d1) / 2.0, (d3 - d1) / 2.0]))
+    for j, (d1, d2, d3) in enumerate(triples):
+        mu = (d2 - d3) / 2.0
+        kv = bessel_k_scaled(mu, x2)
+        kp = bessel_k_prime_scaled(mu, x2)
+        scale = max(kv.log_scale, kp.log_scale)
+        pref = ScaledComplex.from_log(complex(log_gammas[j, 0] + log_gammas[j, 1]))
         pref = pref * ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
                                              + (1.0 + d1 / 2.0) * math.log(math.pi * y2))
         pref = pref * _CONTOUR_WEIGHT
         q12 = 1.0 + (d1 - d2) / 2.0
         q13 = 1.0 + (d1 - d3) / 2.0
-        p_vals, q_vals = (v.tolist() for v in sl.values(y2))
-
-        coef = ScaledComplex.one()
-        acc = ScaledComplex.zero()
-        acc_top = -math.inf
-        small_run = 0
-        converged = False
-        for n in range(budget.nmax + 1):
-            combo = kv * p_vals[n] + kp * (x2 * q_vals[n])
-            term = coef * combo
-            acc = acc + term
-            acc_top = max(acc_top, acc.log_abs())
-            max_term_log = max(max_term_log, (pref * term).log_abs())
-            if term.log_abs() < math.log(budget.target_eps) + max(acc_top, -600.0):
-                small_run += 1
-                if small_run >= 3 and n >= 2:
-                    converged = True
-                    break
-            else:
-                small_run = 0
-            coef = coef * ScaledComplex.from_log(log_py1_sq - math.log(2.0 * (n + 1.0))) \
-                / ScaledComplex.from_complex((q12 + n) * (q13 + n))
-        if not converged:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (pi y1)^(2n) / ((q12)_n (q13)_n 2^n n!)
+            coef = np.ones(nmax + 1, dtype=np.complex128)
+            coef[1:] = np.cumprod((math.pi * y1) ** 2
+                                  / (2.0 * (k + 1.0) * (q12 + k) * (q13 + k)))
+            terms = coef * (kv.mantissa * math.exp(kv.log_scale - scale) * p_vals[j]
+                            + kp.mantissa * math.exp(kp.log_scale - scale) * (x2 * q_vals[j]))
+            partial = np.cumsum(terms)
+            mags = np.abs(terms)
+            small = mags < budget.target_eps * np.maximum.accumulate(np.abs(partial))
+        # the first n >= 2 ending a run of three small terms, before any
+        # non-finite partial sum
+        reached = np.logical_and.accumulate(np.isfinite(partial))
+        stops = np.flatnonzero(small[2:] & small[1:-1] & small[:-2] & reached[2:])
+        if stops.size == 0:
+            if not reached[-1]:
+                raise CancellationError(
+                    "small-argument series terms left binary64 range")
             raise NonConvergenceError(
-                f"small-argument series did not converge within nmax={budget.nmax}")
-        totals.append(pref * acc)
+                f"small-argument series did not converge within nmax={nmax}")
+        stop = int(stops[0]) + 2
+        max_term_log = max(max_term_log,
+                           pref.log_abs() + scale + math.log(float(mags[:stop + 1].max())))
+        totals.append(pref * ScaledComplex(complex(partial[stop]), scale))
 
     total = scaled_sum(totals)
     if total.is_zero or max_term_log - total.log_abs() > math.log(CANCELLATION_GUARD_RATIO):
@@ -602,7 +613,8 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     are computed once per (p, grid) by mellin_kernel, so a build costs
     one blocked O(N1 N2) mat-vec and no log-gamma evaluations.  When
     `validate` is set, the cache is compared against w_eval at the end
-    points of y2_range and the worst relative deviation is stored.
+    points of y2_range and the worst deviation relative to max(|W|, eps),
+    eps being an absolute level in the scaled convention, is stored.
     """
     if not (D > 0.0) or not math.isfinite(D):
         raise ValueError(f"D must be positive and finite, got {D}")

@@ -93,6 +93,16 @@ def test_grid_h_must_be_positive_and_finite(h, capsys):
     assert "--grid-h" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_xcheck_tol_must_be_positive_and_finite(tol, capsys):
+    # a NaN or infinite tolerance passed every deviation, a negative one
+    # failed every run
+    with pytest.raises(SystemExit) as exc:
+        main(["xcheck", *PARAMS, "--y-grid", "0.4", f"--tol={tol}"])
+    assert exc.value.code == 1
+    assert "--tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--sigma1", "--sigma2"])
 @pytest.mark.parametrize("sigma", ["0", "-0.5", "-3", "inf", "nan"])
 def test_sigma_must_be_positive_and_finite(flag, sigma, capsys):

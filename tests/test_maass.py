@@ -14,6 +14,8 @@ from sl3maass.whittaker import WhittakerArgs, mellin_kernel, w_eval
 
 SMALL = LanglandsParams(-1.3, 2.1)
 GENERIC = LanglandsParams(-3.7, 1.2)
+LIFT_R = 9.533695
+LIFT = LanglandsParams(-2.0 * LIFT_R, 2.0 * LIFT_R)
 # the synthetic form's benchmark point
 E2_POINT = H3Point(0.13, 0.27, -0.41, 1.1, 0.95)
 
@@ -241,6 +243,14 @@ def test_form_requires_eps_in_unit_interval(eps):
         MaassForm(params=SMALL, eps=eps, coeff_fn=lambda m1, m2: 1.0)
 
 
+@pytest.mark.parametrize("name", ["cutoff", "peak_log", "cache_map"])
+def test_form_memo_fields_are_not_arguments(name):
+    # they are set by the first evaluation; a value passed in would be
+    # overwritten there
+    with pytest.raises(TypeError):
+        MaassForm(params=SMALL, coeff_fn=lambda m1, m2: 1.0, **{name: 3.0})
+
+
 @pytest.mark.parametrize("name", ["x1", "x2", "x3", "y1", "y2"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_point_rejects_non_finite_coordinates(name, bad):
@@ -338,6 +348,21 @@ def test_caches_built_per_evaluation():
     # an S1 image lands on new values of D
     assert image.n_caches_built > 0
     assert image.n_caches == first.n_caches + image.n_caches_built
+
+
+@pytest.mark.parametrize("params, z, eps", [
+    (LIFT, E2_POINT, 1e-8),
+    (GENERIC, H3Point(0.3, -0.2, 0.1, 0.97, 1.02), 1e-10)], ids=["LIFT", "GEN"])
+def test_cache_validation_measured_against_the_form(caplog, params, z, eps):
+    # W carries the form's scale (peak log|W| 65 at the lift), so each
+    # build is validated against the contribution floor eps exp(peak_log);
+    # against the bare eps, good caches reported residuals up to 2.4e13
+    form = MaassForm(params=params, eps=eps,
+                     coeff_fn=lambda m1, m2: 1.0 / (1.0 + m1 * m2))
+    with caplog.at_level("WARNING", logger="sl3maass.whittaker"):
+        _, stats = eval_maass_report(form, z)
+    assert stats.n_caches_built > 0
+    assert not any("validation residual" in r.message for r in caplog.records)
 
 
 def test_missing_coefficient_is_hard_error():

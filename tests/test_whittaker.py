@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sl3maass.errors import (AccuracyRangeError, CancellationError,
-                             DegenerateParametersError)
+                             DegenerateParametersError, NonConvergenceError)
 from sl3maass.langlands import LanglandsParams, permutations
 from sl3maass.quadrature import (BLOCK, MellinGrid2D, QuadratureGrid,
                                  inverse_mellin_line, trapezoid_line)
@@ -20,7 +21,8 @@ from sl3maass.whittaker import (SeriesBudget, WhittakerArgs,
                                 mellin_kernel, mellin_outer_noise_log,
                                 pq_build, w_eval, w_mellin_fixed_d,
                                 w_series_origin, w_series_small, w_stade,
-                                _outer_prefactor_log)
+                                _cyclic_triples, _outer_prefactor_log,
+                                _pq_values)
 
 LIFT_R = 9.533695
 LIFT = LanglandsParams(-2.0 * LIFT_R, 2.0 * LIFT_R)
@@ -42,15 +44,16 @@ def test_args_validation():
 # ---------------------------------------------------------------------------
 
 def test_pq_base_cases():
-    sl = pq_build(GENERIC.triple, 2)
-    assert np.array_equal(sl.p_coeffs[0], np.array([4.0 + 0j, 0, 0, 0, 0]))
-    assert np.array_equal(sl.q_coeffs[0], np.zeros(5, dtype=complex))
+    p_coeffs, q_coeffs = pq_build([GENERIC.triple], 2)
+    assert p_coeffs.shape == q_coeffs.shape == (1, 3, 5)
+    assert np.array_equal(p_coeffs[0, 0], np.array([4.0 + 0j, 0, 0, 0, 0]))
+    assert np.array_equal(q_coeffs[0, 0], np.zeros(5, dtype=complex))
     # one recursion step: Q_1 = P_0 = 4 (constant), P_1 = a_0 P_0 = 6 d1 + 8
     d1 = GENERIC.alpha
     a0 = 1.5 * d1 + 2.0
-    assert sl.values(0.37)[1][1] == 4.0
-    assert abs(sl.values(0.83)[0][1] - (6.0 * d1 + 8.0)) < 1e-14
-    assert abs(sl.values(0.83)[0][1] - 4.0 * a0) < 1e-14
+    assert _pq_values(p_coeffs, q_coeffs, 0.37)[1][0, 1] == 4.0
+    assert abs(_pq_values(p_coeffs, q_coeffs, 0.83)[0][0, 1] - (6.0 * d1 + 8.0)) < 1e-14
+    assert abs(_pq_values(p_coeffs, q_coeffs, 0.83)[0][0, 1] - 4.0 * a0) < 1e-14
 
 
 def _effective_degree(coeffs) -> int:
@@ -59,46 +62,51 @@ def _effective_degree(coeffs) -> int:
 
 
 def test_pq_degree_bounds():
-    table = build_pq_table(GENERIC, 40)
-    for sl in table:
+    p_coeffs, q_coeffs = build_pq_table(GENERIC, 40)
+    assert p_coeffs.shape == q_coeffs.shape == (3, 41, 81)
+    for j in range(3):
         for n in range(41):
-            assert _effective_degree(sl.p_coeffs[n]) <= 2 * n
+            assert _effective_degree(p_coeffs[j, n]) <= 2 * n
             if n >= 1:
-                assert _effective_degree(sl.q_coeffs[n]) <= 2 * n - 1
+                assert _effective_degree(q_coeffs[j, n]) <= 2 * n - 1
         # the quadratic chain feeds degree 2 every second step
-        assert _effective_degree(sl.p_coeffs[40]) == 40
-        assert _effective_degree(sl.q_coeffs[40]) == 38
+        assert _effective_degree(p_coeffs[j, 40]) == 40
+        assert _effective_degree(q_coeffs[j, 40]) == 38
 
 
 def test_pq_constant_term_recursion():
     # at y = 0 the recursion collapses to P_{n+1}(0) = mu^2 Q_n(0) + a_n P_n(0),
     # Q_{n+1}(0) = P_n(0) + a_n Q_n(0); closed-form check of stored tables
     d = GENERIC.triple
-    sl = pq_build(d, 12)
-    mu2 = sl.mu * sl.mu
+    (p_coeffs,), (q_coeffs,) = pq_build([d], 12)
+    mu = (d[1] - d[2]) / 2.0
+    mu2 = mu * mu
     p0, q0 = 4.0 + 0j, 0j
     for n in range(12):
         a_n = 1.5 * d[0] + 2.0 * n + 2.0
         p0, q0 = mu2 * q0 + a_n * p0, p0 + a_n * q0
-        assert abs(sl.p_coeffs[n + 1][0] - p0) < 1e-12 * max(1.0, abs(p0))
-        assert abs(sl.q_coeffs[n + 1][0] - q0) < 1e-12 * max(1.0, abs(q0))
+        assert abs(p_coeffs[n + 1][0] - p0) < 1e-12 * max(1.0, abs(p0))
+        assert abs(q_coeffs[n + 1][0] - q0) < 1e-12 * max(1.0, abs(q0))
 
 
 @pytest.mark.parametrize("y", [0.3, 1.7])
 def test_pq_recursion_off_zero(y):
     # the y P', y Q' and (2 pi y)^2 Q terms vanish at y = 0, so only y > 0
-    # checks them; values() must also give polyval's bits on every row
+    # checks them; _pq_values must also give polyval's bits on every row
     poly = np.polynomial.polynomial
-    for sl in build_pq_table(GENERIC, 40):
-        p_vals, q_vals = sl.values(y)
-        for rows, vals in ((sl.p_coeffs, p_vals), (sl.q_coeffs, q_vals)):
+    tables = build_pq_table(GENERIC, 40)
+    all_p, all_q = _pq_values(*tables, y)
+    for delta, p_coeffs, q_coeffs, p_vals, q_vals in zip(
+            _cyclic_triples(GENERIC), *tables, all_p, all_q):
+        for rows, vals in ((p_coeffs, p_vals), (q_coeffs, q_vals)):
             ref = np.array([poly.polyval(y, row) for row in rows])
             assert ref.tobytes() == vals.tobytes()
-        mu2 = sl.mu * sl.mu
+        mu = (delta[1] - delta[2]) / 2.0
+        mu2 = mu * mu
         for n in range(40):
-            a_n = 1.5 * sl.delta[0] + 2.0 * n + 2.0
-            dp = poly.polyval(y, poly.polyder(sl.p_coeffs[n]))
-            dq = poly.polyval(y, poly.polyder(sl.q_coeffs[n]))
+            a_n = 1.5 * delta[0] + 2.0 * n + 2.0
+            dp = poly.polyval(y, poly.polyder(p_coeffs[n]))
+            dq = poly.polyval(y, poly.polyder(q_coeffs[n]))
             p_next = y * dp + ((2.0 * math.pi * y) ** 2 + mu2) * q_vals[n] + a_n * p_vals[n]
             q_next = p_vals[n] + y * dq + a_n * q_vals[n]
             assert abs(p_vals[n + 1] - p_next) <= 1e-12 * abs(p_next)
@@ -130,12 +138,12 @@ def in_integral_oracle(p: LanglandsParams, n: int, y: float) -> complex:
 
 def in_closed_form(p: LanglandsParams, n: int, y: float) -> complex:
     """I_n(y) from the polynomial recursion and one K-Bessel pair."""
-    sl = pq_build(p.triple, n)
-    mu = sl.mu
+    d1, d2, d3 = p.triple
+    mu = (d2 - d3) / 2.0
     x = 2.0 * math.pi * y
     kv = bessel_k_scaled(mu, x).to_complex().real
     kp = bessel_k_prime_scaled(mu, x).to_complex().real
-    p_vals, q_vals = sl.values(y)
+    (p_vals,), (q_vals,) = _pq_values(*pq_build([p.triple], n), y)
     return (-2.0) ** (-n) * (p_vals[n] * kv + x * q_vals[n] * kp)
 
 
@@ -248,6 +256,65 @@ def test_stade_bessel_calls_per_block(monkeypatch):
     assert sum(k_calls) == 2 * sum(blocks)
 
 
+def test_series_work_per_call(monkeypatch):
+    # one P/Q table build and six K calls per series evaluation, and the
+    # n-series summed as arrays: the ScaledComplex values made per call do
+    # not grow with the number of terms
+    tables, k_calls, scaled = [], [], []
+
+    def counting_table(p, nmax):
+        tables.append(nmax)
+        return build_pq_table(p, nmax)
+
+    def counting(k):
+        def f(mu, x):
+            k_calls.append(mu)
+            return k(mu, x)
+        return f
+
+    post_init = ScaledComplex.__post_init__
+
+    def counting_post_init(self):
+        scaled.append(1)
+        post_init(self)
+
+    # few terms: every slice stops within nmax = 6, so at most 7 terms;
+    # many terms: nmax = 21 is not enough, so more than 3 x 7 terms
+    few, many = WhittakerArgs(0.01, 0.1), WhittakerArgs(3.0, 0.4)
+    w_series_small(LIFT, few, SeriesBudget(nmax=6))
+    with pytest.raises(NonConvergenceError):
+        w_series_small(LIFT, many, SeriesBudget(nmax=21))
+    monkeypatch.setattr(whittaker, "build_pq_table", counting_table)
+    monkeypatch.setattr(whittaker, "bessel_k_scaled", counting(bessel_k_scaled))
+    monkeypatch.setattr(whittaker, "bessel_k_prime_scaled", counting(bessel_k_prime_scaled))
+    monkeypatch.setattr(ScaledComplex, "__post_init__", counting_post_init)
+    made = []
+    for a in (few, many):
+        for counts in (tables, k_calls, scaled):
+            counts.clear()
+        w_series_small(LIFT, a)
+        assert tables == [60]
+        assert len(k_calls) == 6
+        made.append(len(scaled))
+    assert made[0] == made[1]
+
+
+def test_series_terms_outside_binary64_raise():
+    # at y2 = 1e5 the high-degree P_n(y2) overflow before the series
+    # converges; they must raise, not enter the sum
+    with pytest.raises(CancellationError, match="binary64"):
+        w_series_small(GENERIC, WhittakerArgs(0.5, 1e5))
+
+
+def test_series_stop_rule_is_relative_at_tiny_bessel_scale():
+    # K(2 pi y2) ~ e^-817 here; the stop rule compares terms with the
+    # partial sums whatever their absolute size (an absolute e^-600 floor
+    # stopped this series after three terms, 7.6e-5 off)
+    a = WhittakerArgs(0.01, 130.0)
+    assert choose_algorithm(GENERIC, a) == ("smallarg", False)
+    assert w_series_small(GENERIC, a).rel_diff(w_stade(GENERIC, a)) < 1e-12
+
+
 def test_stade_oscillation_cancellation_diagnostics(caplog):
     # a large third parameter makes the e^{-3gu/4} phase cancel the
     # integral far below the node size; the integral algorithm must say
@@ -353,6 +420,15 @@ def test_cache_validation_and_range():
         w_mellin_fixed_d(cache, 5.0)
     with pytest.raises(AccuracyRangeError):
         w_mellin_fixed_d(cache, 0.01)
+
+
+def test_coarse_cache_fails_validation(caplog):
+    grid = replace(default_mellin_grid(GENERIC), N1=8, N2=8)
+    with caplog.at_level("WARNING", logger="sl3maass.whittaker"):
+        cache = build_fixed_d_cache(GENERIC, 1.0, grid=grid, eps=1e-8,
+                                    y2_range=(0.3, 3.0))
+    assert cache.validation_residual > 1e-2
+    assert any("validation residual" in r.message for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------
