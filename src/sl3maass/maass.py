@@ -9,7 +9,10 @@ exceeds C), enumerates the coprime (c, d) pairs allowed by the annulus
 
 and obtains all Whittaker values for one (m1, m2) pair from a single
 fixed-D cache in one batched call, since D = (m1 y1)^2 m2 y2 is
-invariant along the (c, d) sum.
+invariant along the (c, d) sum.  The caches' inner sums are formed in
+waves: when the walk reaches a D without a cache, one kernel product
+forms the columns of every uncached D of the next 16, 32 or 64 pairs of
+the same m1, and the walk wraps each in a cache when it reaches it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .errors import (DegenerateLatticeError, DomainError,
 from .langlands import LanglandsParams
 from .scaled import ScaledComplex
 from .whittaker import (WhittakerArgs, build_fixed_d_cache,
-                        default_mellin_grid, mellin_outer_noise_log, w_eval,
-                        w_mellin_fixed_d, w_stade)
+                        default_mellin_grid, mellin_kernel,
+                        mellin_outer_noise_log, w_eval, w_mellin_fixed_d,
+                        w_stade)
 
 __all__ = [
     "H3Point",
@@ -227,6 +231,10 @@ _CUTOFF_RATIO = 1.25
 _CUTOFF_START = 0.64
 _CUTOFF_STEPS = 70
 
+# m2 per wave of kernel columns: the first wave of each m1 covers 16
+# consecutive m2, the next 32, then 64 each
+_WAVE_SIZES = (16, 32, 64)
+
 
 def _cutoff_scan(p: LanglandsParams, eps: float) -> tuple[float, float]:
     """(C, peak_log): the decay cutoff and the peak log|W| seen on the
@@ -396,7 +404,8 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     """Truncated even cosine expansion at z, with evaluation statistics.
 
     backend selects the Whittaker engine: "mellin" (fixed-D caches, the
-    default) or "stade" (direct double-Bessel integral).  With count_only
+    default; their columns are formed in waves, see the module docstring)
+    or "stade" (direct double-Bessel integral).  With count_only
     the coefficient table is never touched, caches are not validated and
     the returned value is meaningless; only the statistics are valid.
     """
@@ -416,18 +425,68 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     caches = f.cache_map if backend == "mellin" else {}
     grid = default_mellin_grid(p, eps * 1e-2)
     n_built = 0
+    t_min = _min_lattice_radius(C, y1, z2)
+    m1_cap = int(C / (y1 * min(t_min, 1.0))) + 1
+
+    def cache_key(D: float) -> float:
+        return float(np.format_float_scientific(D, precision=11))
+
+    # (D, jobs) of the current m1's pairs, dropped at the next m1
+    pairs: dict[int, tuple[float, list[tuple[float, float, float]]]] = {}
+
+    def pair(m1: int, m2: int) -> tuple[float, list[tuple[float, float, float]]]:
+        """(D, jobs) of one (m1, m2) pair, each job (cos1, cos2, y2_arg);
+        memoized in `pairs`, since a wave looks ahead of the walk."""
+        if m2 in pairs:
+            return pairs[m2]
+        m1y1 = m1 * y1
+        m2y2 = m2 * y2
+        jobs = []
+        if m1y1 <= C and m2y2 <= C:
+            jobs.append((math.cos(2.0 * math.pi * m1 * z.x1),
+                         math.cos(2.0 * math.pi * m2 * z.x2),
+                         m2y2))
+        for (c, d) in enumerate_cd(C, m1y1, m2y2, z2):
+            t2 = (c * z2.real + d) ** 2 + (c * z2.imag) ** 2
+            a_inv = _inverse_mod(d, c)
+            cos1 = math.cos(2.0 * math.pi * m1 * (c * z.x3 + d * z.x1))
+            cos2 = math.cos(2.0 * math.pi * (m2 / c)
+                            * (a_inv - (c * z2.real + d) / t2))
+            jobs.append((cos1, cos2, m2y2 / t2))
+        pairs[m2] = (m1y1 * m1y1 * m2y2, jobs)
+        return pairs[m2]
+
+    # (D, column) by cache key: kernel columns formed by the current m1's
+    # waves and not yet wrapped in a cache, dropped at the next m1
+    columns: dict[float, tuple[float, np.ndarray]] = {}
+
+    def form_wave(m1: int, m2s: range) -> None:
+        """Columns for every D without a cache or column that the pairs
+        (m1, m2), m2 in m2s, need, from one kernel product."""
+        wanted: dict[float, float] = {}
+        for m2 in m2s:
+            D, jobs = pair(m1, m2)
+            key = cache_key(D)
+            if jobs and key not in caches and key not in columns:
+                wanted.setdefault(key, D)
+        inner = mellin_kernel(p, grid).inner(list(wanted.values()))
+        for (key, D), column in zip(wanted.items(), inner.T):
+            columns[key] = (D, column.copy())
 
     def whittaker(D: float, y2_args: list[float]) -> tuple[list[ScaledComplex], list[float]]:
         """(scaled values, logs of the resolvable floors) at every y2 of
         one (m1, m2) pair."""
         nonlocal n_built
         if backend == "mellin":
-            key = float(np.format_float_scientific(D, precision=11))
+            key = cache_key(D)
             cache = caches.get(key)
             if cache is None:
-                cache = build_fixed_d_cache(p, D, grid=grid, eps=math.exp(log_eps),
+                # the column was formed for the first D of this key
+                D_col, column = columns.pop(key)
+                cache = build_fixed_d_cache(p, D_col, grid=grid, eps=math.exp(log_eps),
                                             validate=not count_only,
-                                            y2_range=(D / C ** 2 * 0.99, C * 1.01))
+                                            y2_range=(D / C ** 2 * 0.99, C * 1.01),
+                                            inner=column)
                 caches[key] = cache
                 n_built += 1
             # sub-eps terms only need absolute accuracy, so the relative
@@ -439,9 +498,6 @@ def eval_maass_report(f: MaassForm, z: H3Point,
         ws = [w_stade(p, WhittakerArgs(math.sqrt(D / y), y)) for y in y2_args]
         return ws, [-math.inf] * len(ws)
 
-    t_min = _min_lattice_radius(C, y1, z2)
-    m1_cap = int(C / (y1 * min(t_min, 1.0))) + 1
-
     terms: list[complex] = []
     max_m2 = 0
     max_m1 = 0
@@ -451,28 +507,25 @@ def eval_maass_report(f: MaassForm, z: H3Point,
         if m1y1 > C and m1y1 * t_min > C:
             break
         m2_cap = int(C ** 3 / (y2 * m1y1 * m1y1)) + 1
+        pairs.clear()
+        columns.clear()
+        waves = 0
         m2_misses = 0
         m1_hit = False
         for m2 in range(1, m2_cap + 1):
             m2y2 = m2 * y2
-            jobs: list[tuple[float, float, float]] = []  # (cos1, cos2, y2_arg)
-            if m1y1 <= C and m2y2 <= C:
-                jobs.append((math.cos(2.0 * math.pi * m1 * z.x1),
-                             math.cos(2.0 * math.pi * m2 * z.x2),
-                             m2y2))
-            for (c, d) in enumerate_cd(C, m1y1, m2y2, z2):
-                t2 = (c * z2.real + d) ** 2 + (c * z2.imag) ** 2
-                a_inv = _inverse_mod(d, c)
-                cos1 = math.cos(2.0 * math.pi * m1 * (c * z.x3 + d * z.x1))
-                cos2 = math.cos(2.0 * math.pi * (m2 / c)
-                                * (a_inv - (c * z2.real + d) / t2))
-                jobs.append((cos1, cos2, m2y2 / t2))
+            D, jobs = pair(m1, m2)
             if not jobs:
                 m2_misses += 1
                 if m2_misses >= 4 and m2y2 > C:
                     break
                 continue
-            D = m1y1 * m1y1 * m2y2
+            if backend == "mellin":
+                key = cache_key(D)
+                if key not in caches and key not in columns:
+                    size = _WAVE_SIZES[min(waves, len(_WAVE_SIZES) - 1)]
+                    form_wave(m1, range(m2, min(m2 + size, m2_cap + 1)))
+                    waves += 1
             ws, floors = whittaker(D, [y2_arg for _, _, y2_arg in jobs])
             coef = None
             hit = False

@@ -227,11 +227,29 @@ def _bessel_plain(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray
     with the scale exp(-x) pulled out.
 
     Integrand exp(-x(cosh t - 1)) cos(m t) decays doubly exponentially;
-    uniform step min(1/64, 1/(4m)) resolves the cosine.
+    uniform step h = min(1/64, 1/(4m)) resolves the cosine.  Near t = 0
+    the envelope is exp(-x t^2 / 2), whose trapezoid sums are off by about
+    2 exp(-2 pi^2 / (x h^2)); the step is halved for each factor 4 by
+    which x exceeds the point where that error reaches e^-_TAIL_LOG, so
+    every argument has its own step and the rows of one step are summed
+    together.
     """
     h = 1.0 / 64.0
     if m > 0:
         h = min(h, 1.0 / (4.0 * m))
+    x_resolved = 2.0 * math.pi ** 2 / (_TAIL_LOG * h * h)
+    if x.max() <= x_resolved:
+        return _bessel_plain_sums(m, x, derivative, h), -x
+    halvings = np.maximum(0.0, np.ceil(0.5 * np.log2(x / x_resolved)))
+    mantissa = np.empty(x.shape)
+    for k in np.unique(halvings):
+        rows = halvings == k
+        mantissa[rows] = _bessel_plain_sums(m, x[rows], derivative, h * 0.5 ** k)
+    return mantissa, -x
+
+
+def _bessel_plain_sums(m: float, x: np.ndarray, derivative: bool, h: float) -> np.ndarray:
+    """The mantissas of _bessel_plain for arguments that share the step h."""
     t_max = np.arccosh(1.0 + (_TAIL_LOG + 4.0) / x)
     n = np.ceil(t_max / h).astype(np.int64) + 2
     t = np.arange(n.max() + 2) * h
@@ -239,7 +257,7 @@ def _bessel_plain(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray
     g = np.exp(-x[:, None] * (cosh_t - 1.0)) * np.cos(m * t)
     if derivative:
         g = -cosh_t * g
-    return _half_line_sums(g, n, h), -x
+    return _half_line_sums(g, n, h)
 
 
 def _bessel_shifted(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -409,11 +409,15 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
             coef = np.ones(nmax + 1, dtype=np.complex128)
             coef[1:] = np.cumprod((math.pi * y1) ** 2
                                   / (2.0 * (k + 1.0) * (q12 + k) * (q13 + k)))
-            terms = coef * (kv.mantissa * math.exp(kv.log_scale - scale) * p_vals[j]
-                            + kp.mantissa * math.exp(kp.log_scale - scale) * (x2 * q_vals[j]))
+            kv_part = kv.mantissa * math.exp(kv.log_scale - scale) * p_vals[j]
+            kp_part = kp.mantissa * math.exp(kp.log_scale - scale) * (x2 * q_vals[j])
+            terms = coef * (kv_part + kp_part)
             partial = np.cumsum(terms)
             mags = np.abs(terms)
             small = mags < budget.target_eps * np.maximum.accumulate(np.abs(partial))
+            # the two products of a term can cancel inside it, so the
+            # guard sees the larger product, not the term
+            products = np.abs(coef) * np.maximum(np.abs(kv_part), np.abs(kp_part))
         # the first n >= 2 ending a run of three small terms, before any
         # non-finite partial sum
         reached = np.logical_and.accumulate(np.isfinite(partial))
@@ -426,7 +430,7 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
                 f"small-argument series did not converge within nmax={nmax}")
         stop = int(stops[0]) + 2
         max_term_log = max(max_term_log,
-                           pref.log_abs() + scale + math.log(float(mags[:stop + 1].max())))
+                           pref.log_abs() + scale + math.log(float(products[:stop + 1].max())))
         totals.append(pref * ScaledComplex(complex(partial[stop]), scale))
 
     total = scaled_sum(totals)
@@ -441,9 +445,18 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
 # Algorithm 4: cached double inverse Mellin transform at fixed D
 # ---------------------------------------------------------------------------
 
-# complex elements per row block of the kernel mat-vecs and of the outer
-# phase-matrix products; one block (1 MiB) is the largest temporary
-_BLOCK_ELEMS = 1 << 16
+# complex elements per row block of the kernel products and of the outer
+# sums; one block of B * C (4 MiB) is the largest single temporary
+_BLOCK_ELEMS = 1 << 18
+
+# one kernel product forms at most as many columns as keep its
+# temporaries (a block, the phased a columns and the output columns)
+# within this many bytes
+_PRODUCT_BYTES = 16 << 20
+
+# the outer phases e^{-i theta k2 h} are anchored every _PHASE_STEP
+# entries of k2 and stepped between anchors
+_PHASE_STEP = 32
 
 # roundoff charged per accumulated term by the noise floor (about 2u)
 _ROUNDOFF = 2.3e-16
@@ -476,19 +489,21 @@ def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
     return [(j0, min(j0 + step, n_rows)) for j0 in range(0, n_rows, step)]
 
 
-def _blocked_matvec(b: np.ndarray, c: np.ndarray, x: np.ndarray,
+def _kernel_product(b: np.ndarray, c: np.ndarray, x: np.ndarray,
                     n_rows: int) -> np.ndarray:
-    """(B * C) @ x with B[j, i] = b[i + j] and C[j, i] = c[3 i + j].
+    """(B * C) @ x with B[j, i] = b[i + j] and C[j, i] = c[3 i + j], for x
+    a vector or a matrix of columns.
 
     B and C are zero-copy stride views; their elementwise product is
-    formed one row block at a time, so the dense matrix never exists.
+    formed one row block at a time, once for all columns of x, so the
+    dense matrix never exists.
     """
-    width = x.size
+    width = x.shape[0]
     bm = sliding_window_view(b, width)[:n_rows]
     step = c.strides[0]
     cm = as_strided(c, shape=(n_rows, width), strides=(step, 3 * step),
                     writeable=False)
-    out = np.empty(n_rows, dtype=np.result_type(b, c, x))
+    out = np.empty((n_rows,) + x.shape[1:], dtype=np.result_type(b, c, x))
     for j0, j1 in _row_blocks(n_rows, width):
         out[j0:j1] = (bm[j0:j1] * cm[j0:j1]) @ x
     return out
@@ -505,9 +520,11 @@ class MellinKernel:
     where a runs over k1, b over m = k1 + k2 and c over v = 3 k1 + k2; each
     array holds its gamma factors divided by their largest magnitude, and
     log_scale is the sum of the three divisors' logs.  D enters only
-    through the phase, so a cache build is one blocked mat-vec.
-    abs_rows[j] = sum_i |a_i| |b_{i+j}| |c_{3i+j}| bounds the terms of
-    inner_D[j] for every D and so sets the scale of its roundoff.
+    through the phase, so the inner sums of several D are one product
+    (B * C) @ A, A holding one phased copy of a per D: each row block of
+    B * C is formed once for all of them.  abs_rows[j] =
+    sum_i |a_i| |b_{i+j}| |c_{3i+j}| bounds the terms of inner_D[j] for
+    every D and so sets the scale of its roundoff.
     """
 
     grid: MellinGrid2D
@@ -517,12 +534,28 @@ class MellinKernel:
     log_scale: float
     abs_rows: np.ndarray
 
-    def inner(self, D: float) -> np.ndarray:
-        """inner_D, all entries at the common scale exp(log_scale)."""
-        k1 = np.arange(-self.grid.N1, self.grid.N1 + 1)
-        log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
-        a_d = self.a * np.exp(-1j * (k1 * self.grid.h) * log_pi3d)
-        return _blocked_matvec(self.b, self.c, a_d, 2 * self.grid.N2 + 1)
+    @property
+    def max_columns(self) -> int:
+        """The most D one product forms: its temporaries, one row block
+        plus the phased a columns and the output columns, stay within
+        _PRODUCT_BYTES."""
+        per_column = 16 * (self.a.size + self.abs_rows.size)
+        return max(1, (_PRODUCT_BYTES - 16 * _BLOCK_ELEMS) // per_column)
+
+    def inner(self, Ds: Sequence[float]) -> np.ndarray:
+        """inner_D for every D of Ds, as the columns of a
+        (2 N2 + 1, len(Ds)) array, all entries at the common scale
+        exp(log_scale).  The columns are formed max_columns at a time, one
+        kernel product each; a column's last bits may depend on the other
+        D formed with it."""
+        k1h = np.arange(-self.grid.N1, self.grid.N1 + 1) * self.grid.h
+        log_pi3d = [3.0 * math.log(math.pi) + math.log(D) for D in Ds]
+        step = self.max_columns
+        parts = []
+        for k0 in range(0, max(len(log_pi3d), 1), step):
+            a_d = self.a[:, None] * np.exp(-1j * np.outer(k1h, log_pi3d[k0:k0 + step]))
+            parts.append(_kernel_product(self.b, self.c, a_d, self.abs_rows.size))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -545,7 +578,7 @@ def mellin_kernel(p: LanglandsParams, grid: MellinGrid2D) -> MellinKernel:
     lc = -_gamma_product_log((s1 + s2) / 2.0 + 1j * (v * h) / 2.0)
     peaks = [float(np.max(x.real)) for x in (la, lb, lc)]
     a, b, c = (np.exp(x - s) for x, s in zip((la, lb, lc), peaks))
-    abs_rows = _blocked_matvec(np.abs(b), np.abs(c), np.abs(a), 2 * n2 + 1)
+    abs_rows = _kernel_product(np.abs(b), np.abs(c), np.abs(a), 2 * n2 + 1)
     for arr in (a, b, c, abs_rows):
         arr.setflags(write=False)
     return MellinKernel(grid=grid, a=a, b=b, c=c,
@@ -604,14 +637,18 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
                         grid: MellinGrid2D | None = None,
                         eps: float = 1e-12,
                         validate: bool = True,
-                        y2_range: tuple[float, float] | None = None) -> FixedDCache:
+                        y2_range: tuple[float, float] | None = None,
+                        inner: np.ndarray | None = None) -> FixedDCache:
     """Precompute the inner k1-sums of the discretized double Mellin
     transform for fixed D = y1^2 y2.
 
     The gamma factors live on three one-dimensional arrays
     indexed by k1, k1 + k2 and 3 k1 + k2 that do not depend on D; they
     are computed once per (p, grid) by mellin_kernel, so a build costs
-    one blocked O(N1 N2) mat-vec and no log-gamma evaluations.  When
+    one blocked O(N1 N2) kernel product and no log-gamma evaluations.
+    `inner`, when given, is the column mellin_kernel(p, grid).inner formed
+    for this D together with others (the Maass assembly forms its columns
+    in waves); the cache wraps it as data and forms no product.  When
     `validate` is set, the cache is compared against w_eval at the end
     points of y2_range and the worst deviation relative to max(|W|, eps),
     eps being an absolute level in the scaled convention, is stored.
@@ -621,7 +658,10 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     if grid is None:
         grid = default_mellin_grid(p, eps)
     kernel = mellin_kernel(p, grid)
-    inner = kernel.inner(D)
+    if inner is None:
+        inner = kernel.inner([D])[:, 0]
+    elif inner.shape != kernel.abs_rows.shape:
+        raise ValueError(f"inner must have shape {kernel.abs_rows.shape}, got {inner.shape}")
     cache = FixedDCache(params=p, D=float(D), grid=grid, inner=inner,
                         log_scale=kernel.log_scale,
                         inner_peak=float(np.max(np.abs(inner))),
@@ -667,8 +707,13 @@ def w_mellin_fixed_d(cache: FixedDCache, y2, _no_guard: bool = False):
 
     y2 is a scalar, giving one ScaledComplex, or a 1-D array, giving a
     list of them.  Only the outer sums against (pi y2)^(-i k2 h) are
-    evaluated, all as one phase-matrix product taken in row blocks, so the
-    cost is O(N2) per y2.  Raises AccuracyRangeError for any y2 outside
+    evaluated.  Their phases are factored at anchors every _PHASE_STEP = 32
+    entries of k2, so a batch costs one (y2 x 32) @ (32 x anchors) product
+    plus a row-wise dot with the anchor phases, and only (2 N2 + 1) / 32
+    phases per y2 are formed.  Each factored phase carries a few u more
+    rounding than a direct one; at the lift's grid the sums move by at
+    most 4e-13 of max |inner|, below the floor's (2 N2 + 1) u max |inner|
+    term (1.1e-12 of it).  Raises AccuracyRangeError for any y2 outside
     the cache's y2_range (always checked when the cache has one), and
     CancellationError when an outer sum loses the guard ratio against the
     inner sums or lies within e^2 of its roundoff floor
@@ -688,18 +733,22 @@ def w_mellin_fixed_d(cache: FixedDCache, y2, _no_guard: bool = False):
             raise AccuracyRangeError(
                 f"y2={y2s[outside][0]:g} outside the validated range [{lo:g}, "
                 f"{hi:g}] of this cache")
+    # e^{-i theta k2 h} = e^{-i theta k_a h} e^{-i theta r h} with anchors
+    # k_a = -N2 + q _PHASE_STEP and steps 0 <= r < _PHASE_STEP, against the
+    # inner sums laid out as steps[r, q] = inner[q _PHASE_STEP + r]
     log_py2 = np.log(math.pi * y2s)
-    k2h = cache.k2 * cache.grid.h
-    # e^{-i theta} (re + i im) = (re cos + im sin) + i (im cos - re sin):
-    # the phase matrix as two real products, cheaper than a complex exp
-    re_im = np.stack([cache.inner.real, cache.inner.imag], axis=1)
+    h = cache.grid.h
+    n_anchors = -(-cache.inner.size // _PHASE_STEP)
+    steps = np.zeros(n_anchors * _PHASE_STEP, dtype=np.complex128)
+    steps[:cache.inner.size] = cache.inner
+    steps = steps.reshape(n_anchors, _PHASE_STEP).T
+    anchor_h = (np.arange(n_anchors) * _PHASE_STEP - cache.grid.N2) * h
+    step_h = np.arange(_PHASE_STEP) * h
     totals = np.empty(y2s.size, dtype=np.complex128)
-    for r0, r1 in _row_blocks(y2s.size, k2h.size):
-        theta = np.outer(log_py2[r0:r1], k2h)
-        cos = np.cos(theta) @ re_im
-        sin = np.sin(theta) @ re_im
-        totals.real[r0:r1] = cos[:, 0] + sin[:, 1]
-        totals.imag[r0:r1] = cos[:, 1] - sin[:, 0]
+    for r0, r1 in _row_blocks(y2s.size, n_anchors + _PHASE_STEP):
+        theta = log_py2[r0:r1, None]
+        partial = np.exp(-1j * (theta * step_h)) @ steps
+        totals[r0:r1] = np.einsum("yq,yq->y", partial, np.exp(-1j * (theta * anchor_h)))
     if not _no_guard:
         # the floor test also catches inner sums that cancelled to noise,
         # where max |inner| is noise itself and the ratio test passes
@@ -711,14 +760,9 @@ def w_mellin_fixed_d(cache: FixedDCache, y2, _no_guard: bool = False):
                 f"outer sum at y2={y2s[lost][0]:g} exceeds the cancellation guard "
                 "or lies within e^2 of its roundoff floor; "
                 "increase working precision or use another algorithm")
-    shift = cache.params.scale_shift
-    values = []
-    for total, pref in zip(totals.tolist(), _outer_prefactor_log(cache, y2s).tolist()):
-        if total == 0:
-            values.append(ScaledComplex.zero())
-            continue
-        out = ScaledComplex(total, cache.log_scale) * ScaledComplex.from_log(complex(pref))
-        values.append(out.scaled_by(shift))
+    scale = cache.log_scale + cache.params.scale_shift
+    values = [ScaledComplex(total, scale + pref) for total, pref
+              in zip(totals.tolist(), _outer_prefactor_log(cache, y2s).tolist())]
     return values if np.ndim(y2) else values[0]
 
 

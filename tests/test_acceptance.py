@@ -204,6 +204,17 @@ def test_coefficient_count():
 
 
 @pytest.mark.slow
+def test_coefficient_demand_walk_is_pinned():
+    """The lift's coefficient-demand walk at the identity, eps = 1e-12,
+    exactly as recorded when the fixed-D columns were still formed one D
+    at a time: any contribution decision that flips moves one of these."""
+    stats = coefficient_demand(LIFT, H3Point(0.0, 0.0, 0.0, 1.0, 1.0), 1e-12)
+    got = (stats.cutoff, stats.max_contributing_m2, stats.max_m1, stats.n_caches)
+    report("coefficient-demand walk", got == (9.313225746154785, 100, 7, 145),
+           f"cutoff, m2, m1, caches = {got}")
+
+
+@pytest.mark.slow
 def test_external_form_values():
     """Conditional on external data: the generic form evaluates to the
     published value at ((0,0,0),(0.9,0.9)) and the S1 S2 S1 residual stays

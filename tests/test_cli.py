@@ -78,6 +78,15 @@ def test_xcheck_single_point(capsys):
     assert sum(1 for l in out.splitlines() if l.startswith("y=(")) == 1
 
 
+def test_whittaker_smallarg_exits_2_where_products_cancel(capsys):
+    # at GEN (5.34, 10) the series products cancel inside each term; the
+    # guard raises instead of printing a value 1e41 off
+    rc = main(["whittaker", "--alpha-im", "-3.7", "--beta-im", "1.2",
+               "--y1", "5.336699231206312", "--y2", "10", "--algo", "smallarg"])
+    assert rc == 2
+    assert "cancellation" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["whittaker", "--alpha-im", "-1.3"])

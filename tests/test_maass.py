@@ -5,12 +5,15 @@ import pytest
 
 from sl3maass.errors import (DomainError, MissingCoefficientError)
 from sl3maass.langlands import LanglandsParams
+from sl3maass import whittaker
 from sl3maass.maass import (GENERATORS, GroupWord, H3Point, MaassForm,
-                            automorphy_residual, decay_cutoff, enumerate_cd,
+                            automorphy_residual, coefficient_demand,
+                            decay_cutoff, enumerate_cd,
                             eval_maass, eval_maass_report,
                             expand_coefficients, iwasawa_act, mobius,
                             word_matrix, _inverse_mod)
-from sl3maass.whittaker import WhittakerArgs, mellin_kernel, w_eval
+from sl3maass.whittaker import (WhittakerArgs, default_mellin_grid,
+                                mellin_kernel, w_eval)
 
 SMALL = LanglandsParams(-1.3, 2.1)
 GENERIC = LanglandsParams(-3.7, 1.2)
@@ -348,6 +351,32 @@ def test_caches_built_per_evaluation():
     # an S1 image lands on new values of D
     assert image.n_caches_built > 0
     assert image.n_caches == first.n_caches + image.n_caches_built
+
+
+def test_kernel_products_per_evaluation(monkeypatch):
+    """Fixed-D columns are formed in waves: one product of the kernel per
+    wave, not per cache, and none for an evaluation whose D are all
+    cached.  The walk builds the same caches as with per-D products."""
+    products = []
+    product = whittaker._kernel_product
+
+    def counted(b, c, x, n_rows):
+        products.append(x.shape[1:])
+        return product(b, c, x, n_rows)
+
+    z = H3Point(0.0, 0.0, 0.0, 1.0, 1.0)
+    mellin_kernel(GENERIC, default_mellin_grid(GENERIC, 1e-8))
+    monkeypatch.setattr(whittaker, "_kernel_product", counted)
+    stats = coefficient_demand(GENERIC, z, 1e-6)
+    assert stats.n_caches_built == stats.n_caches == 13
+    assert 0 < len(products) < stats.n_caches / 2
+    form = MaassForm(params=GENERIC, eps=1e-6, coeff_fn=lambda m1, m2: 1.0)
+    eval_maass_report(form, z, count_only=True)
+    products.clear()
+    _, moved = eval_maass_report(form, iwasawa_act(word_matrix("T1 T2"), z),
+                                 count_only=True)
+    assert moved.n_caches_built == 0
+    assert products == []
 
 
 @pytest.mark.parametrize("params, z, eps", [

@@ -307,6 +307,30 @@ def test_bessel_array_equals_scalar_calls():
                 assert backwards.item(len(xs) - 1 - i) == one
 
 
+def test_bessel_large_argument_step():
+    """Past x ~ 1755 the real-axis step of 1/64 no longer resolves the
+    exp(-x t^2 / 2) envelope: K at x = 2 pi 1000 was 5e-6 off.  The step
+    halves per factor 4 in x, and an array of arguments on several steps
+    still equals the scalar calls."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    xs = np.array([30.0, 1500.0, 3000.0, 2000.0 * math.pi, 3e4])
+    for m in (0.65, GEN_M):
+        k = bessel_k_scaled(1j * m, xs)
+        kp = bessel_k_prime_scaled(1j * m, xs)
+        for i, x in enumerate(xs.tolist()):
+            assert k.item(i) == bessel_k_scaled(1j * m, x)
+            assert kp.item(i) == bessel_k_prime_scaled(1j * m, x)
+            ref = mp.re(mp.besselk(1j * m, x))
+            ref_p = -mp.re(mp.besselk(1j * m - 1, x) + mp.besselk(1j * m + 1, x)) / 2
+            got = mp.mpf(k.mantissa[i]) * mp.exp(k.log_scale[i])
+            got_p = mp.mpf(kp.mantissa[i]) * mp.exp(kp.log_scale[i])
+            # the log scale -x itself is rounded to u x
+            tol = 5e-13 + 2.0 * x * 2.0 ** -53
+            assert abs(got - ref) <= tol * abs(ref), (m, x)
+            assert abs(got_p - ref_p) <= tol * abs(ref_p), (m, x)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_bessel_array_rejects_any_bad_element(bad):
     xs = np.array([0.5, 2.0, bad, 3.0])

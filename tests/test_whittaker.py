@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -306,6 +307,39 @@ def test_series_terms_outside_binary64_raise():
         w_series_small(GENERIC, WhittakerArgs(0.5, 1e5))
 
 
+# the 12 x 12 geometric grid over [0.01, 10]^2 of the series checks
+SERIES_GRID = np.geomspace(0.01, 10.0, 12)
+
+
+@pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
+def test_series_returns_no_value_at_large_y1(p):
+    # at y1 = 5.34 and 10 every grid point loses its digits to
+    # cancellation or does not converge, so none may return a value (at
+    # y1 = 2.85 the LIFT points with y2 <= 2.85 hold 5e-11 against w_stade)
+    for y1 in SERIES_GRID[SERIES_GRID > 3.0]:
+        for y2 in SERIES_GRID:
+            with pytest.raises((CancellationError, NonConvergenceError)):
+                w_series_small(p, WhittakerArgs(y1, y2))
+
+
+@pytest.mark.parametrize("p, y1, y2", [
+    (LIFT, SERIES_GRID[9], SERIES_GRID[10]),
+    (LIFT, SERIES_GRID[10], SERIES_GRID[10]),
+    (LIFT, SERIES_GRID[10], SERIES_GRID[11]),
+    (GENERIC, SERIES_GRID[10], SERIES_GRID[8]),
+    (GENERIC, SERIES_GRID[10], SERIES_GRID[9]),
+    (GENERIC, SERIES_GRID[10], SERIES_GRID[10]),
+    (GENERIC, SERIES_GRID[10], SERIES_GRID[11]),
+    (GENERIC, 0.5, 1000.0)])
+def test_series_guard_sees_cancelling_products(p, y1, y2):
+    # each term is P_n K + 2 pi y2 Q_n K', and the two products cancel
+    # inside it; guarding on the term returned these points 6e-3 to 1e41
+    # off w_stade.  At (0.5, 1000) K itself was 5e-6 off (see
+    # test_bessel_large_argument_step), which hid the cancellation
+    with pytest.raises(CancellationError):
+        w_series_small(p, WhittakerArgs(y1, y2))
+
+
 def test_series_stop_rule_is_relative_at_tiny_bessel_scale():
     # K(2 pi y2) ~ e^-817 here; the stop rule compares terms with the
     # partial sums whatever their absolute size (an absolute e^-600 floor
@@ -453,16 +487,51 @@ def row_wise_inner(p, grid, D):
     return out
 
 
+# the D of one multi-column kernel product
+WAVE_DS = (0.5, 3.7, 40.0, 104.0)
+
+
+@functools.lru_cache(maxsize=2)
+def wave_columns(p):
+    return mellin_kernel(p, default_mellin_grid(p)).inner(WAVE_DS)
+
+
 @pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
-@pytest.mark.parametrize("D", [0.5, 3.7])
+@pytest.mark.parametrize("D", WAVE_DS)
 def test_kernel_inner_matches_row_sums(p, D):
+    """A single-D build and the column of a four-D product both keep the
+    recursive-summation bound against exactly rounded row sums."""
     grid = default_mellin_grid(p)
     cache = build_fixed_d_cache(p, D, grid=grid, validate=False)
     kernel = mellin_kernel(p, grid)
     ref = row_wise_inner(p, grid, D)
     bound = (2 * grid.N1 + 1) * TWO_U * kernel.abs_rows
     assert np.all(np.abs(cache.inner - ref) <= bound)
+    column = wave_columns(p)[:, WAVE_DS.index(D)]
+    assert np.all(np.abs(column - ref) <= bound)
     assert cache.inner_abs_peak == float(np.max(kernel.abs_rows))
+
+
+def test_kernel_inner_splits_at_max_columns(monkeypatch):
+    # a product never forms more than max_columns columns; more D take
+    # several products, each column still within the row-sum bound
+    grid = default_mellin_grid(GENERIC)
+    kernel = mellin_kernel(GENERIC, grid)
+    widths = []
+    product = whittaker._kernel_product
+
+    def counted(b, c, x, n_rows):
+        widths.append(x.shape[1])
+        return product(b, c, x, n_rows)
+
+    monkeypatch.setattr(whittaker.MellinKernel, "max_columns", 3)
+    monkeypatch.setattr(whittaker, "_kernel_product", counted)
+    columns = kernel.inner(WAVE_DS)
+    assert widths == [3, 1]
+    assert columns.shape == (2 * grid.N2 + 1, len(WAVE_DS))
+    bound = (2 * grid.N1 + 1) * TWO_U * kernel.abs_rows
+    for k, D in enumerate(WAVE_DS):
+        assert np.all(np.abs(columns[:, k] - row_wise_inner(GENERIC, grid, D)) <= bound)
 
 
 @pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
