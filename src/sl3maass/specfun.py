@@ -253,10 +253,11 @@ def _bessel_plain_sums(m: float, x: np.ndarray, derivative: bool, h: float) -> n
     t_max = np.arccosh(1.0 + (_TAIL_LOG + 4.0) / x)
     n = np.ceil(t_max / h).astype(np.int64) + 2
     t = np.arange(n.max() + 2) * h
-    cosh_t = np.cosh(t)
-    g = np.exp(-x[:, None] * (cosh_t - 1.0)) * np.cos(m * t)
+    # cosh t - 1 as 2 sinh(t/2)^2: the subtraction would leave an absolute
+    # error of u in the exponent's factor, x u in the exponent
+    g = np.exp(-x[:, None] * (2.0 * np.sinh(0.5 * t) ** 2)) * np.cos(m * t)
     if derivative:
-        g = -cosh_t * g
+        g = -np.cosh(t) * g
     return _half_line_sums(g, n, h)
 
 
@@ -282,13 +283,12 @@ def _bessel_shifted(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarr
     h = min(1.0 / 64.0, eps / 10.0, 2.0 * math.pi / (m + _TAIL_LOG + 10.0))
     n = np.ceil(s_max / h).astype(np.int64) + 2
     s = np.arange(n.max() + 2) * h
-    cosh_s = np.cosh(s)
     sinh_s = np.sinh(s)
     phase = m * s - (x * sin_t)[:, None] * sinh_s
-    g = np.exp(-xc[:, None] * (cosh_s - 1.0))
+    g = np.exp(-xc[:, None] * (2.0 * np.sinh(0.5 * s) ** 2))
     if derivative:
         # Re of -(cosh s cos theta + i sinh s sin theta) e^{i phase}
-        g = -g * (cosh_s * cos_t * np.cos(phase) - sinh_s * sin_t * np.sin(phase))
+        g = -g * (np.cosh(s) * cos_t * np.cos(phase) - sinh_s * sin_t * np.sin(phase))
     else:
         g = g * np.cos(phase)
     return _half_line_sums(g, n, h), -m * (0.5 * math.pi - eps) - xc

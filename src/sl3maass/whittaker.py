@@ -650,11 +650,14 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     for this D together with others (the Maass assembly forms its columns
     in waves); the cache wraps it as data and forms no product.  When
     `validate` is set, the cache is compared against w_eval at the end
-    points of y2_range and the worst deviation relative to max(|W|, eps),
-    eps being an absolute level in the scaled convention, is stored.
+    points of y2_range, which must then be given, and the worst deviation
+    relative to max(|W|, eps), eps being an absolute level in the scaled
+    convention, is stored.
     """
     if not (D > 0.0) or not math.isfinite(D):
         raise ValueError(f"D must be positive and finite, got {D}")
+    if validate and y2_range is None:
+        raise ValueError("validate=True needs the y2_range to validate")
     if grid is None:
         grid = default_mellin_grid(p, eps)
     kernel = mellin_kernel(p, grid)
@@ -668,8 +671,7 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
                         inner_abs_peak=float(np.max(kernel.abs_rows)),
                         y2_range=y2_range)
     if validate:
-        lo, hi = y2_range if y2_range is not None else (D ** (1.0 / 3.0) / 8.0,
-                                                        D ** (1.0 / 3.0) * 8.0)
+        lo, hi = y2_range
         # deviation relative to max(|W|, eps): near the decay boundary the
         # outer sum is only absolutely accurate, which is what the Fourier
         # assembly needs there

@@ -5,7 +5,7 @@ import pytest
 
 from sl3maass.errors import (DomainError, MissingCoefficientError)
 from sl3maass.langlands import LanglandsParams
-from sl3maass import whittaker
+from sl3maass import maass, whittaker
 from sl3maass.maass import (GENERATORS, GroupWord, H3Point, MaassForm,
                             automorphy_residual, coefficient_demand,
                             decay_cutoff, enumerate_cd,
@@ -377,6 +377,42 @@ def test_kernel_products_per_evaluation(monkeypatch):
                                  count_only=True)
     assert moved.n_caches_built == 0
     assert products == []
+
+
+def test_walk_enumerates_each_pair_once(monkeypatch):
+    """The walk enumerates the (c, d) of a pair only when it reaches the
+    pair: each (m1, m2) at most once, m2 in order from 1, and none past the
+    m2 where the stop rule (four misses in a row, the last past m2 y2 = C)
+    ends its m1.  Waves are planned from D alone and enumerate nothing."""
+    z = H3Point(0.0, 0.0, 0.0, 1.0, 1.0)
+    eps = 1e-6
+    # the walk's contributing pairs: A(m1, m2) is fetched for exactly these
+    hits = set()
+
+    def coefficient(m1, m2):
+        hits.add((m1, m2))
+        return 1.0
+
+    eval_maass_report(MaassForm(params=GENERIC, eps=eps, coeff_fn=coefficient), z)
+    seen = []
+    enumerate_pairs = maass.enumerate_cd
+
+    def recorded(C, m1y1, m2y2, z2):
+        seen.append((round(m1y1 / z.y1), round(m2y2 / z.y2)))
+        return enumerate_pairs(C, m1y1, m2y2, z2)
+
+    monkeypatch.setattr(maass, "enumerate_cd", recorded)
+    C = coefficient_demand(GENERIC, z, eps).cutoff
+    assert hits and len(seen) == len(set(seen))
+    for m1 in sorted({m1 for m1, _ in seen}):
+        stop = int(C ** 3 / (z.y2 * (m1 * z.y1) ** 2)) + 1
+        misses = 0
+        for m2 in range(1, stop + 1):
+            misses = 0 if (m1, m2) in hits else misses + 1
+            if misses >= 4 and m2 * z.y2 > C:
+                stop = m2
+                break
+        assert [m2 for k, m2 in seen if k == m1] == list(range(1, stop + 1)), m1
 
 
 @pytest.mark.parametrize("params, z, eps", [

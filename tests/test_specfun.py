@@ -269,9 +269,10 @@ LIFT_M = 19.06739
 GEN_M = 2.45
 # the LIFT order switches from the shifted contour to the real-axis rule
 # at x = pi m / 2 - 8 (about 21.95); these arguments sit on both sides.
-# Just past the switch the real-axis rule cancels ~e^8 and holds only
-# ~2.5e-12 (x = 22 .. 25), so the plain-side points start at 30.
-LIFT_XS = np.array([0.3, 1.0, 5.0, 12.0, 20.0, 21.5, 21.9, 30.0, 40.0])
+# Just past the switch the real-axis rule cancels ~e^8; with the exponent
+# x (cosh t - 1) formed as 2 x sinh(t/2)^2 it still holds ~1e-13 there
+LIFT_XS = np.array([0.3, 1.0, 5.0, 12.0, 20.0, 21.5, 21.9,
+                    22.0, 23.0, 25.0, 27.0, 29.0, 30.0, 40.0])
 GEN_XS = np.array([0.05, 0.3, 1.0, 3.7, 8.0, 20.0, 60.0])
 
 
@@ -311,10 +312,12 @@ def test_bessel_large_argument_step():
     """Past x ~ 1755 the real-axis step of 1/64 no longer resolves the
     exp(-x t^2 / 2) envelope: K at x = 2 pi 1000 was 5e-6 off.  The step
     halves per factor 4 in x, and an array of arguments on several steps
-    still equals the scalar calls."""
+    still equals the scalar calls.  The exponent x (cosh t - 1) is formed
+    without subtraction, so the error does not grow with x: forming
+    cosh t - 1 by subtraction left K at x = 1e5 1e-11 off."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-    xs = np.array([30.0, 1500.0, 3000.0, 2000.0 * math.pi, 3e4])
+    xs = np.array([30.0, 1500.0, 3000.0, 2000.0 * math.pi, 3e4, 1e5])
     for m in (0.65, GEN_M):
         k = bessel_k_scaled(1j * m, xs)
         kp = bessel_k_prime_scaled(1j * m, xs)
@@ -325,10 +328,8 @@ def test_bessel_large_argument_step():
             ref_p = -mp.re(mp.besselk(1j * m - 1, x) + mp.besselk(1j * m + 1, x)) / 2
             got = mp.mpf(k.mantissa[i]) * mp.exp(k.log_scale[i])
             got_p = mp.mpf(kp.mantissa[i]) * mp.exp(kp.log_scale[i])
-            # the log scale -x itself is rounded to u x
-            tol = 5e-13 + 2.0 * x * 2.0 ** -53
-            assert abs(got - ref) <= tol * abs(ref), (m, x)
-            assert abs(got_p - ref_p) <= tol * abs(ref_p), (m, x)
+            assert abs(got - ref) <= 5e-13 * abs(ref), (m, x)
+            assert abs(got_p - ref_p) <= 5e-13 * abs(ref_p), (m, x)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

@@ -456,6 +456,15 @@ def test_cache_validation_and_range():
         w_mellin_fixed_d(cache, 0.01)
 
 
+def test_cache_validation_needs_a_range():
+    # validation has no default y2 range: the caller states where the
+    # cache will be queried
+    with pytest.raises(ValueError, match="y2_range"):
+        build_fixed_d_cache(SMALL, 0.4, validate=True)
+    with pytest.raises(ValueError, match="y2_range"):
+        build_fixed_d_cache(SMALL, 0.4)
+
+
 def test_coarse_cache_fails_validation(caplog):
     grid = replace(default_mellin_grid(GENERIC), N1=8, N2=8)
     with caplog.at_level("WARNING", logger="sl3maass.whittaker"):
