@@ -106,8 +106,12 @@ class SeriesBudget:
     target_eps: float = 1e-14
 
     def __post_init__(self):
+        if not isinstance(self.nmax, int) or isinstance(self.nmax, bool):
+            raise ValueError(f"nmax must be an int, got {self.nmax!r}")
         if self.nmax < 1:
-            raise ValueError("nmax must be at least 1")
+            raise ValueError(f"nmax must be at least 1, got {self.nmax}")
+        if not (0.0 < self.target_eps < 1.0):
+            raise ValueError(f"target_eps must be finite and in (0, 1), got {self.target_eps!r}")
 
 
 def _require_nondegenerate(p: LanglandsParams, tol: float = 1e-9):
@@ -341,10 +345,17 @@ def _cyclic_triples(p: LanglandsParams):
     return (a, b, g), (b, g, a), (g, a, b)
 
 
+@functools.lru_cache(maxsize=8)
 def build_pq_table(p: LanglandsParams, nmax: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """The P and Q tables of the small-argument series (see pq_build), one
-    slice per leading parameter in the cyclic order alpha, beta, gamma."""
-    return pq_build(_cyclic_triples(p), nmax)
+    slice per leading parameter in the cyclic order alpha, beta, gamma.
+
+    Memoized per (p, nmax), at most 8 entries (about 0.7 MB each at
+    nmax = 60); the arrays are read-only, since every caller shares them."""
+    tables = pq_build(_cyclic_triples(p), nmax)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def _pq_values(p_coeffs: np.ndarray, q_coeffs: np.ndarray,
@@ -370,9 +381,12 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
           * sum_n [ P_n(y2) K_mu(2 pi y2) + 2 pi y2 Q_n(y2) K_mu'(2 pi y2) ]
                   (pi y1)^(2n) / [ (1+(d1-d2)/2)_n (1+(d1-d3)/2)_n 2^n n! ]
 
-    with mu = (d2-d3)/2.  Costs six K-Bessel evaluations total plus
-    polynomial arithmetic; intended for small y1 (the dispatcher swaps
-    arguments first when y1 > y2).
+    with mu = (d2-d3)/2.  Costs six K-Bessel evaluations total, one
+    Horner pass over the P/Q tables and the n-series arithmetic; the
+    tables come from build_pq_table, which builds them on the first call
+    per (params, nmax) and returns them from its memo after that.
+    Intended for small y1 (the dispatcher swaps arguments first when
+    y1 > y2).
 
     Each n-series is summed in complex128 at the larger log scale of its
     K and K'.  It stops once three consecutive terms (n >= 2) lie below

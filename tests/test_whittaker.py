@@ -300,6 +300,67 @@ def test_series_work_per_call(monkeypatch):
     assert made[0] == made[1]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("target_eps", 2.0), ("target_eps", 1.0), ("target_eps", 0.0),
+    ("target_eps", -1.0), ("target_eps", math.nan), ("target_eps", math.inf),
+    ("nmax", 2.5), ("nmax", True),
+])
+def test_series_budget_rejects_bad_fields(field, value):
+    # a target_eps of 1 or more stops the series after three terms with a
+    # wrong value, so each field is checked where the budget is made
+    with pytest.raises(ValueError, match=field):
+        SeriesBudget(**{field: value})
+
+
+def test_pq_tables_memoized_per_params_and_nmax(monkeypatch):
+    builds = []
+
+    def spy(deltas, nmax):
+        builds.append((tuple(deltas), nmax))
+        return pq_build(deltas, nmax)
+
+    monkeypatch.setattr(whittaker, "pq_build", spy)
+    build_pq_table.cache_clear()
+    a = WhittakerArgs(0.3, 0.8)
+    for _ in range(5):
+        for p in (LIFT, GENERIC):
+            w_series_small(p, a)
+    assert builds == [(_cyclic_triples(p), 60) for p in (LIFT, GENERIC)]
+    w_series_small(LIFT, a, SeriesBudget(nmax=80))
+    w_series_small(LIFT, a, SeriesBudget(nmax=80))
+    assert len(builds) == 3 and builds[-1] == (_cyclic_triples(LIFT), 80)
+    for table in build_pq_table(LIFT, 60):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+    maxsize = build_pq_table.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+
+
+def _series_outcome(p, a):
+    try:
+        v = w_series_small(p, a)
+    except (CancellationError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+    return repr(v.mantissa), repr(v.log_scale)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([LIFT, GENERIC, SMALL]), st.floats(0.05, 1.0),
+       st.floats(0.0, 1.0))
+def test_memoized_series_is_bit_identical(p, y1, t):
+    """A series value from cold tables equals the value from the memo, and
+    the memoized tables equal fresh ones byte for byte.  Points are drawn
+    from the dispatcher's series domain: y1 <= y2 and y1 y2 <= 1.3."""
+    a = WhittakerArgs(y1, y1 + t * (1.3 / y1 - y1))
+    build_pq_table.cache_clear()
+    cold = _series_outcome(p, a)
+    assert _series_outcome(p, a) == cold
+    for nmax in (40, 60, 80):
+        fresh = pq_build(_cyclic_triples(p), nmax)
+        for memo, ref in zip(build_pq_table(p, nmax), fresh):
+            assert memo.tobytes() == ref.tobytes()
+
+
 def test_series_terms_outside_binary64_raise():
     # at y2 = 1e5 the high-degree P_n(y2) overflow before the series
     # converges; they must raise, not enter the sum
