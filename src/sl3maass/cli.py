@@ -173,6 +173,17 @@ def _eval_one(p, a, algo, ns):
     return v, max(err, 2e-16), algo
 
 
+def _emit(report: RunReport, ns, *extra_lines: str) -> None:
+    """Print the report, the command's own lines and the wall time, and
+    write the CSV file if one was asked for."""
+    print(report.render(ns.digits))
+    for line in extra_lines:
+        print(line)
+    print(f"time: {report.wall_time:.3f}s")
+    if ns.csv:
+        report.write_csv(ns.csv)
+
+
 def cmd_whittaker(ns) -> int:
     p = _params(ns)
     a = WhittakerArgs(ns.y1, ns.y2)
@@ -191,11 +202,7 @@ def cmd_whittaker(ns) -> int:
         report.add("unscaled log10|W|",
                    complex((v.log_abs() - shift) / math.log(10.0)), err, algo)
     report.wall_time = time.perf_counter() - t0
-    print(report.render(ns.digits))
-    print(f"scaled value = {_fmt_scaled(v, ns.digits)}")
-    print(f"time: {report.wall_time:.3f}s")
-    if ns.csv:
-        report.write_csv(ns.csv)
+    _emit(report, ns, f"scaled value = {_fmt_scaled(v, ns.digits)}")
     return 0
 
 
@@ -212,6 +219,7 @@ def cmd_xcheck(ns) -> int:
     t0 = time.perf_counter()
     worst = 0.0
     worst_label = ""
+    failures = []
     for y1 in ys:
         for y2 in ys:
             a = WhittakerArgs(y1, y2)
@@ -230,18 +238,17 @@ def cmd_xcheck(ns) -> int:
             label = f"y=({y1:g},{y2:g})"
             report.add(label, complex(pair_worst), pair_worst,
                        "+".join(names))
+            if len(names) < 2:
+                failures.append(f"fewer than two algorithms returned a value at {label}")
             if pair_worst > worst:
                 worst, worst_label = pair_worst, label
     report.wall_time = time.perf_counter() - t0
-    print(report.render(ns.digits))
-    print(f"max pairwise deviation: {worst:.3e} at {worst_label}")
-    print(f"time: {report.wall_time:.3f}s")
-    if ns.csv:
-        report.write_csv(ns.csv)
+    _emit(report, ns, f"max pairwise deviation: {worst:.3e} at {worst_label}")
     if worst > ns.tol:
-        print(f"FAIL: deviation exceeds tolerance {ns.tol:g}", file=sys.stderr)
-        return 2
-    return 0
+        failures.append(f"deviation exceeds tolerance {ns.tol:g}")
+    for reason in failures:
+        print(f"FAIL: {reason}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def cmd_maass_eval(ns) -> int:
@@ -260,10 +267,7 @@ def cmd_maass_eval(ns) -> int:
     report.add("distinct D caches (form)", complex(stats.n_caches), 0.0, "count")
     report.add("D caches built (this eval)", complex(stats.n_caches_built), 0.0, "count")
     report.wall_time = dt
-    print(report.render(ns.digits))
-    print(f"time: {report.wall_time:.3f}s")
-    if ns.csv:
-        report.write_csv(ns.csv)
+    _emit(report, ns)
     return 0
 
 
@@ -286,10 +290,7 @@ def cmd_automorphy(ns) -> int:
     report.add("f(w.z)", v2, form.eps, "mellin-fixed-D")
     report.add("residual |f(z)-f(w.z)|", complex(resid), form.eps, "difference")
     report.wall_time = dt
-    print(report.render(ns.digits))
-    print(f"time: {report.wall_time:.3f}s")
-    if ns.csv:
-        report.write_csv(ns.csv)
+    _emit(report, ns)
     return 0
 
 

@@ -35,7 +35,6 @@ class CoefficientFileError(ValueError):
 class _Parsed:
     params: LanglandsParams
     table: dict[tuple[int, int], complex]
-    kind: str  # "c1" or "c2"
 
 
 def _parse(path: Path) -> _Parsed:
@@ -88,8 +87,8 @@ def _parse(path: Path) -> _Parsed:
     params = LanglandsParams(header["alpha_im"], header["beta_im"], header["gamma_im"])
     if c1:
         m_cap = min(max(c1), DEFAULT_EXPANSION_M)
-        return _Parsed(params, expand_coefficients(c1, m_cap), "c1")
-    return _Parsed(params, c2, "c2")
+        return _Parsed(params, expand_coefficients(c1, m_cap))
+    return _Parsed(params, c2)
 
 
 def load_coefficient_file(path, eps: float = 1e-10) -> MaassForm:

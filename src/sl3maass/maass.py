@@ -30,9 +30,8 @@ from .errors import (DegenerateLatticeError, DomainError,
                      MissingCoefficientError, NonConvergenceError)
 from .langlands import LanglandsParams
 from .whittaker import (WhittakerArgs, build_fixed_d_cache,
-                        default_mellin_grid, mellin_kernel,
-                        mellin_outer_noise_log, w_eval, w_mellin_fixed_d,
-                        w_stade)
+                        default_mellin_grid, mellin_kernel, w_eval,
+                        w_mellin_fixed_d, w_stade)
 
 __all__ = [
     "H3Point",
@@ -499,12 +498,10 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                                                       y2_range=(D / C ** 2 * 0.99, C * 1.01),
                                                       inner=columns.pop(m2))
                     n_built += 1
-                # sub-eps terms only need absolute accuracy, so the relative
-                # cancellation guard is suppressed; the contribution filter
-                # drops anything below the outer sums' roundoff floor
-                y2s = np.array(y2_args)
-                ws = w_mellin_fixed_d(caches[key], y2s, _no_guard=True)
-                floors = mellin_outer_noise_log(caches[key], y2s).tolist()
+                # a batch: sub-eps terms only need absolute accuracy, and
+                # the contribution filter drops anything below the outer
+                # sums' roundoff floor
+                ws, floors = w_mellin_fixed_d(caches[key], np.array(y2_args))
             else:
                 ws = floors = []
             coef = None

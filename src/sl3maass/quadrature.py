@@ -50,6 +50,8 @@ class QuadratureGrid:
     def __post_init__(self):
         if not (self.h > 0.0) or not math.isfinite(self.h):
             raise ValueError("grid step h must be positive and finite")
+        if not isinstance(self.N, int) or isinstance(self.N, bool):
+            raise ValueError(f"grid half-width N must be an int, got {self.N!r}")
         if self.N < 1:
             raise ValueError("grid half-width N must be at least 1")
         if self.stop_threshold < 0.0:
@@ -80,7 +82,10 @@ class MellinGrid2D:
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"grid {name} must be positive and finite, got {v}")
         for name in ("N1", "N2"):
-            if getattr(self, name) < 1:
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an int, got {v!r}")
+            if v < 1:
                 raise ValueError(f"{name} must be at least 1")
 
 

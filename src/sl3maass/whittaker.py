@@ -61,7 +61,6 @@ __all__ = [
     "default_stade_grid",
     "build_fixed_d_cache",
     "w_mellin_fixed_d",
-    "mellin_outer_noise_log",
     "choose_algorithm",
     "w_eval",
 ]
@@ -114,8 +113,8 @@ class SeriesBudget:
             raise ValueError(f"target_eps must be finite and in (0, 1), got {self.target_eps!r}")
 
 
-def _require_nondegenerate(p: LanglandsParams, tol: float = 1e-9):
-    if p.is_degenerate(tol):
+def _require_nondegenerate(p: LanglandsParams):
+    if p.is_degenerate():
         raise DegenerateParametersError(
             f"spectral parameters ({p.r_alpha:g}, {p.r_beta:g}, {p.r_gamma:g}) "
             "contain a coinciding pair; series coefficients hit gamma poles")
@@ -691,7 +690,7 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
         # assembly needs there
         floor_log = math.log(eps)
         resid = 0.0
-        got = w_mellin_fixed_d(cache, np.array([lo, hi]), _no_guard=True)
+        got, _ = w_mellin_fixed_d(cache, np.array([lo, hi]))
         for y2, w in zip((lo, hi), got):
             ref = w_eval(p, WhittakerArgs(math.sqrt(D / y2), y2))
             diff = (w - ref).log_abs()
@@ -710,31 +709,25 @@ def _outer_prefactor_log(cache: FixedDCache, y2):
             + math.log(grid.h * grid.h / (2.0 * math.pi ** 2)))
 
 
-def mellin_outer_noise_log(cache: FixedDCache, y2):
-    """log of the roundoff floor of w_mellin_fixed_d at y2 (a scalar or a
-    1-D array), in the shared scaling convention: values below this level
-    are indistinguishable from zero at binary64."""
-    return (cache.noise_log + _outer_prefactor_log(cache, np.asarray(y2, dtype=float))
-            + cache.params.scale_shift)
-
-
-def w_mellin_fixed_d(cache: FixedDCache, y2, _no_guard: bool = False):
+def w_mellin_fixed_d(cache: FixedDCache, y2):
     """W(y1, y2) with y1 = sqrt(D / y2), from the cached inner sums.
 
-    y2 is a scalar, giving one ScaledComplex, or a 1-D array, giving a
-    list of them.  Only the outer sums against (pi y2)^(-i k2 h) are
-    evaluated.  Their phases are factored at anchors every _PHASE_STEP = 32
-    entries of k2, so a batch costs one (y2 x 32) @ (32 x anchors) product
-    plus a row-wise dot with the anchor phases, and only (2 N2 + 1) / 32
-    phases per y2 are formed.  Each factored phase carries a few u more
-    rounding than a direct one; at the lift's grid the sums move by at
-    most 4e-13 of max |inner|, below the floor's (2 N2 + 1) u max |inner|
-    term (1.1e-12 of it).  Raises AccuracyRangeError for any y2 outside
-    the cache's y2_range (always checked when the cache has one), and
-    CancellationError when an outer sum loses the guard ratio against the
-    inner sums or lies within e^2 of its roundoff floor
-    (mellin_outer_noise_log).  _no_guard suppresses the CancellationError
-    for callers that only need absolute accuracy near the decay boundary.
+    A scalar y2 is a point query: it gives one ScaledComplex and raises
+    CancellationError when the outer sum loses the guard ratio against the
+    inner sums or lies within e^2 of its roundoff floor.  A 1-D array is a
+    batch: it gives (values, floor_logs), a list of ScaledComplex and the
+    array of their log roundoff floors in the shared scaling convention,
+    and never raises CancellationError; the caller drops what it cannot
+    resolve.  Both raise ValueError for a y2 that is not positive and
+    finite, and AccuracyRangeError for any y2 outside the cache's y2_range
+    (always checked when the cache has one).  Only the outer sums against
+    (pi y2)^(-i k2 h) are evaluated.  Their phases are factored at anchors
+    every _PHASE_STEP = 32 entries of k2, so a batch costs one
+    (y2 x 32) @ (32 x anchors) product plus a row-wise dot with the anchor
+    phases, and only (2 N2 + 1) / 32 phases per y2 are formed.  Each
+    factored phase carries a few u more rounding than a direct one; at the
+    lift's grid the sums move by at most 4e-13 of max |inner|, below the
+    floor's (2 N2 + 1) u max |inner| term (1.1e-12 of it).
     """
     y2s = np.atleast_1d(np.asarray(y2, dtype=float))
     if y2s.ndim != 1:
@@ -765,21 +758,22 @@ def w_mellin_fixed_d(cache: FixedDCache, y2, _no_guard: bool = False):
         theta = log_py2[r0:r1, None]
         partial = np.exp(-1j * (theta * step_h)) @ steps
         totals[r0:r1] = np.einsum("yq,yq->y", partial, np.exp(-1j * (theta * anchor_h)))
-    if not _no_guard:
-        # the floor test also catches inner sums that cancelled to noise,
-        # where max |inner| is noise itself and the ratio test passes
-        mags = np.abs(totals)
-        floor = math.exp(cache.noise_log - cache.log_scale + 2.0)
-        lost = (mags < floor) | (cache.inner_peak > CANCELLATION_GUARD_RATIO * mags)
-        if lost.any():
-            raise CancellationError(
-                f"outer sum at y2={y2s[lost][0]:g} exceeds the cancellation guard "
-                "or lies within e^2 of its roundoff floor; "
-                "increase working precision or use another algorithm")
+    prefactor = _outer_prefactor_log(cache, y2s)
     scale = cache.log_scale + cache.params.scale_shift
     values = [ScaledComplex(total, scale + pref) for total, pref
-              in zip(totals.tolist(), _outer_prefactor_log(cache, y2s).tolist())]
-    return values if np.ndim(y2) else values[0]
+              in zip(totals.tolist(), prefactor.tolist())]
+    if np.ndim(y2):
+        return values, cache.noise_log + prefactor + cache.params.scale_shift
+    # the floor test also catches inner sums that cancelled to noise,
+    # where max |inner| is noise itself and the ratio test passes
+    mag = abs(totals[0])
+    if (mag < math.exp(cache.noise_log - cache.log_scale + 2.0)
+            or cache.inner_peak > CANCELLATION_GUARD_RATIO * mag):
+        raise CancellationError(
+            f"outer sum at y2={y2s[0]:g} exceeds the cancellation guard "
+            "or lies within e^2 of its roundoff floor; "
+            "increase working precision or use another algorithm")
+    return values[0]
 
 
 # ---------------------------------------------------------------------------

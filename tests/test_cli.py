@@ -78,6 +78,17 @@ def test_xcheck_single_point(capsys):
     assert sum(1 for l in out.splitlines() if l.startswith("y=(")) == 1
 
 
+def test_xcheck_fails_where_fewer_than_two_algorithms_answer(capsys):
+    # at GEN and y >= 6 only stade returns a value, so no pair is compared
+    # and a deviation of 0 would vouch for nothing
+    rc = main(["xcheck", "--alpha-im", "-3.7", "--beta-im", "1.2", "--y-grid", "6,9"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    fails = [l for l in err.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 4
+    assert any("y=(6,9)" in l for l in fails)
+
+
 def test_whittaker_smallarg_exits_2_where_products_cancel(capsys):
     # at GEN (5.34, 10) the series products cancel inside each term; the
     # guard raises instead of printing a value 1e41 off

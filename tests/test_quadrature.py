@@ -43,6 +43,22 @@ def test_grid_validation():
             MellinGrid2D(h=0.1, sigma1=2, sigma2=sigma, N1=5, N2=5)
 
 
+@pytest.mark.parametrize("field, value", [("N1", 300.5), ("N1", 300.0), ("N1", True),
+                                          ("N2", 400.5), ("N2", False), ("N2", "400")])
+def test_mellin_grid_half_widths_must_be_ints(field, value):
+    # a float N2 breaks the kernel's slicing, a float N1 puts the nodes at
+    # half-integers, and True would count as 1
+    fields = dict(h=0.1, sigma1=2.0, sigma2=2.0, N1=300, N2=400)
+    with pytest.raises(ValueError, match=field):
+        MellinGrid2D(**dict(fields, **{field: value}))
+
+
+@pytest.mark.parametrize("value", [20.5, 20.0, True, "20"])
+def test_quadrature_grid_half_width_must_be_an_int(value):
+    with pytest.raises(ValueError, match="half-width N"):
+        QuadratureGrid(h=0.5, N=value)
+
+
 def test_gaussian():
     g = QuadratureGrid(h=0.5, N=200, stop_threshold=1e-22, stop_run=5)
     v = trapezoid_line(gaussian, g)

@@ -19,9 +19,9 @@ from sl3maass import whittaker
 from sl3maass.whittaker import (SeriesBudget, WhittakerArgs,
                                 build_fixed_d_cache, build_pq_table,
                                 choose_algorithm, default_mellin_grid,
-                                mellin_kernel, mellin_outer_noise_log,
-                                pq_build, w_eval, w_mellin_fixed_d,
-                                w_series_origin, w_series_small, w_stade,
+                                mellin_kernel, pq_build, w_eval,
+                                w_mellin_fixed_d, w_series_origin,
+                                w_series_small, w_stade,
                                 _cyclic_triples, _outer_prefactor_log,
                                 _pq_values)
 
@@ -609,14 +609,13 @@ def test_batched_outer_sums_match_scalar_calls(p):
     cache = build_fixed_d_cache(p, 3.7, validate=False)
     # more points than one row block holds, so several blocks are used
     ys = np.geomspace(0.05, 20.0, 120)
-    batch = w_mellin_fixed_d(cache, ys, _no_guard=True)
-    floors = mellin_outer_noise_log(cache, ys)
+    batch, floors = w_mellin_fixed_d(cache, ys)
     assert len(batch) == ys.size
     for y, w, floor in zip(ys, batch, floors):
-        one = w_mellin_fixed_d(cache, float(y), _no_guard=True)
-        assert isinstance(one, ScaledComplex)
-        assert (w - one).log_abs() < floor
-        assert mellin_outer_noise_log(cache, float(y)) == pytest.approx(floor, abs=1e-12)
+        one, (one_floor,) = w_mellin_fixed_d(cache, np.array([y]))
+        assert isinstance(one[0], ScaledComplex)
+        assert (w - one[0]).log_abs() < floor
+        assert one_floor == pytest.approx(floor, abs=1e-12)
 
 
 def test_kernel_log_gamma_only_on_first_build(monkeypatch):
@@ -650,8 +649,7 @@ def test_noise_floor_bounds_batched_error(D, cancels):
     outer_only = (2 * grid.N2 + 1) * TWO_U * cache.inner_peak
     inner_dev = float(np.max(np.abs(cache.inner - ref_inner)))
     ys = np.geomspace(0.05, 30.0, 25)
-    got = w_mellin_fixed_d(cache, ys, _no_guard=True)
-    floors = mellin_outer_noise_log(cache, ys)
+    got, floors = w_mellin_fixed_d(cache, ys)
     k2h = cache.k2 * grid.h
     resolved = 0
     for y, w, floor in zip(ys, got, floors):
@@ -675,12 +673,32 @@ def test_guard_rejects_values_at_the_floor():
         w_mellin_fixed_d(noisy, 1.0)
     cache = build_fixed_d_cache(GENERIC, 3.7, validate=False)
     v = w_mellin_fixed_d(cache, 1.0)
-    assert v.log_abs() > mellin_outer_noise_log(cache, 1.0) + 2.0
+    _, (floor,) = w_mellin_fixed_d(cache, np.array([1.0]))
+    assert v.log_abs() > floor + 2.0
+
+
+def test_batch_returns_floors_and_point_query_keeps_guard():
+    """A batch returns its values with their roundoff floors and leaves
+    the floor test to its caller; a point query keeps the guard.  At GEN
+    D = 40 every value is noise: the batch returns it below its floor + 2,
+    and a point query at the same y2 raises."""
+    ys = np.geomspace(0.05, 30.0, 25)
+    noisy = build_fixed_d_cache(GENERIC, 40.0, validate=False)
+    values, floors = w_mellin_fixed_d(noisy, ys)
+    assert len(values) == floors.shape[0] == ys.size
+    for y, w, floor in zip(ys, values, floors):
+        assert w.log_abs() < floor + 2.0
+        with pytest.raises(CancellationError):
+            w_mellin_fixed_d(noisy, float(y))
+    cache = build_fixed_d_cache(GENERIC, 3.7, validate=False)
+    (one,), _ = w_mellin_fixed_d(cache, np.array([1.0]))
+    assert repr(w_mellin_fixed_d(cache, 1.0)) == repr(one)
 
 
 def test_array_query_validation():
     cache = build_fixed_d_cache(SMALL, 0.4, validate=False, y2_range=(0.2, 1.5))
-    assert w_mellin_fixed_d(cache, np.array([])) == []
+    values, floors = w_mellin_fixed_d(cache, np.array([]))
+    assert values == [] and floors.size == 0
     with pytest.raises(ValueError):
         w_mellin_fixed_d(cache, np.ones((2, 2)))
     with pytest.raises(ValueError):
