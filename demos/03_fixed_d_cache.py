@@ -26,7 +26,7 @@ y1, y2 = 0.8, 1.1
 D = y1 * y1 * y2
 
 t0 = time.perf_counter()
-cache = build_fixed_d_cache(params, D, validate=True, y2_range=(y2 / 16.0, y2 * 1.2))
+cache = build_fixed_d_cache(params, D, y2_range=(y2 / 16.0, y2 * 1.2))
 build_ms = (time.perf_counter() - t0) * 1e3
 print(f"cache for D = {D:.4f}: {cache.inner.size} inner sums, "
       f"built in {build_ms:.0f} ms, validation residual {cache.validation_residual:.2e}")

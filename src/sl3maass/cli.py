@@ -84,6 +84,16 @@ def _positive_finite(text: str) -> float:
     return v
 
 
+def _y_grid(text: str) -> list[float]:
+    return [_positive_finite(t) for t in text.split(",")]
+
+
+def _digits(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return int(text)
+
+
 def _add_grid_flags(p):
     p.add_argument("--grid-h", type=_positive_finite, default=None,
                    help="override step size (positive and finite)")
@@ -139,10 +149,10 @@ def _mellin_grid_from(ns, p):
 
 
 def _mellin_with_error(p, a, grid):
-    cache = build_fixed_d_cache(p, a.y1 * a.y1 * a.y2, grid=grid, validate=True,
+    cache = build_fixed_d_cache(p, a.y1 * a.y1 * a.y2, grid=grid,
                                 y2_range=(a.y2 / 2.0, a.y2 * 2.0))
     v = w_mellin_fixed_d(cache, a.y2)
-    return v, cache.validation_residual or 0.0
+    return v, cache.validation_residual
 
 
 def _eval_one(p, a, algo, ns):
@@ -208,7 +218,7 @@ def cmd_whittaker(ns) -> int:
 
 def cmd_xcheck(ns) -> int:
     p = _params(ns)
-    ys = [float(t) for t in ns.y_grid.split(",")]
+    ys = ns.y_grid
     algos = ["stade"]
     if not p.is_degenerate():
         algos += ["origin", "smallarg"]
@@ -317,8 +327,8 @@ def _build_parser() -> _Parser:
 
     px = sub.add_parser("xcheck", help="cross-validate all algorithms on a grid")
     _add_param_flags(px)
-    px.add_argument("--y-grid", default="0.3,0.6,1.0",
-                    help="comma-separated values used for both arguments")
+    px.add_argument("--y-grid", type=_y_grid, default="0.3,0.6,1.0",
+                    help="comma-separated positive values used for both arguments")
     px.add_argument("--tol", type=_positive_finite, default=1e-6,
                     help="max allowed pairwise relative deviation (positive and finite)")
     _add_grid_flags(px)
@@ -343,7 +353,7 @@ def _build_parser() -> _Parser:
     pe.set_defaults(func=cmd_export_coeffs)
 
     for p in (pw, px, pm, pa, pe):
-        p.add_argument("--digits", type=int, default=12)
+        p.add_argument("--digits", type=_digits, default=12)
         p.add_argument("--csv", default=None, help="also write rows to this CSV file")
     return ap
 

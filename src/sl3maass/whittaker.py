@@ -524,7 +524,8 @@ def _kernel_product(b: np.ndarray, c: np.ndarray, x: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class MellinKernel:
-    """The D-independent part of every fixed-D cache on one (params, grid).
+    """The D-independent part of every fixed-D cache on one (params, grid),
+    which each FixedDCache holds as its kernel.
 
     With i = k1 + N1 and j = k2 + N2, the inner sum at D is
 
@@ -537,15 +538,17 @@ class MellinKernel:
     (B * C) @ A, A holding one phased copy of a per D: each row block of
     B * C is formed once for all of them.  abs_rows[j] =
     sum_i |a_i| |b_{i+j}| |c_{3i+j}| bounds the terms of inner_D[j] for
-    every D and so sets the scale of its roundoff.
+    every D and so sets the scale of its roundoff; abs_peak = max abs_rows.
     """
 
+    params: LanglandsParams
     grid: MellinGrid2D
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     log_scale: float
     abs_rows: np.ndarray
+    abs_peak: float
 
     @property
     def max_columns(self) -> int:
@@ -594,30 +597,26 @@ def mellin_kernel(p: LanglandsParams, grid: MellinGrid2D) -> MellinKernel:
     abs_rows = _kernel_product(np.abs(b), np.abs(c), np.abs(a), 2 * n2 + 1)
     for arr in (a, b, c, abs_rows):
         arr.setflags(write=False)
-    return MellinKernel(grid=grid, a=a, b=b, c=c,
-                        log_scale=sum(peaks), abs_rows=abs_rows)
+    return MellinKernel(params=p, grid=grid, a=a, b=b, c=c, log_scale=sum(peaks),
+                        abs_rows=abs_rows, abs_peak=float(np.max(abs_rows)))
 
 
 @dataclass(frozen=True, eq=False)
 class FixedDCache:
-    """Precomputed inner gamma-factor sums for all Whittaker arguments
-    sharing D = y1^2 y2.
+    """The inner k1-sums of one D = y1^2 y2, on the kernel that owns every
+    D-independent fact (params, grid, log_scale, abs_peak).
 
-    inner[j] holds the k1-sum for k2 = j - N2, all at the common scale
-    exp(log_scale); inner_peak is max |inner| and inner_abs_peak the
-    largest absolute k1-sum sum_i |a_i b_{i+j} c_{3i+j}| over j (the
-    kernel's max abs_rows), both at that scale.  Immutable after
-    construction; w_mellin_fixed_d only evaluates the outer k2-sums,
-    O(N2) work per y2.
+    inner[j] is the sum for k2 = j - N2 at the scale exp(kernel.log_scale),
+    and inner_peak is max |inner| at that scale.  y2_range is set exactly
+    when the cache was validated, and validation_residual with it.
+    Immutable; w_mellin_fixed_d evaluates only the outer k2-sums, O(N2)
+    work per y2.
     """
 
-    params: LanglandsParams
+    kernel: MellinKernel
     D: float
-    grid: MellinGrid2D
     inner: np.ndarray
-    log_scale: float
     inner_peak: float
-    inner_abs_peak: float
     y2_range: tuple[float, float] | None = None
     validation_residual: float | None = None
 
@@ -625,52 +624,46 @@ class FixedDCache:
         self.inner.setflags(write=False)
 
     @property
-    def k2(self) -> np.ndarray:
-        return np.arange(-self.grid.N2, self.grid.N2 + 1)
+    def grid(self) -> MellinGrid2D:
+        return self.kernel.grid
 
     @property
     def noise_log(self) -> float:
         """log of the roundoff floor of one outer sum before its y2
         prefactor, the sum of two terms:
 
-        * every inner sum is off by at most (2 N1 + 1) u inner_abs_peak,
+        * every inner sum is off by at most (2 N1 + 1) u kernel.abs_peak,
           the recursive-summation bound (Higham, Accuracy and Stability
           of Numerical Algorithms, ch. 4); at large D the inner sums
-          cancel far below inner_abs_peak and this term dominates;
+          cancel far below kernel.abs_peak and this term dominates;
         * the outer sum adds ~u relative noise per entry, (2 N2 + 1) u
           inner_peak in all.
 
         u is _ROUNDOFF, which also covers the rounding of the products."""
-        n1, n2 = self.grid.N1, self.grid.N2
-        return self.log_scale + math.log(_ROUNDOFF * (
-            (2 * n1 + 1) * self.inner_abs_peak + (2 * n2 + 1) * self.inner_peak))
+        k = self.kernel
+        return k.log_scale + math.log(_ROUNDOFF * (
+            (2 * k.grid.N1 + 1) * k.abs_peak + (2 * k.grid.N2 + 1) * self.inner_peak))
 
 
 def build_fixed_d_cache(p: LanglandsParams, D: float,
                         grid: MellinGrid2D | None = None,
                         eps: float = 1e-12,
-                        validate: bool = True,
                         y2_range: tuple[float, float] | None = None,
                         inner: np.ndarray | None = None) -> FixedDCache:
-    """Precompute the inner k1-sums of the discretized double Mellin
-    transform for fixed D = y1^2 y2.
+    """The fixed-D cache of D = y1^2 y2 on mellin_kernel(p, grid).
 
-    The gamma factors live on three one-dimensional arrays
-    indexed by k1, k1 + k2 and 3 k1 + k2 that do not depend on D; they
-    are computed once per (p, grid) by mellin_kernel, so a build costs
-    one blocked O(N1 N2) kernel product and no log-gamma evaluations.
-    `inner`, when given, is the column mellin_kernel(p, grid).inner formed
-    for this D together with others (the Maass assembly forms its columns
-    in waves); the cache wraps it as data and forms no product.  When
-    `validate` is set, the cache is compared against w_eval at the end
-    points of y2_range, which must then be given, and the worst deviation
-    relative to max(|W|, eps), eps being an absolute level in the scaled
-    convention, is stored.
+    A build costs one blocked O(N1 N2) kernel product and no log-gamma
+    evaluations.  `inner`, when given, is this D's column of a multi-D
+    kernel product (the Maass assembly forms its columns in waves); the
+    cache wraps it and forms no product.  The cache is validated exactly
+    when y2_range is given: one batch query at its two ends against
+    w_eval, whose worst deviation relative to max(|W|, eps) is stored;
+    eps is an absolute level in the scaled convention and may exceed 1.
     """
     if not (D > 0.0) or not math.isfinite(D):
         raise ValueError(f"D must be positive and finite, got {D}")
-    if validate and y2_range is None:
-        raise ValueError("validate=True needs the y2_range to validate")
+    if not (eps > 0.0) or not math.isfinite(eps):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if grid is None:
         grid = default_mellin_grid(p, eps)
     kernel = mellin_kernel(p, grid)
@@ -678,31 +671,28 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
         inner = kernel.inner([D])[:, 0]
     elif inner.shape != kernel.abs_rows.shape:
         raise ValueError(f"inner must have shape {kernel.abs_rows.shape}, got {inner.shape}")
-    cache = FixedDCache(params=p, D=float(D), grid=grid, inner=inner,
-                        log_scale=kernel.log_scale,
-                        inner_peak=float(np.max(np.abs(inner))),
-                        inner_abs_peak=float(np.max(kernel.abs_rows)),
-                        y2_range=y2_range)
-    if validate:
-        lo, hi = y2_range
-        # deviation relative to max(|W|, eps): near the decay boundary the
-        # outer sum is only absolutely accurate, which is what the Fourier
-        # assembly needs there
-        floor_log = math.log(eps)
-        resid = 0.0
-        got, _ = w_mellin_fixed_d(cache, np.array([lo, hi]))
-        for y2, w in zip((lo, hi), got):
-            ref = w_eval(p, WhittakerArgs(math.sqrt(D / y2), y2))
-            diff = (w - ref).log_abs()
-            resid = max(resid, math.exp(diff - max(ref.log_abs(), floor_log)))
-        cache = replace(cache, y2_range=(lo, hi), validation_residual=resid)
-        if resid > 1e-2:
-            log.warning("fixed-D cache validation residual %.2e at D=%g", resid, D)
-    return cache
+    cache = FixedDCache(kernel=kernel, D=float(D), inner=inner,
+                        inner_peak=float(np.max(np.abs(inner))), y2_range=y2_range)
+    if y2_range is None:
+        return cache
+    lo, hi = y2_range
+    # deviation relative to max(|W|, eps): near the decay boundary the
+    # outer sum is only absolutely accurate, which is what the Fourier
+    # assembly needs there
+    floor_log = math.log(eps)
+    resid = 0.0
+    got, _ = w_mellin_fixed_d(cache, np.array([lo, hi]))
+    for y2, w in zip((lo, hi), got):
+        ref = w_eval(p, WhittakerArgs(math.sqrt(D / y2), y2))
+        diff = (w - ref).log_abs()
+        resid = max(resid, math.exp(diff - max(ref.log_abs(), floor_log)))
+    if resid > 1e-2:
+        log.warning("fixed-D cache validation residual %.2e at D=%g", resid, D)
+    return replace(cache, y2_range=(lo, hi), validation_residual=resid)
 
 
 def _outer_prefactor_log(cache: FixedDCache, y2):
-    grid = cache.grid
+    grid = cache.kernel.grid
     log_pi3d = 3.0 * math.log(math.pi) + math.log(cache.D)
     return (0.5 * (1.0 - grid.sigma1) * log_pi3d
             + 0.5 * (1.0 - 2.0 * grid.sigma2 + grid.sigma1) * np.log(math.pi * y2)
@@ -746,12 +736,13 @@ def w_mellin_fixed_d(cache: FixedDCache, y2):
     # k_a = -N2 + q _PHASE_STEP and steps 0 <= r < _PHASE_STEP, against the
     # inner sums laid out as steps[r, q] = inner[q _PHASE_STEP + r]
     log_py2 = np.log(math.pi * y2s)
-    h = cache.grid.h
+    kernel = cache.kernel
+    h = kernel.grid.h
     n_anchors = -(-cache.inner.size // _PHASE_STEP)
     steps = np.zeros(n_anchors * _PHASE_STEP, dtype=np.complex128)
     steps[:cache.inner.size] = cache.inner
     steps = steps.reshape(n_anchors, _PHASE_STEP).T
-    anchor_h = (np.arange(n_anchors) * _PHASE_STEP - cache.grid.N2) * h
+    anchor_h = (np.arange(n_anchors) * _PHASE_STEP - kernel.grid.N2) * h
     step_h = np.arange(_PHASE_STEP) * h
     totals = np.empty(y2s.size, dtype=np.complex128)
     for r0, r1 in _row_blocks(y2s.size, n_anchors + _PHASE_STEP):
@@ -759,15 +750,15 @@ def w_mellin_fixed_d(cache: FixedDCache, y2):
         partial = np.exp(-1j * (theta * step_h)) @ steps
         totals[r0:r1] = np.einsum("yq,yq->y", partial, np.exp(-1j * (theta * anchor_h)))
     prefactor = _outer_prefactor_log(cache, y2s)
-    scale = cache.log_scale + cache.params.scale_shift
+    scale = kernel.log_scale + kernel.params.scale_shift
     values = [ScaledComplex(total, scale + pref) for total, pref
               in zip(totals.tolist(), prefactor.tolist())]
     if np.ndim(y2):
-        return values, cache.noise_log + prefactor + cache.params.scale_shift
+        return values, cache.noise_log + prefactor + kernel.params.scale_shift
     # the floor test also catches inner sums that cancelled to noise,
     # where max |inner| is noise itself and the ratio test passes
     mag = abs(totals[0])
-    if (mag < math.exp(cache.noise_log - cache.log_scale + 2.0)
+    if (mag < math.exp(cache.noise_log - kernel.log_scale + 2.0)
             or cache.inner_peak > CANCELLATION_GUARD_RATIO * mag):
         raise CancellationError(
             f"outer sum at y2={y2s[0]:g} exceeds the cancellation guard "

@@ -52,7 +52,7 @@ def test_cross_algorithm_whittaker_agreement():
                     w_series_small(LIFT, a)]
             d = y1 * y1 * y2
             if d not in caches:
-                caches[d] = build_fixed_d_cache(LIFT, d, validate=False)
+                caches[d] = build_fixed_d_cache(LIFT, d)
             vals.append(w_mellin_fixed_d(caches[d], y2))
             for i in range(len(vals)):
                 for j in range(i + 1, len(vals)):

@@ -123,6 +123,22 @@ def test_xcheck_tol_must_be_positive_and_finite(tol, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["whittaker", *PARAMS, "--y1", "0.4", "--y2", "0.6", "--digits", "-3"],
+    ["whittaker", *PARAMS, "--y1", "0.4", "--y2", "0.6", "--digits", "2.5"],
+    ["xcheck", *PARAMS, "--y-grid", "0.4,-1"],
+    ["xcheck", *PARAMS, "--y-grid", "0.4,abc"],
+    ["xcheck", *PARAMS, "--y-grid", "0.4,inf"],
+], ids=["digits-negative", "digits-float", "y-grid-negative", "y-grid-text", "y-grid-inf"])
+def test_digits_and_y_grid_checked_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--sigma1", "--sigma2"])
 @pytest.mark.parametrize("sigma", ["0", "-0.5", "-3", "inf", "nan"])
 def test_sigma_must_be_positive_and_finite(flag, sigma, capsys):

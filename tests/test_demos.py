@@ -14,9 +14,8 @@ import sl3maass
 SRC = Path(sl3maass.__file__).resolve().parent.parent
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 
-# demo 04 (a full Maass-form evaluation, ~12 s) is left to manual runs
 DEMOS = ["01_kbessel_backends.py", "02_whittaker_crosscheck.py",
-         "03_fixed_d_cache.py"]
+         "03_fixed_d_cache.py", "04_maass_form.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

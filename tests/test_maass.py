@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl3maass.errors import (DomainError, MissingCoefficientError)
 from sl3maass.langlands import LanglandsParams
@@ -287,6 +288,23 @@ def test_translation_words_residual():
     assert automorphy_residual(form, z0, "T3") < 1e-10
     assert automorphy_residual(form, z0, "T1") < 1e-10
     assert automorphy_residual(form, z0, "T2") < 1e-10
+
+
+# the GEN synthetic form of the translation property, shared by its
+# examples so that they reuse each other's caches
+TRANSLATION_FORM = MaassForm(params=GENERIC, eps=1e-6,
+                             coeff_fn=lambda m1, m2: 1.0 / (1.0 + m1 * m2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(*[st.floats(-0.5, 0.5)] * 3), st.floats(0.9, 1.2), st.floats(0.9, 1.2))
+def test_translations_leave_the_form_unchanged(x, y1, y2):
+    # the tolerance of the benchmark's form-orbit translation gate
+    z = H3Point(*x, y1, y2)
+    value = eval_maass(TRANSLATION_FORM, z)
+    for word in ("T1", "T2", "T3"):
+        moved = iwasawa_act(word_matrix(word), z)
+        assert abs(eval_maass(TRANSLATION_FORM, moved) - value) < 1e-12
 
 
 def test_single_coefficient_hand_assembled():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from dataclasses import replace
@@ -475,11 +476,11 @@ def test_smallarg_leading_term_structure():
 
 def test_cache_structure_and_determinism():
     grid = MellinGrid2D(h=0.05, sigma1=2.0, sigma2=2.0, N1=300, N2=500)
-    c1 = build_fixed_d_cache(SMALL, 0.5, grid=grid, validate=False)
-    c2 = build_fixed_d_cache(SMALL, 0.5, grid=grid, validate=False)
+    c1 = build_fixed_d_cache(SMALL, 0.5, grid=grid)
+    c2 = build_fixed_d_cache(SMALL, 0.5, grid=grid)
     assert c1.inner.shape == (2 * grid.N2 + 1,)
     assert np.array_equal(c1.inner, c2.inner)
-    assert c1.log_scale == c2.log_scale
+    assert c1.kernel.log_scale == c2.kernel.log_scale
     v1 = w_mellin_fixed_d(c1, 0.8)
     v2 = w_mellin_fixed_d(c1, 0.8)
     assert v1.mantissa == v2.mantissa and v1.log_scale == v2.log_scale
@@ -489,16 +490,16 @@ def test_cache_n1_doubling():
     base = default_mellin_grid(GENERIC, eps=1e-10)
     doubled = MellinGrid2D(h=base.h, sigma1=base.sigma1, sigma2=base.sigma2,
                            N1=2 * base.N1, N2=base.N2)
-    c1 = build_fixed_d_cache(GENERIC, 0.7, grid=base, validate=False)
-    c2 = build_fixed_d_cache(GENERIC, 0.7, grid=doubled, validate=False)
-    ref = c2.inner * math.exp(c2.log_scale - c1.log_scale)
+    c1 = build_fixed_d_cache(GENERIC, 0.7, grid=base)
+    c2 = build_fixed_d_cache(GENERIC, 0.7, grid=doubled)
+    ref = c2.inner * math.exp(c2.kernel.log_scale - c1.kernel.log_scale)
     rel = np.abs(c1.inner - ref) / np.abs(ref)
     assert float(np.max(rel)) < 1e-12
 
 
 def test_cache_slice_consistency_vs_stade():
     D = 1.0
-    cache = build_fixed_d_cache(LIFT, D, validate=False)
+    cache = build_fixed_d_cache(LIFT, D)
     for t in (1.0, 2.0):
         y2 = 1.0 / (t * t)
         y1 = math.sqrt(D / y2)
@@ -508,7 +509,7 @@ def test_cache_slice_consistency_vs_stade():
 
 
 def test_cache_validation_and_range():
-    cache = build_fixed_d_cache(SMALL, 0.4, validate=True, y2_range=(0.2, 1.5))
+    cache = build_fixed_d_cache(SMALL, 0.4, y2_range=(0.2, 1.5))
     assert cache.validation_residual is not None
     assert cache.validation_residual < 1e-6
     with pytest.raises(AccuracyRangeError):
@@ -517,13 +518,57 @@ def test_cache_validation_and_range():
         w_mellin_fixed_d(cache, 0.01)
 
 
-def test_cache_validation_needs_a_range():
-    # validation has no default y2 range: the caller states where the
-    # cache will be queried
-    with pytest.raises(ValueError, match="y2_range"):
-        build_fixed_d_cache(SMALL, 0.4, validate=True)
-    with pytest.raises(ValueError, match="y2_range"):
-        build_fixed_d_cache(SMALL, 0.4)
+def _spy(monkeypatch, name):
+    """Count the calls of whittaker.<name> made through the module."""
+    calls = []
+    fn = getattr(whittaker, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(whittaker, name, counted)
+    return calls
+
+
+def test_cache_is_validated_exactly_when_it_has_a_range(monkeypatch):
+    # the all-default build is an unvalidated cache: no range, no
+    # residual, no w_eval call
+    evals = _spy(monkeypatch, "w_eval")
+    queries = _spy(monkeypatch, "w_mellin_fixed_d")
+    cache = build_fixed_d_cache(SMALL, 0.4)
+    assert cache.y2_range is None and cache.validation_residual is None
+    assert evals == [] and queries == []
+    # with a range: one batch query at its end points and two w_eval calls
+    cache = build_fixed_d_cache(SMALL, 0.4, y2_range=(0.2, 1.5))
+    assert cache.y2_range == (0.2, 1.5)
+    assert cache.validation_residual is not None
+    assert len(queries) == 1 and np.ndim(queries[0][1]) == 1
+    assert len(evals) == 2
+
+
+def test_cache_holds_its_kernel():
+    grid = default_mellin_grid(GENERIC)
+    cache = build_fixed_d_cache(GENERIC, 0.8, grid=grid)
+    assert [f.name for f in dataclasses.fields(cache)] == [
+        "kernel", "D", "inner", "inner_peak", "y2_range", "validation_residual"]
+    assert cache.kernel is mellin_kernel(GENERIC, grid)
+    assert cache.kernel.params == GENERIC and cache.grid == grid
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_cache_rejects_bad_eps(eps):
+    grid = replace(default_mellin_grid(GENERIC), N1=8, N2=8)
+    with pytest.raises(ValueError, match="eps"):
+        build_fixed_d_cache(GENERIC, 1.0, grid=grid, eps=eps, y2_range=(0.3, 3.0))
+
+
+def test_cache_accepts_eps_above_one():
+    # eps is an absolute level in the scaled convention, not a relative
+    # accuracy; the assembly passes exp(log_eps), which can exceed 1
+    grid = replace(default_mellin_grid(GENERIC), N1=8, N2=8)
+    cache = build_fixed_d_cache(GENERIC, 1.0, grid=grid, eps=1.0, y2_range=(0.3, 3.0))
+    assert math.isfinite(cache.validation_residual)
 
 
 def test_coarse_cache_fails_validation(caplog):
@@ -572,14 +617,14 @@ def test_kernel_inner_matches_row_sums(p, D):
     """A single-D build and the column of a four-D product both keep the
     recursive-summation bound against exactly rounded row sums."""
     grid = default_mellin_grid(p)
-    cache = build_fixed_d_cache(p, D, grid=grid, validate=False)
+    cache = build_fixed_d_cache(p, D, grid=grid)
     kernel = mellin_kernel(p, grid)
     ref = row_wise_inner(p, grid, D)
     bound = (2 * grid.N1 + 1) * TWO_U * kernel.abs_rows
     assert np.all(np.abs(cache.inner - ref) <= bound)
     column = wave_columns(p)[:, WAVE_DS.index(D)]
     assert np.all(np.abs(column - ref) <= bound)
-    assert cache.inner_abs_peak == float(np.max(kernel.abs_rows))
+    assert cache.kernel.abs_peak == float(np.max(kernel.abs_rows))
 
 
 def test_kernel_inner_splits_at_max_columns(monkeypatch):
@@ -606,7 +651,7 @@ def test_kernel_inner_splits_at_max_columns(monkeypatch):
 
 @pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
 def test_batched_outer_sums_match_scalar_calls(p):
-    cache = build_fixed_d_cache(p, 3.7, validate=False)
+    cache = build_fixed_d_cache(p, 3.7)
     # more points than one row block holds, so several blocks are used
     ys = np.geomspace(0.05, 20.0, 120)
     batch, floors = w_mellin_fixed_d(cache, ys)
@@ -629,9 +674,9 @@ def test_kernel_log_gamma_only_on_first_build(monkeypatch):
     monkeypatch.setattr(whittaker, "_log_gamma_array", counted)
     mellin_kernel.cache_clear()
     grid = default_mellin_grid(GENERIC)
-    build_fixed_d_cache(GENERIC, 0.8, grid=grid, validate=False)
+    build_fixed_d_cache(GENERIC, 0.8, grid=grid)
     first = len(calls)
-    build_fixed_d_cache(GENERIC, 5.3, grid=grid, validate=False)
+    build_fixed_d_cache(GENERIC, 5.3, grid=grid)
     assert first > 0
     assert len(calls) == first
 
@@ -644,18 +689,18 @@ def test_noise_floor_bounds_batched_error(D, cancels):
     roundoff and no value is resolved; the floor still bounds the
     difference.  At D = 3.7 the values stand clear of the floor."""
     grid = default_mellin_grid(GENERIC)
-    cache = build_fixed_d_cache(GENERIC, D, grid=grid, validate=False)
+    cache = build_fixed_d_cache(GENERIC, D, grid=grid)
     ref_inner = row_wise_inner(GENERIC, grid, D)
     outer_only = (2 * grid.N2 + 1) * TWO_U * cache.inner_peak
     inner_dev = float(np.max(np.abs(cache.inner - ref_inner)))
     ys = np.geomspace(0.05, 30.0, 25)
     got, floors = w_mellin_fixed_d(cache, ys)
-    k2h = cache.k2 * grid.h
+    k2h = np.arange(-grid.N2, grid.N2 + 1) * grid.h
     resolved = 0
     for y, w, floor in zip(ys, got, floors):
         t = ref_inner * np.exp(-1j * k2h * math.log(math.pi * y))
         total = complex(math.fsum(t.real), math.fsum(t.imag))
-        ref = (ScaledComplex(total, cache.log_scale)
+        ref = (ScaledComplex(total, cache.kernel.log_scale)
                * ScaledComplex.from_log(complex(_outer_prefactor_log(cache, y))))
         ref = ref.scaled_by(GENERIC.scale_shift)
         assert (w - ref).log_abs() < floor
@@ -668,10 +713,10 @@ def test_guard_rejects_values_at_the_floor():
     """At GEN D = 40 the inner sums cancel to noise (see above), so
     max |inner| is noise too and the ratio test alone passes the roundoff
     through; the floor test rejects it.  A resolved value passes."""
-    noisy = build_fixed_d_cache(GENERIC, 40.0, validate=False)
+    noisy = build_fixed_d_cache(GENERIC, 40.0)
     with pytest.raises(CancellationError):
         w_mellin_fixed_d(noisy, 1.0)
-    cache = build_fixed_d_cache(GENERIC, 3.7, validate=False)
+    cache = build_fixed_d_cache(GENERIC, 3.7)
     v = w_mellin_fixed_d(cache, 1.0)
     _, (floor,) = w_mellin_fixed_d(cache, np.array([1.0]))
     assert v.log_abs() > floor + 2.0
@@ -683,20 +728,20 @@ def test_batch_returns_floors_and_point_query_keeps_guard():
     D = 40 every value is noise: the batch returns it below its floor + 2,
     and a point query at the same y2 raises."""
     ys = np.geomspace(0.05, 30.0, 25)
-    noisy = build_fixed_d_cache(GENERIC, 40.0, validate=False)
+    noisy = build_fixed_d_cache(GENERIC, 40.0)
     values, floors = w_mellin_fixed_d(noisy, ys)
     assert len(values) == floors.shape[0] == ys.size
     for y, w, floor in zip(ys, values, floors):
         assert w.log_abs() < floor + 2.0
         with pytest.raises(CancellationError):
             w_mellin_fixed_d(noisy, float(y))
-    cache = build_fixed_d_cache(GENERIC, 3.7, validate=False)
+    cache = build_fixed_d_cache(GENERIC, 3.7)
     (one,), _ = w_mellin_fixed_d(cache, np.array([1.0]))
     assert repr(w_mellin_fixed_d(cache, 1.0)) == repr(one)
 
 
 def test_array_query_validation():
-    cache = build_fixed_d_cache(SMALL, 0.4, validate=False, y2_range=(0.2, 1.5))
+    cache = build_fixed_d_cache(SMALL, 0.4, y2_range=(0.2, 1.5))
     values, floors = w_mellin_fixed_d(cache, np.array([]))
     assert values == [] and floors.size == 0
     with pytest.raises(ValueError):
