@@ -88,18 +88,21 @@ def _y_grid(text: str) -> list[float]:
     return [_positive_finite(t) for t in text.split(",")]
 
 
-def _digits(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
-    return int(text)
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text}")
+        return int(text)
+    return parse
 
 
 def _add_grid_flags(p):
     p.add_argument("--grid-h", type=_positive_finite, default=None,
                    help="override step size (positive and finite)")
-    p.add_argument("--grid-n", type=int, default=None, help="override half-width in steps")
-    p.add_argument("--sigma1", type=_positive_finite, default=2.0)
-    p.add_argument("--sigma2", type=_positive_finite, default=2.0)
+    p.add_argument("--grid-n", type=_int_at_least(1), default=None,
+                   help="override half-width in steps")
+    p.add_argument("--sigma1", type=_positive_finite, default=None)
+    p.add_argument("--sigma2", type=_positive_finite, default=None)
 
 
 def _params(ns) -> LanglandsParams:
@@ -122,65 +125,59 @@ def _fmt_scaled(v: ScaledComplex, digits: int) -> str:
             f"*exp({v.log_scale:.{digits}g})")
 
 
-def _stade_with_error(p, a, grid=None):
-    grid = grid if grid is not None else default_stade_grid(p)
-    v1 = w_stade(p, a, grid)
-    v2 = w_stade(p, a, grid.halved())
+def _refined(evaluate, coarse, fine):
+    """The fine value and its relative distance from the coarse one."""
+    v1 = evaluate(coarse)
+    v2 = evaluate(fine)
     return v2, v2.rel_diff(v1) if not v2.is_zero else 0.0
 
 
-def _series_with_error(fn, p, a):
-    v1 = fn(p, a, SeriesBudget(nmax=60, target_eps=1e-12))
-    v2 = fn(p, a, SeriesBudget(nmax=80, target_eps=1e-15))
-    return v2, v2.rel_diff(v1) if not v2.is_zero else 0.0
+def _given(**fields) -> dict:
+    return {k: v for k, v in fields.items() if v is not None}
 
 
-def _mellin_grid_from(ns, p):
+def _stade(p, a, ns):
+    grid = replace(default_stade_grid(p), **_given(h=ns.grid_h, N=ns.grid_n))
+    return _refined(lambda g: w_stade(p, a, g), grid, grid.halved())
+
+
+_SERIES_BUDGETS = (SeriesBudget(nmax=60, target_eps=1e-12),
+                   SeriesBudget(nmax=80, target_eps=1e-15))
+
+
+def _series(fn):
+    return lambda p, a, ns: _refined(lambda b: fn(p, a, b), *_SERIES_BUDGETS)
+
+
+def _mellin(p, a, ns):
+    """Value from a fixed-D cache validated against w_eval at this point."""
     grid = default_mellin_grid(p)
     if ns.grid_h is not None:
         n_scale = grid.h / ns.grid_h
         grid = replace(grid, h=ns.grid_h,
                        N1=int(grid.N1 * n_scale) + 1, N2=int(grid.N2 * n_scale) + 1)
-    if ns.grid_n is not None:
-        grid = replace(grid, N1=ns.grid_n, N2=ns.grid_n)
-    if ns.sigma1 != 2.0 or ns.sigma2 != 2.0:
-        grid = replace(grid, sigma1=ns.sigma1, sigma2=ns.sigma2)
-    return grid
-
-
-def _mellin_with_error(p, a, grid):
+    grid = replace(grid, **_given(N1=ns.grid_n, N2=ns.grid_n,
+                                  sigma1=ns.sigma1, sigma2=ns.sigma2))
     cache = build_fixed_d_cache(p, a.y1 * a.y1 * a.y2, grid=grid,
-                                y2_range=(a.y2 / 2.0, a.y2 * 2.0))
-    v = w_mellin_fixed_d(cache, a.y2)
-    return v, cache.validation_residual
+                                y2_range=(a.y2, a.y2))
+    return w_mellin_fixed_d(cache, a.y2), cache.validation_residual
+
+
+# the only place the CLI names an algorithm: name -> (p, a, ns) -> (value, rel_error)
+_ALGORITHMS = {"stade": _stade,
+               "origin": _series(w_series_origin),
+               "smallarg": _series(w_series_small),
+               "mellin": _mellin}
 
 
 def _eval_one(p, a, algo, ns):
-    """(scaled value, relative error estimate, tag) for one algorithm."""
-    conj = False
+    """(scaled value, relative error estimate, tag) for one algorithm;
+    auto evaluates w_eval's route at its canonical argument order."""
+    swapped = False
     if algo == "auto":
-        algo, conj = choose_algorithm(p, a)
-        if conj:
-            a = a.swapped
-    if algo == "stade":
-        grid = None
-        if ns.grid_h is not None or ns.grid_n is not None:
-            base = default_stade_grid(p)
-            grid = replace(base,
-                           h=ns.grid_h if ns.grid_h is not None else base.h,
-                           N=ns.grid_n if ns.grid_n is not None else base.N)
-        v, err = _stade_with_error(p, a, grid)
-    elif algo == "origin":
-        v, err = _series_with_error(w_series_origin, p, a)
-    elif algo == "smallarg":
-        v, err = _series_with_error(w_series_small, p, a)
-    elif algo == "mellin":
-        v, err = _mellin_with_error(p, a, _mellin_grid_from(ns, p))
-    else:
-        raise SystemExit(1)
-    if conj:
-        v = v.conjugate()
-    return v, max(err, 2e-16), algo
+        algo, swapped = choose_algorithm(p, a)
+    v, err = _ALGORITHMS[algo](p, a.swapped if swapped else a, ns)
+    return v.conjugate() if swapped else v, max(err, 2e-16), algo
 
 
 def _emit(report: RunReport, ns, *extra_lines: str) -> None:
@@ -219,10 +216,6 @@ def cmd_whittaker(ns) -> int:
 def cmd_xcheck(ns) -> int:
     p = _params(ns)
     ys = ns.y_grid
-    algos = ["stade"]
-    if not p.is_degenerate():
-        algos += ["origin", "smallarg"]
-    algos.append("mellin")
     report = RunReport(operation="xcheck",
                        settings={"params": (p.r_alpha, p.r_beta, p.r_gamma),
                                  "y_grid": ys, "tol": ns.tol})
@@ -234,10 +227,9 @@ def cmd_xcheck(ns) -> int:
         for y2 in ys:
             a = WhittakerArgs(y1, y2)
             vals = {}
-            for algo in algos:
+            for algo, evaluate in _ALGORITHMS.items():
                 try:
-                    v, _, _ = _eval_one(p, a, algo, ns)
-                    vals[algo] = v
+                    vals[algo], _ = evaluate(p, a, ns)
                 except NumericsError:
                     continue
             pair_worst = 0.0
@@ -320,8 +312,7 @@ def _build_parser() -> _Parser:
     _add_param_flags(pw)
     pw.add_argument("--y1", type=float, required=True)
     pw.add_argument("--y2", type=float, required=True)
-    pw.add_argument("--algo", choices=["stade", "origin", "smallarg", "mellin", "auto"],
-                    default="auto")
+    pw.add_argument("--algo", choices=[*_ALGORITHMS, "auto"], default="auto")
     _add_grid_flags(pw)
     pw.set_defaults(func=cmd_whittaker)
 
@@ -353,7 +344,7 @@ def _build_parser() -> _Parser:
     pe.set_defaults(func=cmd_export_coeffs)
 
     for p in (pw, px, pm, pa, pe):
-        p.add_argument("--digits", type=_digits, default=12)
+        p.add_argument("--digits", type=_int_at_least(0), default=12)
         p.add_argument("--csv", default=None, help="also write rows to this CSV file")
     return ap
 

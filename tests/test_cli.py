@@ -1,4 +1,5 @@
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,20 @@ from sl3maass.coeffio import (CoefficientFileError, load_coefficient_file,
 from sl3maass.maass import expand_coefficients
 
 PARAMS = ["--alpha-im", "-1.3", "--beta-im", "2.1"]
+GEN_PARAMS = ["--alpha-im", "-3.7", "--beta-im", "1.2"]
+LIFT_PARAMS = ["--alpha-im", "-19.06739", "--beta-im", "19.06739"]
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def printed_rows(out: str) -> dict:
+    """label -> (value, err) of each value row a command printed."""
+    rows = {}
+    for line in out.splitlines():
+        if "err~" in line:
+            re_part, im_part, err, _ = line[28:].split()
+            rows[line[:28].strip()] = (complex(float(re_part), float(im_part[:-1])),
+                                       float(err.removeprefix("err~")))
+    return rows
 
 
 def write_sample_c1(path: Path, n_max: int = 12) -> Path:
@@ -137,6 +152,79 @@ def test_digits_and_y_grid_checked_at_parse_time(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "2.5"])
+def test_grid_n_must_be_an_integer_of_at_least_one(n, capsys):
+    # smallarg uses no grid, so only the parser can reject the value
+    with pytest.raises(SystemExit) as exc:
+        main(["whittaker", *PARAMS, "--y1", "0.4", "--y2", "0.6",
+              "--algo", "smallarg", f"--grid-n={n}"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid-n" in captured.err
+
+
+@pytest.mark.parametrize("override", [["--grid-h", "0.05"],
+                                      ["--sigma1", "2.5", "--sigma2", "1.5"],
+                                      ["--grid-n", "900"]],
+                         ids=["grid-h", "sigma", "grid-n"])
+def test_mellin_grid_overrides_are_applied(override, capsys):
+    base = ["whittaker", *GEN_PARAMS, "--y1", "0.5", "--y2", "0.7",
+            "--algo", "mellin", "--digits", "17"]
+    values = []
+    for argv in (base, base + override):
+        assert main(argv) == 0
+        values.append(printed_rows(capsys.readouterr().out)["unscaled value"][0])
+    default, overridden = values
+    assert overridden != default
+    assert abs(overridden - default) <= 1e-10 * abs(default)
+
+
+def test_grid_n_override_reaches_both_grids(capsys):
+    point = ["whittaker", *GEN_PARAMS, "--y1", "0.5", "--y2", "0.7", "--grid-n", "3"]
+    # three steps cannot cover the stade integrand's tails
+    assert main(point + ["--algo", "stade"]) == 2
+    capsys.readouterr()
+    # nor the Mellin lines, and validation says so
+    assert main(point + ["--algo", "mellin"]) == 0
+    _, err = printed_rows(capsys.readouterr().out)["scaled mantissa"]
+    assert err > 0.1
+
+
+def test_mellin_error_is_measured_at_the_printed_point(capsys):
+    # validated over [y2/2, 2 y2] this printed err~2.5e-11, while the value
+    # is 1.37e-10 off both the origin series and stade at half step
+    rc = main(["whittaker", *LIFT_PARAMS, "--y1", "0.1", "--y2", "0.2", "--algo", "mellin"])
+    assert rc == 0
+    _, err = printed_rows(capsys.readouterr().out)["scaled mantissa"]
+    assert err >= 1e-10
+
+
+def test_whittaker_prints_log10_beyond_float_range(capsys):
+    rc = main(["whittaker", *PARAMS, "--y1", "100", "--y2", "100", "--algo", "stade"])
+    assert rc == 0
+    rows = printed_rows(capsys.readouterr().out)
+    assert "unscaled value" not in rows
+    assert rows["unscaled log10|W|"][0].real == pytest.approx(-769.2, abs=0.05)
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The whittaker and xcheck lines of the README's Command line block;
+    the other subcommands there need a coefficient file."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    return [c[1:] for c in commands if c[1] in ("whittaker", "xcheck")]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = readme_cli_examples()
+    assert {argv[0] for argv in examples} == {"whittaker", "xcheck"}
+    for argv in examples:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("flag", ["--sigma1", "--sigma2"])

@@ -228,6 +228,16 @@ def test_stade_dual_symmetry():
     assert w.rel_diff(v.conjugate()) < 1e-9
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([LIFT, GENERIC, SMALL]),
+       st.floats(math.log(0.05), math.log(3.0)), st.floats(math.log(0.05), math.log(3.0)))
+def test_stade_dual_symmetry_property(p, log_y1, log_y2):
+    """W(y2, y1) = conj W(y1, y2) holds for the integral algorithm, whose
+    nodes are recentred at log(y2/y1) and so differ between the orders."""
+    a = WhittakerArgs(math.exp(log_y1), math.exp(log_y2))
+    assert w_stade(p, a.swapped).rel_diff(w_stade(p, a).conjugate()) < 1e-12
+
+
 def test_whittaker_decay():
     v44 = w_stade(LIFT, WhittakerArgs(4.0, 4.0))
     v22 = w_stade(LIFT, WhittakerArgs(2.0, 2.0))
@@ -765,6 +775,22 @@ def test_dispatcher_routing():
     assert choose_algorithm(deg, WhittakerArgs(0.05, 0.5)) == ("stade", False)
     # large product routes to the integral even when one argument is small
     assert choose_algorithm(GENERIC, WhittakerArgs(0.3, 15.0)) == ("stade", False)
+
+
+@pytest.mark.parametrize("y1, y2", [(0.3, 0.8), (0.8, 0.3)])
+def test_w_eval_falls_back_to_stade_when_the_series_guard_trips(y1, y2, monkeypatch,
+                                                                 caplog):
+    def tripped(p, a):
+        raise CancellationError("forced")
+
+    monkeypatch.setattr(whittaker, "w_series_small", tripped)
+    a = WhittakerArgs(y1, y2)
+    assert choose_algorithm(SMALL, a) == ("smallarg", y1 > y2)
+    with caplog.at_level("WARNING", logger="sl3maass.whittaker"):
+        got = w_eval(SMALL, a)
+    ref = w_stade(SMALL, WhittakerArgs(min(y1, y2), max(y1, y2)))
+    assert repr(got) == repr(ref.conjugate() if y1 > y2 else ref)
+    assert any("series guard tripped" in r.getMessage() for r in caplog.records)
 
 
 @settings(max_examples=25, deadline=None)
