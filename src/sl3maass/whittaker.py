@@ -474,18 +474,26 @@ _PHASE_STEP = 32
 # roundoff charged per accumulated term by the noise floor (about 2u)
 _ROUNDOFF = 2.3e-16
 
+# margin of the Mellin step rule: a log(pi^3 D) = 11 at D = 2e3, plus 14
+_ALIAS_MARGIN = 25.0
+
 
 def default_mellin_grid(p: LanglandsParams, eps: float = 1e-12) -> MellinGrid2D:
-    """Heuristic discretization: h = 2 pi / (60 + 10 |p|_inf) tempers the
-    exp(2 pi k sigma / h) aliasing term well below eps against the
-    exp(pi |alpha - beta|) scale; the truncation ranges follow the decay
-    rates of the gamma-product tails (3 pi/2 and pi/2 per unit offset on
-    the two lines) plus the plateau width set by the parameters."""
-    h = TWO_PI / (60.0 + 10.0 * p.sup_norm)
+    """The grid whose aliasing error is eps (0 < eps < 1) of the kernel's term
+    scale (MellinKernel.discretization_log).  The trapezoid rule aliases at
+    e^{-2 pi a / h} on an integrand analytic in |Im t| < a (Trefethen &
+    Weideman, SIAM Review 2014), a = min(sigma1 / 2, sigma2) from the gamma
+    poles, times e^{a |log(pi^3 D)|} from the k1-phases: so h = 2 pi a /
+    (log(1/eps) + _ALIAS_MARGIN), with no |p| term.  The half-widths t follow
+    the gamma tails (3 pi/2, pi/2 per unit) plus the plateau; N = ceil(t / h)."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
+    sigma1 = sigma2 = 2.0
+    h = TWO_PI * min(sigma1 / 2.0, sigma2) / (_ALIAS_MARGIN - math.log(eps))
     tau = -math.log(eps) + 14.0
     t1 = tau / math.pi + 0.5 * p.sup_norm + 6.0
     t2 = 2.0 * tau / math.pi + p.sup_norm + 10.0
-    return MellinGrid2D(h=h, sigma1=2.0, sigma2=2.0,
+    return MellinGrid2D(h=h, sigma1=sigma1, sigma2=sigma2,
                         N1=int(math.ceil(t1 / h)), N2=int(math.ceil(t2 / h)))
 
 
@@ -557,6 +565,13 @@ class MellinKernel:
         _PRODUCT_BYTES."""
         per_column = 16 * (self.a.size + self.abs_rows.size)
         return max(1, (_PRODUCT_BYTES - 16 * _BLOCK_ELEMS) // per_column)
+
+    @property
+    def discretization_log(self) -> float:
+        """log of the predicted aliasing error of one outer sum before its y2
+        prefactor, as noise_log: default_mellin_grid's step rule inverted."""
+        a = min(self.grid.sigma1 / 2.0, self.grid.sigma2)
+        return self.log_scale + math.log(self.abs_peak) + _ALIAS_MARGIN - TWO_PI * a / self.grid.h
 
     def inner(self, Ds: Sequence[float]) -> np.ndarray:
         """inner_D for every D of Ds, as the columns of a
@@ -656,7 +671,7 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     evaluations.  `inner`, when given, is this D's column of a multi-D
     kernel product (the Maass assembly forms its columns in waves); the
     cache wraps it and forms no product.  The cache is validated exactly
-    when y2_range is given: one batch query at its two ends against
+    when y2_range is given: one batch query at its distinct ends against
     w_eval, whose worst deviation relative to max(|W|, eps) is stored;
     eps is an absolute level in the scaled convention and may exceed 1.
     """
@@ -681,8 +696,8 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     # assembly needs there
     floor_log = math.log(eps)
     resid = 0.0
-    got, _ = w_mellin_fixed_d(cache, np.array([lo, hi]))
-    for y2, w in zip((lo, hi), got):
+    ends = np.unique([lo, hi])
+    for y2, w in zip(ends.tolist(), w_mellin_fixed_d(cache, ends)[0]):
         ref = w_eval(p, WhittakerArgs(math.sqrt(D / y2), y2))
         diff = (w - ref).log_abs()
         resid = max(resid, math.exp(diff - max(ref.log_abs(), floor_log)))
@@ -716,8 +731,8 @@ def w_mellin_fixed_d(cache: FixedDCache, y2):
     (y2 x 32) @ (32 x anchors) product plus a row-wise dot with the anchor
     phases, and only (2 N2 + 1) / 32 phases per y2 are formed.  Each
     factored phase carries a few u more rounding than a direct one; at the
-    lift's grid the sums move by at most 4e-13 of max |inner|, below the
-    floor's (2 N2 + 1) u max |inner| term (1.1e-12 of it).
+    lift's grid the sums move by at most 9.3e-14 of max |inner|, below the
+    floor's (2 N2 + 1) u max |inner| term (2.5e-13 of it).
     """
     y2s = np.atleast_1d(np.asarray(y2, dtype=float))
     if y2s.ndim != 1:

@@ -10,7 +10,10 @@ import pytest
 from sl3maass.cli import main
 from sl3maass.coeffio import (CoefficientFileError, load_coefficient_file,
                               write_coefficient_file)
+from sl3maass.langlands import LanglandsParams
 from sl3maass.maass import expand_coefficients
+from sl3maass.whittaker import (WhittakerArgs, default_stade_grid, w_series_origin,
+                                w_stade)
 
 PARAMS = ["--alpha-im", "-1.3", "--beta-im", "2.1"]
 GEN_PARAMS = ["--alpha-im", "-3.7", "--beta-im", "1.2"]
@@ -194,12 +197,17 @@ def test_grid_n_override_reaches_both_grids(capsys):
 
 
 def test_mellin_error_is_measured_at_the_printed_point(capsys):
-    # validated over [y2/2, 2 y2] this printed err~2.5e-11, while the value
-    # is 1.37e-10 off both the origin series and stade at half step
-    rc = main(["whittaker", *LIFT_PARAMS, "--y1", "0.1", "--y2", "0.2", "--algo", "mellin"])
+    # validated over [y2/2, 2 y2] the printed err was a fifth of the value's
+    # deviation from the origin series and from stade at half step
+    rc = main(["whittaker", *LIFT_PARAMS, "--y1", "0.1", "--y2", "0.2", "--algo", "mellin",
+               "--digits", "17"])
     assert rc == 0
-    _, err = printed_rows(capsys.readouterr().out)["scaled mantissa"]
-    assert err >= 1e-10
+    value, err = printed_rows(capsys.readouterr().out)["unscaled value"]
+    p, a = LanglandsParams(-19.06739, 19.06739), WhittakerArgs(0.1, 0.2)
+    refs = [w.to_complex(extra_log=-p.scale_shift) for w in
+            (w_series_origin(p, a), w_stade(p, a, default_stade_grid(p).halved()))]
+    assert abs(refs[0] - refs[1]) < 1e-13 * abs(refs[0])
+    assert err >= 0.5 * abs(value - refs[0]) / abs(refs[0])
 
 
 def test_whittaker_prints_log10_beyond_float_range(capsys):

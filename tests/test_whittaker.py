@@ -581,6 +581,94 @@ def test_cache_accepts_eps_above_one():
     assert math.isfinite(cache.validation_residual)
 
 
+def test_cache_validates_coinciding_ends_once(monkeypatch):
+    # the residual is the one a two-point batch at (y2, y2) gave, up to
+    # the batch's last bits
+    plain = build_fixed_d_cache(SMALL, 0.4)
+    y2 = 0.6
+    (w, _), _ = w_mellin_fixed_d(plain, np.array([y2, y2]))
+    ref = w_eval(SMALL, WhittakerArgs(math.sqrt(0.4 / y2), y2))
+    expected = math.exp((w - ref).log_abs() - max(ref.log_abs(), math.log(1e-12)))
+    evals = _spy(monkeypatch, "w_eval")
+    cache = build_fixed_d_cache(SMALL, 0.4, y2_range=(y2, y2))
+    assert len(evals) == 1
+    assert cache.validation_residual == pytest.approx(expected, rel=1e-3)
+    build_fixed_d_cache(SMALL, 0.4, y2_range=(0.5, y2))
+    assert len(evals) == 3
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 1.0, 10.0, 1e30])
+def test_default_mellin_grid_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps"):
+        default_mellin_grid(GENERIC, eps)
+    # a cache without a grid takes it from its eps, so eps >= 1 fails too
+    with pytest.raises(ValueError, match="eps"):
+        build_fixed_d_cache(GENERIC, 1.0, eps=eps)
+
+
+# ---------------------------------------------------------------------------
+# Mellin step rule: h = 2 pi a / (log(1/eps) + margin), no |p| term
+# ---------------------------------------------------------------------------
+
+# D of the step-rule checks, each at 16 y2 in [D / 13^2, 13], so that
+# both arguments stay at most 13
+RULE_DS = (1e-3, 0.1, 3.7, 100.0, 2e3)
+
+
+def rule_points(D):
+    return np.geomspace(D / 13.0 ** 2, 13.0, 16)
+
+
+def predicted_error_log(p, eps, D):
+    """log of the absolute error that the rule's kernel at eps predicts at
+    each point of D."""
+    cache = build_fixed_d_cache(p, D, grid=default_mellin_grid(p, eps))
+    return (cache.kernel.discretization_log
+            + _outer_prefactor_log(cache, rule_points(D)) + p.scale_shift)
+
+
+def half_step_excess(p, grid, D, predicted_log):
+    """Largest log of |W_h - W_{h/2}| over the tolerance, the predicted
+    error plus both batch floors; the half step keeps t1 = N1 h and
+    t2 = N2 h."""
+    half = replace(grid, h=grid.h / 2.0, N1=2 * grid.N1, N2=2 * grid.N2)
+    (got, floors), (ref, ref_floors) = (
+        w_mellin_fixed_d(build_fixed_d_cache(p, D, grid=g), rule_points(D))
+        for g in (grid, half))
+    tol = np.logaddexp(np.logaddexp(floors, ref_floors), predicted_log)
+    dev = np.array([(w - r).log_abs() for w, r in zip(got, ref)])
+    return float(np.max(dev - tol))
+
+
+@pytest.mark.parametrize("p", [LIFT, GENERIC, SMALL], ids=["LIFT", "GEN", "SMALL"])
+@pytest.mark.parametrize("eps", [1e-10, 1e-14])
+def test_mellin_step_rule_keeps_its_error_statement(p, eps):
+    grid = default_mellin_grid(p, eps)
+    for D in RULE_DS:
+        assert half_step_excess(p, grid, D, predicted_error_log(p, eps, D)) < 0.0
+
+
+def test_mellin_step_rule_check_fails_at_a_coarser_step():
+    # at 2.5 times the rule's step, on the same ranges, GEN aliases above
+    # the tolerance that the rule's own kernel gives
+    grid = default_mellin_grid(GENERIC, 1e-10)
+    coarse = replace(grid, h=2.5 * grid.h, N1=math.ceil(grid.N1 / 2.5),
+                     N2=math.ceil(grid.N2 / 2.5))
+    assert max(half_step_excess(GENERIC, coarse, D, predicted_error_log(GENERIC, 1e-10, D))
+               for D in RULE_DS) > 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-14])
+def test_mellin_step_has_no_parameter_term(eps):
+    lift, gen = default_mellin_grid(LIFT, eps), default_mellin_grid(GENERIC, eps)
+    assert lift.h == gen.h
+    assert lift.N1 > gen.N1 and lift.N2 > gen.N2
+    # the kernel's prediction inverts the rule: eps of its term scale
+    kernel = mellin_kernel(GENERIC, gen)
+    assert kernel.discretization_log == pytest.approx(
+        kernel.log_scale + math.log(kernel.abs_peak) + math.log(eps), abs=1e-9)
+
+
 def test_coarse_cache_fails_validation(caplog):
     grid = replace(default_mellin_grid(GENERIC), N1=8, N2=8)
     with caplog.at_level("WARNING", logger="sl3maass.whittaker"):
