@@ -10,24 +10,33 @@ backends are available:
 * the inverse Mellin transform of the gamma-pair Gamma((s+mu)/2)
   Gamma((s-mu)/2) along a vertical line.
 
-This script prints both on a small grid and checks the Bessel
-differential equation with finite differences.
+This script prints both on a small grid and at large arguments, where
+the Mellin line sum's terms carry the factor (x/2)^-sigma, and exits
+non-zero if the backends differ by more than 1e-9 anywhere.  It also
+checks the Bessel differential equation with finite differences.
 """
 
 import math
+import sys
 import time
 
 from sl3maass import bessel_k, bessel_k_mellin, bessel_k_prime, bessel_k_scaled
 
+TOL = 1e-9
+worst = 0.0
 print(f"{'order':>10} {'x':>6} {'cosh-integral':>24} {'inverse Mellin':>24} {'rel diff':>10}")
-for m in (0.0, 1.0, 10.0, 40.0):
-    for x in (0.5, 2.0, 10.0):
-        t0 = time.perf_counter()
-        a = bessel_k(1j * m, x)
-        dt_a = time.perf_counter() - t0
-        b = bessel_k_mellin(1j * m, x)
-        print(f"{m:>9}i {x:>6} {a:>24.16e} {b:>24.16e} {abs(a - b) / abs(b):>10.2e}"
-              f"   ({dt_a * 1e3:.2f} ms)")
+grid = [(m, x) for m in (0.0, 1.0, 10.0, 40.0) for x in (0.5, 2.0, 10.0)]
+grid += [(m, x) for m in (0.0, 10.0) for x in (22.0, 30.0)]
+for m, x in grid:
+    t0 = time.perf_counter()
+    a = bessel_k(1j * m, x)
+    dt_a = time.perf_counter() - t0
+    b = bessel_k_mellin(1j * m, x)
+    rel = abs(a - b) / abs(b)
+    worst = max(worst, rel)
+    print(f"{m:>9}i {x:>6} {a:>24.16e} {b:>24.16e} {rel:>10.2e}"
+          f"   ({dt_a * 1e3:.2f} ms)")
+print(f"largest backend difference {worst:.2e} (tolerance {TOL:g})")
 
 # the differential equation x^2 K'' + x K' - (x^2 + mu^2) K = 0, checked
 # with a centered second difference
@@ -45,3 +54,6 @@ v = bessel_k_scaled(0.0, 800.0)
 print(f"\nK_0(800) = {v.mantissa.real:.12f} * exp({v.log_scale:.4f})")
 print(f"plain-float asymptotic sqrt(pi/(2x)) e^-x gives log = "
       f"{-800 + 0.5 * math.log(math.pi / 1600):.4f}")
+
+if not worst <= TOL:
+    sys.exit(f"backends differ by {worst:.2e}, more than {TOL:g}")

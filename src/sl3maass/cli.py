@@ -137,7 +137,7 @@ def _given(**fields) -> dict:
 
 
 def _stade(p, a, ns):
-    grid = replace(default_stade_grid(p), **_given(h=ns.grid_h, N=ns.grid_n))
+    grid = replace(default_stade_grid(p, a), **_given(h=ns.grid_h, N=ns.grid_n))
     return _refined(lambda g: w_stade(p, a, g), grid, grid.halved())
 
 

@@ -370,7 +370,10 @@ def bessel_k_mellin(mu, x: float, h: float = 0.125, sigma: float | None = None) 
     The line Re s = sigma defaults to max(2, x - |mu|), which keeps the
     largest term of the sum near the size of the result: for |mu| >= x the
     line wants to hug the pole lines, while for x >> |mu| it moves right
-    toward the saddle of Gamma(s/2)^2 (x/2)^(-s).
+    toward the saddle of Gamma(s/2)^2 (x/2)^(-s).  The sum runs over a
+    node range fixed a priori by the decay of the gamma pair.  sigma must
+    be positive (right of the gamma poles) and h positive, both finite;
+    anything else raises ValueError.
     """
     from .quadrature import QuadratureGrid, inverse_mellin_line
 
@@ -379,6 +382,9 @@ def bessel_k_mellin(mu, x: float, h: float = 0.125, sigma: float | None = None) 
         raise DomainError(f"K-Bessel argument must be positive, got {x}")
     if sigma is None:
         sigma = max(2.0, float(x) - order.t)
+    for name, v in (("h", h), ("sigma", sigma)):
+        if not (v > 0.0) or not math.isfinite(v):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     mu_c = order.mu
 
     def transform(s: np.ndarray) -> ScaledArray:
@@ -388,11 +394,8 @@ def bessel_k_mellin(mu, x: float, h: float = 0.125, sigma: float | None = None) 
     # plateau of the gamma product extends to |t| ~ 2|mu|; beyond it the
     # terms decay like exp(-pi(|t|-2m)/4) per gamma pair
     m = order.t
-    peak = float(transform(np.array([complex(sigma)])).log_abs()[0])
     n_max = int((2.0 * m + 4.0 * (_TAIL_LOG + 8.0) / math.pi + 20.0) / h) + 8
-    grid = QuadratureGrid(h=h, sigma=sigma, N=n_max,
-                          stop_threshold=math.exp(peak - _TAIL_LOG - 6.0),
-                          stop_run=8)
+    grid = QuadratureGrid(h=h, sigma=sigma, N=n_max)
     # 4 K_mu(2 pi y) = (1/2 pi i) int GG (pi y)^(-s) ds, so the plain
     # y^(-s) line sum is called at pi y = x/2
     val = inverse_mellin_line(transform, x / 2.0, grid)

@@ -29,6 +29,7 @@ inner Mellin integrals.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
@@ -132,11 +133,15 @@ def _k_log_magnitude(m: float, x: float) -> float:
     return -0.5 * math.pi * m
 
 
-def default_stade_grid(p: LanglandsParams) -> QuadratureGrid:
-    """Step resolving the exp(-3 gamma u / 4) oscillation, wide N cap,
-    threshold filled in per evaluation."""
+def default_stade_grid(p: LanglandsParams, a: WhittakerArgs | None = None) -> QuadratureGrid:
+    """Step resolving the exp(-3 gamma u / 4) oscillation and, with the
+    arguments given, the integrand's peak, whose width in u is about
+    1/sqrt(pi sqrt(y1 y2)); N caps the node range w_stade fixes per
+    evaluation."""
     h = min(1.0 / 16.0, math.pi / (5.0 * (1.0 + 0.75 * abs(p.r_gamma))))
-    return QuadratureGrid(h=h, N=20000, stop_threshold=0.0, stop_run=5)
+    if a is not None:
+        h = min(h, 0.74 / math.sqrt(math.pi * math.sqrt(a.y1 * a.y2)))
+    return QuadratureGrid(h=h, N=20000)
 
 
 def w_stade(p: LanglandsParams, a: WhittakerArgs,
@@ -149,11 +154,13 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
 
     mu = (alpha-beta)/2, evaluated by trapezoid_line.  The grid is
     recentred at u0 = log(y2/y1), where the doubly exponentially decaying
-    integrand peaks.  Applicable for all argument sizes; each block of
-    trapezoid nodes costs two array K-Bessel calls.
+    integrand peaks.  The half-width is fixed before sampling, from an
+    envelope of the integrand's tails; NonConvergenceError is raised when
+    it exceeds grid.N.  Applicable for all argument sizes; one call of the
+    integrand samples every node with two array K-Bessel calls.
     """
     if grid is None:
-        grid = default_stade_grid(p)
+        grid = default_stade_grid(p, a)
     alpha, beta, g = p.triple
     mu = (alpha - beta) / 2.0
     m = abs(mu.imag)
@@ -173,18 +180,30 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
         x2 = TWO_PI * y2 * np.where(u >= 0.0, 1.0, grow) * root
         out = (bessel_k_scaled(mu, x1) * bessel_k_scaled(mu, x2)
                * ScaledArray.from_log(-0.75j * p.r_gamma * u))
-        peak_log = max(peak_log, float(out.log_abs().max()))
+        peak_log = float(out.log_abs().max())
         return out
 
-    # threshold relative to the integrand scale near the peak; |K| can
-    # vanish at an oscillation zero, so probe a few nodes
+    # floor relative to the integrand scale near the peak; |K| can vanish
+    # at an oscillation zero, so probe a few nodes
     probe = max(_k_log_magnitude(m, TWO_PI * y1 * math.sqrt(1.0 + math.exp(u0 + s)))
                 + _k_log_magnitude(m, TWO_PI * y2 * math.sqrt(1.0 + math.exp(-u0 - s)))
                 for s in (-2.0, -1.0, 0.0, 1.0, 2.0))
-    grid = QuadratureGrid(h=grid.h, N=grid.N,
-                          stop_threshold=math.exp(probe - 44.0),
-                          stop_run=max(grid.stop_run, 5))
-    total = trapezoid_line(integrand, grid)
+    # half-width from the envelope of the tails: at v = u - u0, x1 >= S
+    # e^{v/2} for v > 0 and x2 >= S e^{|v|/2} for v < 0, with S = 2 pi
+    # sqrt(y1 y2), while the other factor is at most about e^{-pi m/2}.
+    # Arguments past e^700 lie far below any floor
+    log_s = math.log(TWO_PI) + 0.5 * (math.log(y1) + math.log(y2))
+
+    def below_floor(k: int) -> bool:
+        x = math.exp(min(log_s + 0.5 * k * grid.h, 700.0))
+        return _k_log_magnitude(m, x) - 0.5 * math.pi * m < probe - 44.0
+
+    n = 1 + bisect.bisect_left(range(1, grid.N + 1), True, key=below_floor)
+    if n > grid.N:
+        raise NonConvergenceError(
+            f"double-Bessel integrand at ({y1:g}, {y2:g}) does not fall below "
+            f"its floor within N={grid.N} steps of h={grid.h:g}")
+    total = trapezoid_line(integrand, replace(grid, N=n))
     # the e^{-3 g u/4} phase can cancel the node values far below their
     # size; each node carries ~1e-14 relative Bessel noise, so the result
     # keeps only ~14 - log10(ratio) digits

@@ -122,8 +122,8 @@ def test_quadrature_convergence():
     k0_integrand = lambda x: ScaledArray.from_log(-np.cosh(x))
     ratios = []
     for f, h in ((gaussian, 0.8), (k0_integrand, 1.0)):
-        g1 = QuadratureGrid(h=h, N=400, stop_threshold=1e-24, stop_run=5)
-        g2 = QuadratureGrid(h=h / 2, N=800, stop_threshold=1e-24, stop_run=5)
+        g1 = QuadratureGrid(h=h, N=400)
+        g2 = QuadratureGrid(h=h / 2, N=800)
         _, e1 = refine_check(f, g1)
         _, e2 = refine_check(f, g2)
         ratios.append(e1 / max(e2, 1e-300))

@@ -197,6 +197,17 @@ def test_dual_backend_at_large_argument():
     assert abs(a - b) <= 1e-10 * abs(b)
 
 
+@pytest.mark.parametrize("m", [0.0, 10.0, 19.067])
+def test_mellin_backend_against_mpmath_at_large_argument(m):
+    # the summed terms carry (x/2)^-sigma; a tail walk stopped by the
+    # transform's size alone left m = 0 wrong by 0.82 at x = 22
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for x in (16.0, 22.0, 30.0, 40.0):
+        ref = float(mp.re(mp.besselk(1j * m, x)))
+        assert abs(bessel_k_mellin(1j * m, x) - ref) <= 1e-12 * abs(ref), x
+
+
 def test_bessel_differential_equation():
     # second difference of K matches ((x^2 + mu^2) K - x K') / x^2
     h = 1e-4

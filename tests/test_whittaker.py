@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sl3maass.errors import (AccuracyRangeError, CancellationError,
                              DegenerateParametersError, NonConvergenceError)
 from sl3maass.langlands import LanglandsParams, permutations
-from sl3maass.quadrature import (BLOCK, MellinGrid2D, QuadratureGrid,
+from sl3maass.quadrature import (MellinGrid2D, QuadratureGrid,
                                  inverse_mellin_line, trapezoid_line)
 from sl3maass.scaled import ScaledArray, ScaledComplex
 from sl3maass.specfun import (GammaRatioSpec, _log_gamma_array,
@@ -134,7 +134,7 @@ def in_integral_oracle(p: LanglandsParams, n: int, y: float) -> complex:
             - _log_gamma_array(np.where(pole, 1.0, den)))
         return ScaledArray(np.where(pole, 0.0, out.mantissa), out.log_scale)
 
-    grid = QuadratureGrid(h=0.1, sigma=2.0, N=5000, stop_threshold=1e-26, stop_run=6)
+    grid = QuadratureGrid(h=0.1, sigma=2.0, N=5000)
     return inverse_mellin_line(transform, math.pi * y, grid).to_complex()
 
 
@@ -244,28 +244,59 @@ def test_whittaker_decay():
     assert v44.log_abs() - v22.log_abs() < -4.0
 
 
+def stade_node_arrays(monkeypatch) -> list:
+    """Spy on the trapezoid rule inside whittaker: the abscissas of every
+    integrand call."""
+    nodes = []
+
+    def counting_rule(f, grid):
+        def block(t):
+            nodes.append(t)
+            return f(t)
+        return trapezoid_line(block, grid)
+
+    monkeypatch.setattr(whittaker, "trapezoid_line", counting_rule)
+    return nodes
+
+
 def test_stade_bessel_calls_per_block(monkeypatch):
-    # the integrand is evaluated on blocks of nodes, with one array K call
-    # per Bessel factor; a per-node loop would make two calls per node
+    # the node range is fixed before sampling, so the integrand is called
+    # once on all nodes, with one array K call per Bessel factor
     k_calls = []
-    blocks = []
 
     def counting_k(mu, x):
         k_calls.append(np.size(x))
         return bessel_k_scaled(mu, x)
 
-    def counting_rule(f, grid):
-        def block(t):
-            blocks.append(t.size)
-            return f(t)
-        return trapezoid_line(block, grid)
-
     monkeypatch.setattr(whittaker, "bessel_k_scaled", counting_k)
-    monkeypatch.setattr(whittaker, "trapezoid_line", counting_rule)
+    nodes = stade_node_arrays(monkeypatch)
     w_stade(LIFT, WhittakerArgs(0.6, 1.0))
-    assert len(blocks) <= math.ceil(sum(blocks) / BLOCK)
-    assert len(k_calls) <= 2 * len(blocks)
-    assert sum(k_calls) == 2 * sum(blocks)
+    assert len(nodes) == 1
+    assert k_calls == [nodes[0].size, nodes[0].size]
+
+
+def test_stade_node_range_at_large_arguments(monkeypatch):
+    # the tail walk's threshold underflowed to 0 near y = 40, which
+    # switched truncation off: all 40001 nodes of the default grid were
+    # sampled
+    nodes = stade_node_arrays(monkeypatch)
+    w_eval(SMALL, WhittakerArgs(40.0, 40.0))
+    assert len(nodes) == 1 and nodes[0].size <= 400
+
+
+@pytest.mark.parametrize("y", [70.0, 100.0])
+def test_stade_default_step_resolves_the_peak(y, monkeypatch):
+    # the integrand's peak is about 1/sqrt(pi sqrt(y1 y2)) wide in u; at
+    # h = 1/16 these points were 7.7e-10 and 5.2e-7 off the quarter step
+    a = WhittakerArgs(y, y)
+    ref = w_stade(SMALL, a, whittaker.default_stade_grid(SMALL).halved().halved())
+    assert w_stade(SMALL, a).rel_diff(ref) < 1e-12
+    # an explicit grid keeps its step, so halving it halves the step used
+    nodes = stade_node_arrays(monkeypatch)
+    grid = whittaker.default_stade_grid(SMALL)
+    w_stade(SMALL, a, grid)
+    w_stade(SMALL, a, grid.halved())
+    assert [t[t.size // 2 + 1] for t in nodes] == [1.0 / 16.0, 1.0 / 32.0]
 
 
 def test_series_work_per_call(monkeypatch):
