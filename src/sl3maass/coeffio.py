@@ -14,6 +14,7 @@ Moebius identity (see expand_coefficients).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,13 @@ class CoefficientFileError(ValueError):
 class _Parsed:
     params: LanglandsParams
     table: dict[tuple[int, int], complex]
+
+
+def _coefficient(path: Path, lineno: int, re: str, im: str) -> complex:
+    v = complex(float(re), float(im))
+    if not cmath.isfinite(v):
+        raise CoefficientFileError(f"{path}:{lineno}: coefficient must be finite, got {re} {im}")
+    return v
 
 
 def _parse(path: Path) -> _Parsed:
@@ -61,7 +69,7 @@ def _parse(path: Path) -> _Parsed:
                     raise CoefficientFileError(f"{path}:{lineno}: index must be >= 1")
                 if n in c1:
                     raise CoefficientFileError(f"{path}:{lineno}: duplicate c1 row n={n}")
-                c1[n] = complex(float(parts[2]), float(parts[3]))
+                c1[n] = _coefficient(path, lineno, parts[2], parts[3])
             elif key == "c2":
                 body_started = True
                 m1, m2 = int(parts[1]), int(parts[2])
@@ -70,7 +78,7 @@ def _parse(path: Path) -> _Parsed:
                 if (m1, m2) in c2:
                     raise CoefficientFileError(
                         f"{path}:{lineno}: duplicate c2 row ({m1},{m2})")
-                c2[(m1, m2)] = complex(float(parts[3]), float(parts[4]))
+                c2[(m1, m2)] = _coefficient(path, lineno, parts[3], parts[4])
             else:
                 raise CoefficientFileError(f"{path}:{lineno}: unknown key {key!r}")
         except (IndexError, ValueError) as exc:

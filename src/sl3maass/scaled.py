@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -189,16 +189,8 @@ class ScaledArray:
         w = np.asarray(w, dtype=np.complex128)
         return ScaledArray(np.exp(1j * w.imag), w.real)
 
-    @staticmethod
-    def concatenate(parts: Sequence["ScaledArray"]) -> "ScaledArray":
-        return ScaledArray(np.concatenate([p.mantissa for p in parts]),
-                           np.concatenate([p.log_scale for p in parts]))
-
     def __len__(self) -> int:
         return self.mantissa.shape[0]
-
-    def __getitem__(self, idx) -> "ScaledArray":
-        return ScaledArray(self.mantissa[idx], self.log_scale[idx])
 
     def item(self, i: int) -> ScaledComplex:
         """Element i as a (normalized) ScaledComplex."""

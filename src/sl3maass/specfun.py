@@ -3,17 +3,18 @@ K-Bessel function of purely imaginary order.
 
 The K-Bessel function has two independent backends:
 
-* backend A integrates ``K_mu(x) = int_0^inf exp(-x cosh t) cos(|mu| t) dt``
-  (real for imaginary order) with the trapezoid rule.  When the order is
-  large compared to the argument, the same integral is evaluated on the
-  Cauchy-equivalent horizontal contour ``t = s + i*theta``; this pulls the
-  exp(-pi|mu|/2) amplitude out as an explicit prefactor instead of losing
-  it to cancellation between O(1) samples.  ``bessel_k_scaled`` and
-  ``bessel_k_prime_scaled`` take one order and a scalar or a 1-D array of
-  arguments: every argument gets its own truncation and its own choice of
-  rule, the samples of one rule form one (arguments x nodes) array, and
-  each argument's samples are reduced on their own, within an ulp of
-  their exact sum (see _half_line_sums and the README).
+* backend A integrates ``K_mu(x) = (1/2) int_R exp(-x cosh t + i|mu| t) dt``
+  (real for imaginary order) with the trapezoid rule on one horizontal
+  line ``t = s + i*theta``: the real axis, or, when the order is large
+  compared to the argument, the Cauchy-equivalent theta = pi/2 - 2/|mu|,
+  which pulls the exp(-pi|mu|/2) amplitude out as an explicit prefactor
+  instead of losing it to cancellation between O(1) samples.
+  ``bessel_k_scaled`` and ``bessel_k_prime_scaled`` take one order and a
+  scalar or a 1-D array of arguments: every argument gets its own
+  truncation and rule key (its line, and on the axis its step), the
+  samples of one key form one (arguments x nodes) array, and each
+  argument's samples are reduced on their own, within an ulp of their
+  exact sum (see _bessel_line, _half_line_sums and the README).
 
 * backend B inverts the Mellin transform
   ``4 K_mu(2 pi y) = (1/2 pi i) int Gamma((s+mu)/2) Gamma((s-mu)/2) (pi y)^-s ds``
@@ -186,8 +187,8 @@ def _as_order(mu) -> BesselOrder:
     return BesselOrder(complex(mu))
 
 
-# Ratio log(max integrand / result) above which the plain real-axis rule
-# loses too many digits and the shifted contour takes over.
+# Ratio log(max integrand / result) above which the real axis loses too
+# many digits and the shifted line takes over.
 _SHIFT_THRESHOLD = 8.0
 # Contour sits at theta = pi/2 - _SHIFT_MARGIN/m, keeping the residual
 # cancellation on the shifted line near exp(_SHIFT_MARGIN).
@@ -222,76 +223,54 @@ def _half_line_sums(g: np.ndarray, n: np.ndarray, h: float) -> np.ndarray:
     return h * (np.add.reduceat(q.ravel(), seg)[0::2] + np.add.reduceat(r.ravel(), seg)[0::2])
 
 
-def _bessel_plain(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Real-axis trapezoid sums for K_{im}(x), as (mantissa, log scale)
-    with the scale exp(-x) pulled out.
+def _bessel_line(m: float, x: np.ndarray, derivative: bool, key: int,
+                 h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid sums for K_{im}(x), or K' if derivative, on the line
+    t = s + i theta, as (mantissa, log scale).  key < 0 is the shifted line
+    theta = pi/2 - eps with eps = _SHIFT_MARGIN/m, which sets its own step;
+    key k >= 0 is the real axis theta = 0 with the step h halved k times.
 
-    Integrand exp(-x(cosh t - 1)) cos(m t) decays doubly exponentially;
-    uniform step h = min(1/64, 1/(4m)) resolves the cosine.  Near t = 0
-    the envelope is exp(-x t^2 / 2), whose trapezoid sums are off by about
-    2 exp(-2 pi^2 / (x h^2)); the step is halved for each factor 4 by
-    which x exceeds the point where that error reaches e^-_TAIL_LOG, so
-    every argument has its own step and the rows of one step are summed
-    together.
+    K_{im}(x) = (1/2) int_R exp(-x cosh t + i m t) dt.  The log scale
+    -m theta - x cos(theta) (exactly -x on the axis) takes out the size of
+    the integrand on Im t = theta, so the shifted line loses the
+    exp(-pi m / 2) cancellation of the axis.  The line integral is real and
+    Re of the integrand is even in s: only its s >= 0 half is summed.
+
+    Moving the shifted line by iv gives |f| <= exp(-m v) for 0 < v < eps
+    and <= exp(m|v|) below, so its step beats both aliasing terms
+    exp(-(2 pi/h) 0.9 eps) and exp(-(2 pi/h - m) * 1).  The axis step
+    1/max(64, 4m) resolves cos(m t); it is halved once for each factor 4
+    by which x exceeds the point where the trapezoid error of the
+    envelope exp(-x t^2 / 2) near t = 0, about 2 exp(-2 pi^2 / (x h^2)),
+    reaches e^-_TAIL_LOG (see _bessel_backend_a).
     """
-    h = 1.0 / 64.0
-    if m > 0:
-        h = min(h, 1.0 / (4.0 * m))
-    x_resolved = 2.0 * math.pi ** 2 / (_TAIL_LOG * h * h)
-    if x.max() <= x_resolved:
-        return _bessel_plain_sums(m, x, derivative, h), -x
-    halvings = np.maximum(0.0, np.ceil(0.5 * np.log2(x / x_resolved)))
-    mantissa = np.empty(x.shape)
-    for k in np.unique(halvings):
-        rows = halvings == k
-        mantissa[rows] = _bessel_plain_sums(m, x[rows], derivative, h * 0.5 ** k)
-    return mantissa, -x
-
-
-def _bessel_plain_sums(m: float, x: np.ndarray, derivative: bool, h: float) -> np.ndarray:
-    """The mantissas of _bessel_plain for arguments that share the step h."""
-    t_max = np.arccosh(1.0 + (_TAIL_LOG + 4.0) / x)
-    n = np.ceil(t_max / h).astype(np.int64) + 2
-    t = np.arange(n.max() + 2) * h
-    # cosh t - 1 as 2 sinh(t/2)^2: the subtraction would leave an absolute
-    # error of u in the exponent's factor, x u in the exponent
-    g = np.exp(-x[:, None] * (2.0 * np.sinh(0.5 * t) ** 2)) * np.cos(m * t)
-    if derivative:
-        g = -np.cosh(t) * g
-    return _half_line_sums(g, n, h)
-
-
-def _bessel_shifted(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid sums for K_{im}(x) on the line Im t = theta < pi/2, as
-    (mantissa, log scale).
-
-    K_{im}(x) = (1/2) int_R exp(-x cosh t + i m t) dt; pushing the whole
-    line up to t = s + i theta multiplies the integrand by exp(-m theta)
-    and leaves the envelope exp(-x cos(theta) cosh s), which removes the
-    exp(-pi m / 2) cancellation of the real-axis form.  The imaginary part
-    of the line integral vanishes and the real part of the integrand is
-    even in s, so only Re of the s >= 0 half is summed.
-    """
-    eps = _SHIFT_MARGIN / m
-    cos_t = math.sin(eps)   # cos(theta) for theta = pi/2 - eps
-    sin_t = math.cos(eps)
-    xc = x * cos_t
-    s_max = np.arccosh(1.0 + (_TAIL_LOG + 6.0) / xc)
-    # aliasing bound: shifting the line by iv maps theta -> theta + v, so
-    # |f| <= exp(-m v) for 0 < v < eps and <= exp(m|v|) below; the step
-    # must beat both exp(-(2 pi/h) 0.9 eps) and exp(-(2 pi/h - m) * 1)
-    h = min(1.0 / 64.0, eps / 10.0, 2.0 * math.pi / (m + _TAIL_LOG + 10.0))
-    n = np.ceil(s_max / h).astype(np.int64) + 2
-    s = np.arange(n.max() + 2) * h
-    sinh_s = np.sinh(s)
-    phase = m * s - (x * sin_t)[:, None] * sinh_s
-    g = np.exp(-xc[:, None] * (2.0 * np.sinh(0.5 * s) ** 2))
-    if derivative:
-        # Re of -(cosh s cos theta + i sinh s sin theta) e^{i phase}
-        g = -g * (np.cosh(s) * cos_t * np.cos(phase) - sinh_s * sin_t * np.sin(phase))
+    if key < 0:
+        eps = _SHIFT_MARGIN / m
+        theta, cos_t, sin_t = 0.5 * math.pi - eps, math.sin(eps), math.cos(eps)
+        h = min(1.0 / 64.0, eps / 10.0, 2.0 * math.pi / (m + _TAIL_LOG + 10.0))
+        tail = _TAIL_LOG + 6.0
     else:
-        g = g * np.cos(phase)
-    return _half_line_sums(g, n, h), -m * (0.5 * math.pi - eps) - xc
+        theta, cos_t, sin_t = 0.0, 1.0, 0.0
+        h = h * 0.5 ** key
+        tail = _TAIL_LOG + 4.0
+    xc = x * cos_t
+    n = np.ceil(np.arccosh(1.0 + tail / xc) / h).astype(np.int64) + 2
+    s = np.arange(n.max() + 2) * h
+    # cosh s - 1 as 2 sinh(s/2)^2: the subtraction would leave an absolute
+    # error of u in the exponent's factor, x u in the exponent
+    g = np.exp(-xc[:, None] * (2.0 * np.sinh(0.5 * s) ** 2))
+    phase = m * s
+    if theta:
+        phase = phase - (x * sin_t)[:, None] * np.sinh(s)
+    if derivative and theta:
+        # Re of -(cosh s cos theta + i sinh s sin theta) e^{i phase}
+        g = -g * (np.cosh(s) * cos_t * np.cos(phase) - np.sinh(s) * sin_t * np.sin(phase))
+    else:
+        # in place: a fresh (arguments x nodes) array costs more than its products
+        g *= np.cos(phase)
+        if derivative:
+            g *= -np.cosh(s)
+    return _half_line_sums(g, n, h), -m * theta - xc
 
 
 def _bessel_backend_a(mu, x, derivative: bool):
@@ -305,17 +284,18 @@ def _bessel_backend_a(mu, x, derivative: bool):
         bad = flat[~((flat > 0.0) & np.isfinite(flat))]
         raise DomainError(f"K-Bessel argument must be positive, got {bad[0]}")
     m = order.t
-    shifted = (m > 4.0) & (0.5 * math.pi * m - flat > _SHIFT_THRESHOLD)
-    n_shifted = np.count_nonzero(shifted)
-    if n_shifted in (0, flat.size):
-        rule = _bessel_shifted if n_shifted else _bessel_plain
-        out = ScaledArray(*rule(m, flat, derivative))
-    else:
-        mantissa = np.empty(flat.shape)
-        log_scale = np.empty(flat.shape)
-        for rule, rows in ((_bessel_shifted, shifted), (_bessel_plain, ~shifted)):
-            mantissa[rows], log_scale[rows] = rule(m, flat[rows], derivative)
-        out = ScaledArray(mantissa, log_scale)
+    # rule key per argument (see _bessel_line): -1, or axis step halvings
+    h = 1.0 / max(64.0, 4.0 * m)
+    x_resolved = 2.0 * math.pi ** 2 / (_TAIL_LOG * h * h)
+    keys = np.maximum(0.0, np.ceil(0.5 * np.log2(flat / x_resolved)))
+    if m > 4.0:
+        keys[0.5 * math.pi * m - flat > _SHIFT_THRESHOLD] = -1.0
+    mantissa = np.empty(flat.shape)
+    log_scale = np.empty(flat.shape)
+    for key in sorted(set(keys.tolist())):
+        rows = keys == key
+        mantissa[rows], log_scale[rows] = _bessel_line(m, flat[rows], derivative, int(key), h)
+    out = ScaledArray(mantissa, log_scale)
     return out if xs.ndim else out.item(0)
 
 

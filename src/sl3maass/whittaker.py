@@ -690,14 +690,17 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     evaluations.  `inner`, when given, is this D's column of a multi-D
     kernel product (the Maass assembly forms its columns in waves); the
     cache wraps it and forms no product.  The cache is validated exactly
-    when y2_range is given: one batch query at its distinct ends against
-    w_eval, whose worst deviation relative to max(|W|, eps) is stored;
-    eps is an absolute level in the scaled convention and may exceed 1.
+    when y2_range (0 < lo <= hi < inf) is given: one batch query at its
+    distinct ends against w_eval, whose worst deviation relative to
+    max(|W|, eps) is stored; eps is an absolute level in the scaled
+    convention and may exceed 1.
     """
     if not (D > 0.0) or not math.isfinite(D):
         raise ValueError(f"D must be positive and finite, got {D}")
     if not (eps > 0.0) or not math.isfinite(eps):
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if y2_range is not None and not (0.0 < y2_range[0] <= y2_range[1] < math.inf):
+        raise ValueError(f"y2_range must satisfy 0 < lo <= hi < inf, got {y2_range}")
     if grid is None:
         grid = default_mellin_grid(p, eps)
     kernel = mellin_kernel(p, grid)

@@ -374,6 +374,25 @@ def test_coefficient_file_errors(tmp_path):
         load_coefficient_file(p)
 
 
+@pytest.mark.parametrize("rows", [
+    "c2 1 1 nan 0\n",
+    "c2 1 1 1.0 0.0\nc2 1 2 inf 0\n",
+    "c1 1 1.0 0.0\nc1 2 nan 0\n",
+    "c1 1 1.0 -inf\n",
+])
+def test_coefficient_file_rejects_non_finite(tmp_path, capsys, rows):
+    p = tmp_path / "bad.txt"
+    p.write_text("alpha_im -1.3\nbeta_im 2.1\ngamma_im -0.8\n" + rows)
+    line = 3 + rows.count("\n")
+    with pytest.raises(CoefficientFileError, match=f"bad.txt:{line}: .*finite"):
+        load_coefficient_file(p)
+    rc = main(["maass-eval", "--coeffs", str(p), "--point", "0.1,0.2,-0.3,1.0,1.1",
+               "--eps", "1e-4"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "nan" not in out and f"bad.txt:{line}" in err
+
+
 def test_c1_expansion_matches_direct(tmp_path):
     coeffs = write_sample_c1(tmp_path, n_max=8)
     form = load_coefficient_file(coeffs)

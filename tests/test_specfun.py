@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl3maass import specfun
 from sl3maass.errors import DomainError, PoleError, UnderflowError
 from sl3maass.specfun import (BesselOrder, GammaRatioSpec, bessel_k,
                               bessel_k_mellin, bessel_k_prime,
@@ -341,6 +342,41 @@ def test_bessel_large_argument_step():
             got_p = mp.mpf(kp.mantissa[i]) * mp.exp(kp.log_scale[i])
             assert abs(got - ref) <= 5e-13 * abs(ref), (m, x)
             assert abs(got_p - ref_p) <= 5e-13 * abs(ref_p), (m, x)
+
+
+def test_bessel_one_call_on_every_rule(monkeypatch):
+    """At the lift order the switch is at x ~ 21.95 and the axis step
+    first halves past x ~ 2496, so one array reaches the shifted line and
+    the real axis at 0 to 3 step halvings.  Each group is summed by one
+    call, and every element equals its scalar call in either order."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    xs = np.array([0.3, 12.0, 21.9, 22.0, 40.0, 1500.0, 3000.0, 3e4, 1e5])
+    keys = []
+    line = specfun._bessel_line
+
+    def spy(m, x, derivative, key, h):
+        keys.append((key, x.tolist()))
+        return line(m, x, derivative, key, h)
+
+    monkeypatch.setattr(specfun, "_bessel_line", spy)
+    k = bessel_k_scaled(1j * LIFT_M, xs)
+    assert sorted(keys) == [(-1, [0.3, 12.0, 21.9]), (0, [22.0, 40.0, 1500.0]),
+                            (1, [3000.0]), (2, [3e4]), (3, [1e5])]
+    kp = bessel_k_prime_scaled(1j * LIFT_M, xs)
+    for fn, batch in ((bessel_k_scaled, k), (bessel_k_prime_scaled, kp)):
+        backwards = fn(1j * LIFT_M, xs[::-1])
+        for i, x in enumerate(xs.tolist()):
+            one = fn(1j * LIFT_M, x)
+            assert batch.item(i) == one, (fn.__name__, x)
+            assert backwards.item(len(xs) - 1 - i) == one
+    for i, x in enumerate(xs.tolist()):
+        ref = mp.re(mp.besselk(1j * LIFT_M, x))
+        ref_p = -mp.re(mp.besselk(1j * LIFT_M - 1, x) + mp.besselk(1j * LIFT_M + 1, x)) / 2
+        got = mp.mpf(k.mantissa[i]) * mp.exp(k.log_scale[i])
+        got_p = mp.mpf(kp.mantissa[i]) * mp.exp(kp.log_scale[i])
+        assert abs(got - ref) <= 5e-13 * abs(ref), x
+        assert abs(got_p - ref_p) <= 5e-13 * abs(ref_p), x
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

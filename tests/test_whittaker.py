@@ -604,6 +604,18 @@ def test_cache_rejects_bad_eps(eps):
         build_fixed_d_cache(GENERIC, 1.0, grid=grid, eps=eps, y2_range=(0.3, 3.0))
 
 
+@pytest.mark.parametrize("y2_range", [(2.0, 0.5), (0.0, 1.0), (-1.0, 1.0),
+                                      (0.5, math.inf), (math.nan, 1.0), (0.5, math.nan)])
+def test_cache_rejects_bad_y2_range(monkeypatch, y2_range):
+    # an empty range would validate both ends and then refuse every
+    # query, its own ends included, so a bad range fails before any product
+    kernels = _spy(monkeypatch, "mellin_kernel")
+    evals = _spy(monkeypatch, "w_eval")
+    with pytest.raises(ValueError, match="y2_range"):
+        build_fixed_d_cache(GENERIC, 1.0, y2_range=y2_range)
+    assert kernels == [] and evals == []
+
+
 def test_cache_accepts_eps_above_one():
     # eps is an absolute level in the scaled convention, not a relative
     # accuracy; the assembly passes exp(log_eps), which can exceed 1
