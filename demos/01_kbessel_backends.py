@@ -5,15 +5,19 @@ K_mu(x) with purely imaginary order mu is real-valued and is the basic
 building block of everything else in this package.  Two independent
 backends are available:
 
-* the cosh-integral evaluated by the trapezoid rule (with an automatic
-  contour shift once exp(-pi|mu|/2) cancellation would eat the answer),
+* the cosh-integral: the trapezoid rule on the real axis, or, once the
+  exp(-pi|mu|/2) cancellation there would eat the answer, Gauss-Legendre
+  sums along the steepest-descent contours through the saddles of the
+  integrand,
 * the inverse Mellin transform of the gamma-pair Gamma((s+mu)/2)
   Gamma((s-mu)/2) along a vertical line.
 
-This script prints both on a small grid and at large arguments, where
-the Mellin line sum's terms carry the factor (x/2)^-sigma, and exits
-non-zero if the backends differ by more than 1e-9 anywhere.  It also
-checks the Bessel differential equation with finite differences.
+This script prints both on a small grid, at large arguments, where the
+Mellin line sum's terms carry the factor (x/2)^-sigma, and at the order of
+the lift form on both sides of the turning point x = |mu|, where the two
+saddles of the contour merge.  It exits non-zero if the backends differ by
+more than 1e-9 anywhere, and checks the Bessel differential equation with
+finite differences.
 """
 
 import math
@@ -27,6 +31,8 @@ worst = 0.0
 print(f"{'order':>10} {'x':>6} {'cosh-integral':>24} {'inverse Mellin':>24} {'rel diff':>10}")
 grid = [(m, x) for m in (0.0, 1.0, 10.0, 40.0) for x in (0.5, 2.0, 10.0)]
 grid += [(m, x) for m in (0.0, 10.0) for x in (22.0, 30.0)]
+# the lift form's order 2 r, r = 9.533695: the turning point is at x = 19.07
+grid += [(19.06739, x) for x in (0.5, 10.0, 19.0, 19.2)]
 for m, x in grid:
     t0 = time.perf_counter()
     a = bessel_k(1j * m, x)

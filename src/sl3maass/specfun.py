@@ -4,17 +4,18 @@ K-Bessel function of purely imaginary order.
 The K-Bessel function has two independent backends:
 
 * backend A integrates ``K_mu(x) = (1/2) int_R exp(-x cosh t + i|mu| t) dt``
-  (real for imaginary order) with the trapezoid rule on one horizontal
-  line ``t = s + i*theta``: the real axis, or, when the order is large
-  compared to the argument, the Cauchy-equivalent theta = pi/2 - 2/|mu|,
-  which pulls the exp(-pi|mu|/2) amplitude out as an explicit prefactor
-  instead of losing it to cancellation between O(1) samples.
+  (real for imaginary order) with the trapezoid rule on the real axis,
+  or, when the order is large compared to the argument, with
+  Gauss-Legendre sums along the steepest-descent contours through the
+  saddles of the integrand: their samples do not oscillate, and the
+  exp(-pi|mu|/2) amplitude comes out as an explicit scale instead of
+  being lost to cancellation between O(1) samples.
   ``bessel_k_scaled`` and ``bessel_k_prime_scaled`` take one order and a
   scalar or a 1-D array of arguments: every argument gets its own
-  truncation and rule key (its line, and on the axis its step), the
+  truncation and rule key (the contour, or the axis and its step), the
   samples of one key form one (arguments x nodes) array, and each
   argument's samples are reduced on their own, within an ulp of their
-  exact sum (see _bessel_line, _half_line_sums and the README).
+  exact sum (see _bessel_line, _bessel_contour, _row_sums and the README).
 
 * backend B inverts the Mellin transform
   ``4 K_mu(2 pi y) = (1/2 pi i) int Gamma((s+mu)/2) Gamma((s-mu)/2) (pi y)^-s ds``
@@ -25,6 +26,7 @@ Both backends are kept live and are cross-checked in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -188,89 +190,175 @@ def _as_order(mu) -> BesselOrder:
 
 
 # Ratio log(max integrand / result) above which the real axis loses too
-# many digits and the shifted line takes over.
+# many digits and the steepest-descent contour takes over.
 _SHIFT_THRESHOLD = 8.0
-# Contour sits at theta = pi/2 - _SHIFT_MARGIN/m, keeping the residual
-# cancellation on the shifted line near exp(_SHIFT_MARGIN).
-_SHIFT_MARGIN = 2.0
 # log(1/eps) style truncation depth for the integrand tails.
 _TAIL_LOG = 46.0
+# (power, nodes) of the Gauss-Legendre rule on a steepest-descent branch
+# for K and for K' (see _bessel_contour).
+_BRANCH_RULES = ((2, 40), (4, 56))
 
 
-def _half_line_sums(g: np.ndarray, n: np.ndarray, h: float) -> np.ndarray:
-    """h * (g[i, 0] / 2 + g[i, 1] + ... + g[i, n[i]]) for every row i: the
-    trapezoid sum of an even integrand from its samples at s >= 0.  g has
-    more than n.max() + 1 columns; later columns are ignored.
+def _row_sums(g: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """g[i, 0] + ... + g[i, n[i] - 1] for every row i.  g has more than
+    n.max() columns; later columns are ignored, and g is overwritten.
 
     Each row is reduced over its own samples only (np.add.reduceat on its
     segment), so its sum does not depend on the other rows.  The reduction
     is error-free up to the last rounding (the extraction step of AccSum,
     Rump, Ogita & Oishi 2008): with sigma a power of two of at least
-    2 (n + 2) max|g|, q = (sigma + g) - sigma is g on a grid where sum(q)
+    2 (n + 1) max|g|, q = (sigma + g) - sigma is g on a grid where sum(q)
     is exact in any order, r = g - q is exact (|r| <= u sigma <=
-    4 (n + 2) u max|g|), and numpy's pairwise sum of r adds at most about
-    4 (n + 2)^2 ceil(log2 n) u^2 max|g|.
+    4 (n + 1) u max|g|), and numpy's pairwise sum of r adds at most about
+    4 (n + 1)^2 ceil(log2 n) u^2 max|g|.  One temporary array holds |g| and
+    then q; r is written into g.
     """
     rows, width = g.shape
-    g[:, 0] *= 0.5
     seg = np.empty(2 * rows, dtype=np.int64)
     seg[0::2] = np.arange(rows) * width
-    seg[1::2] = seg[0::2] + n + 1
-    amax = np.maximum.reduceat(np.abs(g).ravel(), seg)[0::2]
-    sigma = np.ldexp(2.0, np.frexp(amax * (n + 2.0))[1])[:, None]
-    q = (sigma + g) - sigma
-    r = g - q
-    return h * (np.add.reduceat(q.ravel(), seg)[0::2] + np.add.reduceat(r.ravel(), seg)[0::2])
+    seg[1::2] = seg[0::2] + n
+    buf = np.abs(g)
+    amax = np.maximum.reduceat(buf.ravel(), seg)[0::2]
+    sigma = np.ldexp(2.0, np.frexp(amax * (n + 1.0))[1])[:, None]
+    np.add(sigma, g, out=buf)
+    buf -= sigma
+    g -= buf
+    return np.add.reduceat(buf.ravel(), seg)[0::2] + np.add.reduceat(g.ravel(), seg)[0::2]
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, 1) and weights (summing to 1) of the n-point
+    Gauss-Legendre rule, within about 1e-16, by Newton's method on the
+    three-term recurrence.  numpy's leggauss weights, up to ~1e-12 off,
+    left _bessel_contour's segment ~3e-14 off at phases of ~50 radians."""
+    x = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(6):  # quadratic convergence from an O(1/n^2) start
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return _read_only(0.5 - 0.5 * x, 1.0 / ((1.0 - x * x) * dp * dp))
+
+
+def _bessel_contour(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """K_{im}(x), or K', as (mantissa, log scale) from Gauss-Legendre sums
+    along steepest-descent contours (Gil, Segura & Temme, ACM TOMS 30
+    (2004), Algorithm 831).  K = Re int exp(f) dt from the imaginary axis
+    to +inf, f = -x cosh t + i m t.  With A = sqrt(max(m^2 - x^2, 0)),
+    c = max(m, x), mu = asinh(A/x) and psi = m mu - A, the branch
+    t = mu + s + i v, s >= 0, sin v = (A + m s) / (A cosh s + c sinh s),
+    keeps Im f = psi, and Re f = -(c cosh s + A sinh s) cos v - m v falls
+    from its value at the saddle (i asin(m/x) for x >= m, mu + i pi/2 for
+    x < m), the log scale.  For x < m the segment from i pi/2 to the
+    saddle adds int_0^mu cos(m s - x sinh s) ds (K; sinh s sin(...) for
+    K') at the scale exp(-pi m/2); its phase rises from 0 to psi.  The
+    branch's dt/ds = 1 + i v' and K''s factor -cosh t are algebraic in
+    cos v, sin v, cosh s and sinh s: no branch sample takes a cosine.
+
+    * The branch ends at L = log(2 _TAIL_LOG/m + pi), the largest over the
+      contour's arguments of the s where (c + A) e^s / 2 reaches
+      _TAIL_LOG - log scale: the samples there are below e^-43 of the
+      saddle's (checked for 4 <= m <= 400), and all arguments share the
+      nodes (_branch_grid).  It takes n nodes in xi, s = L xi^p, with
+      (p, n) from _BRANCH_RULES: as the saddles merge at x = m, the
+      samples change on the scale sqrt(6 |1 - m/x|) near s = 0.  K's stay
+      smooth there to second order; cosh t gives K''s a rounded corner of
+      area ~|1 - m/x|, and p = 4 puts a dozen nodes inside it for every
+      |1 - m/x| >= 1e-12.
+    * The segment takes n = 8 ceil((psi/2 + 14)/8) nodes: the rule is exact
+      to degree 2n - 1, cos of a phase rising by psi needs degree ~psi,
+      and the margin left its error below 3e-15 for m <= 200, x >= 3e-4 m.
+      Multiples of 8 bound the node sets of one call.  Rounding its phase,
+      u psi per node, sets the floor of the accuracy (see the README).
+    """
+    a = np.sqrt(np.maximum((m - x) * (m + x), 0.0))[:, None]
+    c = np.maximum(m, x)[:, None]
+    mu = np.arcsinh(a / x[:, None])
+    psi = m * mu - a
+    log_scale = -np.sqrt(np.maximum((x - m) * (x + m), 0.0)) - m * np.arcsin(np.minimum(m / x, 1.0))
+    ms, ws, sh, ch, hh, mshs, mscs = _branch_grid(m, derivative)
+    d = a * ch + c * sh
+    ams = a + ms
+    # r = D cos v: 1 - sin v = (A (cosh s - 1) + (c - m) sinh s
+    # + m (sinh s - s)) / D holds no cancellation
+    r = np.sqrt((a * hh + (c - m) * sh + mshs) * (d + ams))
+    q = (c * ch + a * sh) * r / d
+    g = np.exp(-q - m * np.arctan2(ams, r) - log_scale[:, None])
+    dv = (c * mscs - a * sh * ams) / (d * r)
+    if derivative:
+        g *= (np.sin(psi) * (ams + dv * q) - np.cos(psi) * (q - dv * ams)) / x[:, None]
+    else:
+        g *= np.cos(psi) - dv * np.sin(psi)
+    nb = len(ms)
+    k = np.where(x < m, np.ceil((0.5 * psi[:, 0] + 14.0) / 8.0), 0.0).astype(np.int64)
+    # row j: the 8j-node segment rule, padded with zero weights
+    rules = np.zeros((2, k.max() + 1, 8 * k.max()))
+    for j in set(k.tolist()) - {0}:
+        rules[:, j, :8 * j] = _gauss_legendre(8 * j)
+    t, wt = rules[:, k]
+    out = np.zeros((len(x), nb + t.shape[1] + 1))
+    np.multiply(g, ws, out=out[:, :nb])
+    t *= mu
+    phase = m * t - x[:, None] * np.sinh(t)
+    f = np.sinh(t) * np.sin(phase) if derivative else np.cos(phase)
+    np.multiply(f, mu * wt, out=out[:, nb:-1])
+    return _row_sums(out, nb + 8 * k), log_scale
+
+
+@functools.lru_cache(maxsize=64)
+def _branch_grid(m: float, derivative: bool) -> tuple[np.ndarray, ...]:
+    """The branch rule of _bessel_contour at order m: m s at the nodes
+    s = L xi^p, their weights, sinh s, cosh s, cosh s - 1, m (sinh s - s)
+    and m (sinh s - s cosh s)."""
+    p, n = _BRANCH_RULES[derivative]
+    xi, w = _gauss_legendre(n)
+    span = math.log(2.0 * _TAIL_LOG / m + math.pi)
+    s = span * xi ** p
+    sh = np.sinh(s)
+    # sinh s - s from its series where the subtraction cancels, cosh s - 1
+    # as 2 sinh(s/2)^2
+    series = sum(s ** (2 * k + 3) / math.factorial(2 * k + 3) for k in range(7))
+    shs, hh = np.where(s < 0.5, series, sh - s), 2.0 * np.sinh(0.5 * s) ** 2
+    return _read_only(m * s, p * span * xi ** (p - 1) * w, sh, np.cosh(s), hh, m * shs,
+                      m * (shs - s * hh))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a memoized result is shared by every caller."""
+    for v in arrays:
+        v.flags.writeable = False
+    return arrays
 
 
 def _bessel_line(m: float, x: np.ndarray, derivative: bool, key: int,
                  h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid sums for K_{im}(x), or K' if derivative, on the line
-    t = s + i theta, as (mantissa, log scale).  key < 0 is the shifted line
-    theta = pi/2 - eps with eps = _SHIFT_MARGIN/m, which sets its own step;
-    key k >= 0 is the real axis theta = 0 with the step h halved k times.
+    """K_{im}(x), or K' if derivative, as (mantissa, log scale) by the rule
+    of one key: key < 0 is the steepest-descent contour (_bessel_contour);
+    key k >= 0 is the trapezoid rule for
+    K_{im}(x) = int_0^inf exp(-x cosh s) cos(m s) ds on the real axis,
+    with the step h halved k times and the log scale -x.
 
-    K_{im}(x) = (1/2) int_R exp(-x cosh t + i m t) dt.  The log scale
-    -m theta - x cos(theta) (exactly -x on the axis) takes out the size of
-    the integrand on Im t = theta, so the shifted line loses the
-    exp(-pi m / 2) cancellation of the axis.  The line integral is real and
-    Re of the integrand is even in s: only its s >= 0 half is summed.
-
-    Moving the shifted line by iv gives |f| <= exp(-m v) for 0 < v < eps
-    and <= exp(m|v|) below, so its step beats both aliasing terms
-    exp(-(2 pi/h) 0.9 eps) and exp(-(2 pi/h - m) * 1).  The axis step
-    1/max(64, 4m) resolves cos(m t); it is halved once for each factor 4
-    by which x exceeds the point where the trapezoid error of the
-    envelope exp(-x t^2 / 2) near t = 0, about 2 exp(-2 pi^2 / (x h^2)),
-    reaches e^-_TAIL_LOG (see _bessel_backend_a).
+    The axis step 1/max(64, 4m) resolves cos(m t); it is halved once for
+    each factor 4 by which x exceeds the point where the trapezoid error of
+    the envelope exp(-x t^2 / 2) near t = 0, about
+    2 exp(-2 pi^2 / (x h^2)), reaches e^-_TAIL_LOG (see _bessel_backend_a).
     """
     if key < 0:
-        eps = _SHIFT_MARGIN / m
-        theta, cos_t, sin_t = 0.5 * math.pi - eps, math.sin(eps), math.cos(eps)
-        h = min(1.0 / 64.0, eps / 10.0, 2.0 * math.pi / (m + _TAIL_LOG + 10.0))
-        tail = _TAIL_LOG + 6.0
-    else:
-        theta, cos_t, sin_t = 0.0, 1.0, 0.0
-        h = h * 0.5 ** key
-        tail = _TAIL_LOG + 4.0
-    xc = x * cos_t
-    n = np.ceil(np.arccosh(1.0 + tail / xc) / h).astype(np.int64) + 2
+        return _bessel_contour(m, x, derivative)
+    h = h * 0.5 ** key
+    n = np.ceil(np.arccosh(1.0 + (_TAIL_LOG + 4.0) / x) / h).astype(np.int64) + 2
     s = np.arange(n.max() + 2) * h
     # cosh s - 1 as 2 sinh(s/2)^2: the subtraction would leave an absolute
     # error of u in the exponent's factor, x u in the exponent
-    g = np.exp(-xc[:, None] * (2.0 * np.sinh(0.5 * s) ** 2))
-    phase = m * s
-    if theta:
-        phase = phase - (x * sin_t)[:, None] * np.sinh(s)
-    if derivative and theta:
-        # Re of -(cosh s cos theta + i sinh s sin theta) e^{i phase}
-        g = -g * (np.cosh(s) * cos_t * np.cos(phase) - np.sinh(s) * sin_t * np.sin(phase))
-    else:
-        # in place: a fresh (arguments x nodes) array costs more than its products
-        g *= np.cos(phase)
-        if derivative:
-            g *= -np.cosh(s)
-    return _half_line_sums(g, n, h), -m * theta - xc
+    g = np.exp(-x[:, None] * (2.0 * np.sinh(0.5 * s) ** 2))
+    # in place: a fresh (arguments x nodes) array costs more than its products
+    g *= np.cos(m * s)
+    if derivative:
+        g *= -np.cosh(s)
+    g[:, 0] *= 0.5
+    return h * _row_sums(g, n + 1), -x
 
 
 def _bessel_backend_a(mu, x, derivative: bool):

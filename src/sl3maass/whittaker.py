@@ -78,6 +78,9 @@ CANCELLATION_GUARD_RATIO = 1e10
 # residue 2 (-1)^n / n! in s at s = -d - 2n
 _CONTOUR_WEIGHT = 2.0
 
+# P/Q rows w_series_small evaluates at a time: its series stop near n = 11-18
+_PQ_ROWS = 16
+
 
 @dataclass(frozen=True)
 class WhittakerArgs:
@@ -376,12 +379,16 @@ def build_pq_table(p: LanglandsParams, nmax: int = 60) -> tuple[np.ndarray, np.n
     return tables
 
 
-def _pq_values(p_coeffs: np.ndarray, q_coeffs: np.ndarray,
-               y: float) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(y) and Q_n(y) for every row of the two tables, from one Horner
-    pass over the columns; each row gets the bits
+def _pq_values(p_coeffs: np.ndarray, q_coeffs: np.ndarray, y: float,
+               lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(y) and Q_n(y) for the rows lo <= n < hi (default: all) of the
+    two tables, from one Horner pass over the columns k <= 2 (hi - 1):
+    deg P_n <= 2n, so the later columns of these rows are zero, and
+    skipping them leaves every row the bits
     `np.polynomial.polynomial.polyval` gives it."""
-    rows = np.stack((p_coeffs, q_coeffs))
+    hi = p_coeffs.shape[1] if hi is None else min(hi, p_coeffs.shape[1])
+    cols = 2 * hi - 1
+    rows = np.stack((p_coeffs[:, lo:hi, :cols], q_coeffs[:, lo:hi, :cols]))
     acc = np.zeros(rows.shape[:-1], dtype=np.complex128)
     # high rows overflow at large y; w_series_small never sums them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -399,10 +406,11 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
           * sum_n [ P_n(y2) K_mu(2 pi y2) + 2 pi y2 Q_n(y2) K_mu'(2 pi y2) ]
                   (pi y1)^(2n) / [ (1+(d1-d2)/2)_n (1+(d1-d3)/2)_n 2^n n! ]
 
-    with mu = (d2-d3)/2.  Costs six K-Bessel evaluations total, one
-    Horner pass over the P/Q tables and the n-series arithmetic; the
-    tables come from build_pq_table, which builds them on the first call
-    per (params, nmax) and returns them from its memo after that.
+    with mu = (d2-d3)/2.  Costs six K-Bessel evaluations total, Horner
+    passes over the P/Q rows the series reach, _PQ_ROWS rows at a time,
+    and the n-series arithmetic; the tables come from build_pq_table,
+    which builds them on the first call per (params, nmax) and returns
+    them from its memo after that.
     Intended for small y1 (the dispatcher swaps arguments first when
     y1 > y2).
 
@@ -418,7 +426,8 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
     x2 = TWO_PI * y2
     nmax = budget.nmax
     triples = _cyclic_triples(p)
-    p_vals, q_vals = _pq_values(*build_pq_table(p, nmax), y2)
+    tables = build_pq_table(p, nmax)
+    p_vals, q_vals = _pq_values(*tables, y2, 0, _PQ_ROWS)
     log_gammas = _log_gamma_array(np.array([((d2 - d1) / 2.0, (d3 - d1) / 2.0)
                                             for d1, d2, d3 in triples]))
     k = np.arange(nmax)
@@ -441,19 +450,28 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
             coef = np.ones(nmax + 1, dtype=np.complex128)
             coef[1:] = np.cumprod((math.pi * y1) ** 2
                                   / (2.0 * (k + 1.0) * (q12 + k) * (q13 + k)))
-            kv_part = kv.mantissa * math.exp(kv.log_scale - scale) * p_vals[j]
-            kp_part = kp.mantissa * math.exp(kp.log_scale - scale) * (x2 * q_vals[j])
-            terms = coef * (kv_part + kp_part)
-            partial = np.cumsum(terms)
-            mags = np.abs(terms)
-            small = mags < budget.target_eps * np.maximum.accumulate(np.abs(partial))
-            # the two products of a term can cancel inside it, so the
-            # guard sees the larger product, not the term
-            products = np.abs(coef) * np.maximum(np.abs(kv_part), np.abs(kp_part))
-        # the first n >= 2 ending a run of three small terms, before any
-        # non-finite partial sum
-        reached = np.logical_and.accumulate(np.isfinite(partial))
-        stops = np.flatnonzero(small[2:] & small[1:-1] & small[:-2] & reached[2:])
+        # the series over the rows evaluated so far; _PQ_ROWS more rows
+        # until it stops or the tables run out
+        while True:
+            rows = p_vals.shape[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                kv_part = kv.mantissa * math.exp(kv.log_scale - scale) * p_vals[j]
+                kp_part = kp.mantissa * math.exp(kp.log_scale - scale) * (x2 * q_vals[j])
+                terms = coef[:rows] * (kv_part + kp_part)
+                partial = np.cumsum(terms)
+                mags = np.abs(terms)
+                small = mags < budget.target_eps * np.maximum.accumulate(np.abs(partial))
+                # the two products of a term can cancel inside it, so the
+                # guard sees the larger product, not the term
+                products = np.abs(coef[:rows]) * np.maximum(np.abs(kv_part), np.abs(kp_part))
+            # the first n >= 2 ending a run of three small terms, before any
+            # non-finite partial sum
+            reached = np.logical_and.accumulate(np.isfinite(partial))
+            stops = np.flatnonzero(small[2:] & small[1:-1] & small[:-2] & reached[2:])
+            if stops.size or rows > nmax:
+                break
+            more = _pq_values(*tables, y2, rows, rows + _PQ_ROWS)
+            p_vals, q_vals = (np.concatenate(v, axis=1) for v in zip((p_vals, q_vals), more))
         if stops.size == 0:
             if not reached[-1]:
                 raise CancellationError(

@@ -279,7 +279,7 @@ def test_bessel_against_mpmath():
 
 LIFT_M = 19.06739
 GEN_M = 2.45
-# the LIFT order switches from the shifted contour to the real-axis rule
+# the LIFT order switches from the steepest-descent contour to the real-axis rule
 # at x = pi m / 2 - 8 (about 21.95); these arguments sit on both sides.
 # Just past the switch the real-axis rule cancels ~e^8; with the exponent
 # x (cosh t - 1) formed as 2 x sinh(t/2)^2 it still holds ~1e-13 there
@@ -377,6 +377,57 @@ def test_bessel_one_call_on_every_rule(monkeypatch):
         got_p = mp.mpf(kp.mantissa[i]) * mp.exp(kp.log_scale[i])
         assert abs(got - ref) <= 5e-13 * abs(ref), x
         assert abs(got_p - ref_p) <= 5e-13 * abs(ref_p), x
+
+
+# the contour regime, x < pi m / 2 - 8: about 40 geometric arguments from
+# 0.01 to the switch per order, and the turning point x = m where it lies
+# in that regime
+CONTOUR_ORDERS = (5.5, 9.53, 12.0, LIFT_M, 28.6, 40.0)
+
+
+def _contour_grid(m: float) -> np.ndarray:
+    switch = 0.5 * math.pi * m - 8.0
+    turning = [m * r for r in (0.99, 0.999, 1.001, 1.01) if m * r < switch]
+    return np.concatenate([np.geomspace(0.01, switch, 41)[:-1], turning])
+
+
+@pytest.mark.parametrize("m", CONTOUR_ORDERS)
+def test_bessel_contour_against_mpmath(m):
+    """K and K' on the steepest-descent contours, against mpmath, measured
+    against the envelope: exp(-pi m / 2) for x < m and the saddle value
+    exp(-sqrt(x^2 - m^2) - m asin(m/x)) for x >= m (times max(1, m/x), the
+    size of cosh t on the segment, for K').  The worst is 2.0e-14 (m = 40,
+    x = 0.01), where the segment's phase reaches 320 radians.  Array calls
+    equal the scalar calls bit for bit, in either order."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    xs = _contour_grid(m)
+    assert (0.5 * math.pi * m - xs > specfun._SHIFT_THRESHOLD).all()
+    k = bessel_k_scaled(1j * m, xs)
+    kp = bessel_k_prime_scaled(1j * m, xs)
+    for fn, batch in ((bessel_k_scaled, k), (bessel_k_prime_scaled, kp)):
+        backwards = fn(1j * m, xs[::-1])
+        for i, x in enumerate(xs.tolist()):
+            one = fn(1j * m, x)
+            assert batch.item(i) == one, (fn.__name__, x)
+            assert backwards.item(len(xs) - 1 - i) == one
+    for i, x in enumerate(xs.tolist()):
+        env = mp.exp(-math.sqrt(max(x * x - m * m, 0.0)) - m * math.asin(min(m / x, 1.0)))
+        ref = mp.re(mp.besselk(1j * m, x))
+        ref_p = -mp.re(mp.besselk(1j * m - 1, x) + mp.besselk(1j * m + 1, x)) / 2
+        got = mp.mpf(k.mantissa[i]) * mp.exp(k.log_scale[i])
+        got_p = mp.mpf(kp.mantissa[i]) * mp.exp(kp.log_scale[i])
+        assert abs(got - ref) <= 2.5e-14 * env, x
+        assert abs(got_p - ref_p) <= 2.5e-14 * env * max(1.0, m / x), x
+
+
+@pytest.mark.parametrize("n", [8, 40, 56, 176])
+def test_gauss_legendre_rule(n):
+    # exact for x^k, k < 2n, on (0, 1), with nodes in increasing order
+    x, w = specfun._gauss_legendre(n)
+    assert (np.diff(x) > 0).all() and 0.0 < x[0] and x[-1] < 1.0
+    for k in range(2 * n):
+        assert abs(math.fsum(w * x ** k) - 1.0 / (k + 1)) <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

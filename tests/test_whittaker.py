@@ -115,6 +115,29 @@ def test_pq_recursion_off_zero(y):
             assert abs(q_vals[n + 1] - q_next) <= 1e-12 * abs(q_next)
 
 
+@pytest.mark.parametrize("y", [0.05, 0.8, 3.0])
+def test_pq_values_by_row_blocks(y, monkeypatch):
+    """The series evaluates P/Q rows in blocks up to its stop: every block
+    equals the full-table rows bit for bit, and the series evaluates only
+    the blocks it reaches."""
+    tables = build_pq_table(LIFT, 60)
+    full_p, full_q = _pq_values(*tables, y)
+    for lo in range(0, 61, 16):
+        hi = min(lo + 16, 61)
+        part_p, part_q = _pq_values(*tables, y, lo, hi)
+        assert part_p.tobytes() == full_p[:, lo:hi].tobytes()
+        assert part_q.tobytes() == full_q[:, lo:hi].tobytes()
+    blocks = []
+
+    def counting(*args):
+        blocks.append(args[3:])
+        return _pq_values(*args)
+
+    monkeypatch.setattr(whittaker, "_pq_values", counting)
+    w_series_small(LIFT, WhittakerArgs(0.2, y))
+    assert blocks[0] == (0, 16) and len(blocks) < 4
+
+
 # ---------------------------------------------------------------------------
 # I_n recursion against direct Barnes quadrature
 # ---------------------------------------------------------------------------
