@@ -10,7 +10,8 @@ The K-Bessel function has two independent backends:
   saddles of the integrand: their samples do not oscillate, and the
   exp(-pi|mu|/2) amplitude comes out as an explicit scale instead of
   being lost to cancellation between O(1) samples.
-  ``bessel_k_scaled`` and ``bessel_k_prime_scaled`` take one order and a
+  ``bessel_k_scaled`` and ``bessel_k_prime_scaled`` (or both at once,
+  ``bessel_k_pair_scaled``) take one order and a
   scalar or a 1-D array of arguments: every argument gets its own
   truncation and rule key (the contour, or the axis and its step), the
   samples of one key form one (arguments x nodes) array, and each
@@ -46,6 +47,7 @@ __all__ = [
     "bessel_k_prime",
     "bessel_k_scaled",
     "bessel_k_prime_scaled",
+    "bessel_k_pair_scaled",
     "bessel_k_mellin",
 ]
 
@@ -242,8 +244,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(0.5 - 0.5 * x, 1.0 / ((1.0 - x * x) * dp * dp))
 
 
-def _bessel_contour(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarray, np.ndarray]:
-    """K_{im}(x), or K', as (mantissa, log scale) from Gauss-Legendre sums
+def _bessel_contour(m: float, x: np.ndarray,
+                    derivatives: tuple[bool, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+    """K_{im}(x) and/or K' (a mantissa array per entry of derivatives,
+    sharing all but the branch rule) and the log scale, from Gauss-Legendre sums
     along steepest-descent contours (Gil, Segura & Temme, ACM TOMS 30
     (2004), Algorithm 831).  K = Re int exp(f) dt from the imaginary axis
     to +inf, f = -x cosh t + i m t.  With A = sqrt(max(m^2 - x^2, 0)),
@@ -278,33 +282,38 @@ def _bessel_contour(m: float, x: np.ndarray, derivative: bool) -> tuple[np.ndarr
     mu = np.arcsinh(a / x[:, None])
     psi = m * mu - a
     log_scale = -np.sqrt(np.maximum((x - m) * (x + m), 0.0)) - m * np.arcsin(np.minimum(m / x, 1.0))
-    ms, ws, sh, ch, hh, mshs, mscs = _branch_grid(m, derivative)
-    d = a * ch + c * sh
-    ams = a + ms
-    # r = D cos v: 1 - sin v = (A (cosh s - 1) + (c - m) sinh s
-    # + m (sinh s - s)) / D holds no cancellation
-    r = np.sqrt((a * hh + (c - m) * sh + mshs) * (d + ams))
-    q = (c * ch + a * sh) * r / d
-    g = np.exp(-q - m * np.arctan2(ams, r) - log_scale[:, None])
-    dv = (c * mscs - a * sh * ams) / (d * r)
-    if derivative:
-        g *= (np.sin(psi) * (ams + dv * q) - np.cos(psi) * (q - dv * ams)) / x[:, None]
-    else:
-        g *= np.cos(psi) - dv * np.sin(psi)
-    nb = len(ms)
     k = np.where(x < m, np.ceil((0.5 * psi[:, 0] + 14.0) / 8.0), 0.0).astype(np.int64)
     # row j: the 8j-node segment rule, padded with zero weights
     rules = np.zeros((2, k.max() + 1, 8 * k.max()))
     for j in set(k.tolist()) - {0}:
         rules[:, j, :8 * j] = _gauss_legendre(8 * j)
     t, wt = rules[:, k]
-    out = np.zeros((len(x), nb + t.shape[1] + 1))
-    np.multiply(g, ws, out=out[:, :nb])
     t *= mu
-    phase = m * t - x[:, None] * np.sinh(t)
-    f = np.sinh(t) * np.sin(phase) if derivative else np.cos(phase)
-    np.multiply(f, mu * wt, out=out[:, nb:-1])
-    return _row_sums(out, nb + 8 * k), log_scale
+    sinh_t = np.sinh(t)
+    phase = m * t - x[:, None] * sinh_t
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    sums = []
+    for derivative in derivatives:
+        ms, ws, sh, ch, hh, mshs, mscs = _branch_grid(m, derivative)
+        d = a * ch + c * sh
+        ams = a + ms
+        # r = D cos v: 1 - sin v = (A (cosh s - 1) + (c - m) sinh s
+        # + m (sinh s - s)) / D holds no cancellation
+        r = np.sqrt((a * hh + (c - m) * sh + mshs) * (d + ams))
+        q = (c * ch + a * sh) * r / d
+        g = np.exp(-q - m * np.arctan2(ams, r) - log_scale[:, None])
+        dv = (c * mscs - a * sh * ams) / (d * r)
+        if derivative:
+            g *= (sin_psi * (ams + dv * q) - cos_psi * (q - dv * ams)) / x[:, None]
+        else:
+            g *= cos_psi - dv * sin_psi
+        nb = len(ms)
+        out = np.zeros((len(x), nb + t.shape[1] + 1))
+        np.multiply(g, ws, out=out[:, :nb])
+        f = sinh_t * np.sin(phase) if derivative else np.cos(phase)
+        np.multiply(f, mu * wt, out=out[:, nb:-1])
+        sums.append(_row_sums(out, nb + 8 * k))
+    return sums, log_scale
 
 
 @functools.lru_cache(maxsize=64)
@@ -332,11 +341,11 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _bessel_line(m: float, x: np.ndarray, derivative: bool, key: int,
-                 h: float) -> tuple[np.ndarray, np.ndarray]:
-    """K_{im}(x), or K' if derivative, as (mantissa, log scale) by the rule
-    of one key: key < 0 is the steepest-descent contour (_bessel_contour);
-    key k >= 0 is the trapezoid rule for
+def _bessel_line(m: float, x: np.ndarray, derivatives: tuple[bool, ...], key: int,
+                 h: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """K_{im}(x) and/or K' (a mantissa array per entry of derivatives) and
+    the log scale, by the rule of one key: key < 0 is the steepest-descent
+    contour (_bessel_contour); key k >= 0 is the trapezoid rule for
     K_{im}(x) = int_0^inf exp(-x cosh s) cos(m s) ds on the real axis,
     with the step h halved k times and the log scale -x.
 
@@ -346,7 +355,7 @@ def _bessel_line(m: float, x: np.ndarray, derivative: bool, key: int,
     2 exp(-2 pi^2 / (x h^2)), reaches e^-_TAIL_LOG (see _bessel_backend_a).
     """
     if key < 0:
-        return _bessel_contour(m, x, derivative)
+        return _bessel_contour(m, x, derivatives)
     h = h * 0.5 ** key
     n = np.ceil(np.arccosh(1.0 + (_TAIL_LOG + 4.0) / x) / h).astype(np.int64) + 2
     s = np.arange(n.max() + 2) * h
@@ -355,13 +364,16 @@ def _bessel_line(m: float, x: np.ndarray, derivative: bool, key: int,
     g = np.exp(-x[:, None] * (2.0 * np.sinh(0.5 * s) ** 2))
     # in place: a fresh (arguments x nodes) array costs more than its products
     g *= np.cos(m * s)
-    if derivative:
-        g *= -np.cosh(s)
-    g[:, 0] *= 0.5
-    return h * _row_sums(g, n + 1), -x
+    # K''s samples are K's times -cosh s, in place unless K's are summed too
+    if True in derivatives:
+        kp = np.multiply(g, -np.cosh(s), out=None if False in derivatives else g)
+    samples = [kp if derivative else g for derivative in derivatives]
+    for v in samples:
+        v[:, 0] *= 0.5
+    return [h * _row_sums(v, n + 1) for v in samples], -x
 
 
-def _bessel_backend_a(mu, x, derivative: bool):
+def _bessel_backend_a(mu, x, derivatives: tuple[bool, ...]):
     order = _as_order(mu)
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim > 1:
@@ -378,13 +390,13 @@ def _bessel_backend_a(mu, x, derivative: bool):
     keys = np.maximum(0.0, np.ceil(0.5 * np.log2(flat / x_resolved)))
     if m > 4.0:
         keys[0.5 * math.pi * m - flat > _SHIFT_THRESHOLD] = -1.0
-    mantissa = np.empty(flat.shape)
+    mantissas = np.empty((len(derivatives),) + flat.shape)
     log_scale = np.empty(flat.shape)
     for key in sorted(set(keys.tolist())):
         rows = keys == key
-        mantissa[rows], log_scale[rows] = _bessel_line(m, flat[rows], derivative, int(key), h)
-    out = ScaledArray(mantissa, log_scale)
-    return out if xs.ndim else out.item(0)
+        mantissas[:, rows], log_scale[rows] = _bessel_line(m, flat[rows], derivatives, int(key), h)
+    outs = [ScaledArray(v, log_scale) for v in mantissas]
+    return tuple(out if xs.ndim else out.item(0) for out in outs)
 
 
 def bessel_k_scaled(mu, x):
@@ -398,13 +410,22 @@ def bessel_k_scaled(mu, x):
     scalar calls bit for bit.  Raises DomainError if any element is not
     positive and finite.
     """
-    return _bessel_backend_a(mu, x, derivative=False)
+    return _bessel_backend_a(mu, x, (False,))[0]
 
 
 def bessel_k_prime_scaled(mu, x):
     """d/dx K_mu(x) in scaled form, from the differentiated integrand;
     takes x like bessel_k_scaled."""
-    return _bessel_backend_a(mu, x, derivative=True)
+    return _bessel_backend_a(mu, x, (True,))[0]
+
+
+def bessel_k_pair_scaled(mu, x):
+    """(K_mu(x), d/dx K_mu(x)) in scaled form from one call, taking x like
+    bessel_k_scaled; both equal bessel_k_scaled and bessel_k_prime_scaled
+    bit for bit.  The two sums share the rule keys, the truncation and, on
+    the real axis, the samples (K''s are K's times -cosh s); on the contour
+    they share the saddle geometry and the segment's phases."""
+    return _bessel_backend_a(mu, x, (False, True))
 
 
 def _scaled_to_float(sc: ScaledComplex, mu, x: float) -> float:

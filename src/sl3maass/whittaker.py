@@ -44,7 +44,7 @@ from .errors import (CancellationError, DegenerateParametersError,
 from .langlands import LanglandsParams, permutations
 from .quadrature import MellinGrid2D, QuadratureGrid, trapezoid_line
 from .scaled import ScaledArray, ScaledComplex, scaled_sum
-from .specfun import (GammaRatioSpec, bessel_k_prime_scaled, bessel_k_scaled,
+from .specfun import (GammaRatioSpec, bessel_k_pair_scaled, bessel_k_scaled,
                       gamma_ratio, _log_gamma_array, _pole_distance)
 
 __all__ = [
@@ -160,7 +160,7 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
     integrand peaks.  The half-width is fixed before sampling, from an
     envelope of the integrand's tails; NonConvergenceError is raised when
     it exceeds grid.N.  Applicable for all argument sizes; one call of the
-    integrand samples every node with two array K-Bessel calls.
+    integrand samples every node with one array K-Bessel call.
     """
     if grid is None:
         grid = default_stade_grid(p, a)
@@ -181,8 +181,10 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
         grow = np.exp(0.5 * np.abs(u))
         x1 = TWO_PI * y1 * np.where(u >= 0.0, grow, 1.0) * root
         x2 = TWO_PI * y2 * np.where(u >= 0.0, 1.0, grow) * root
-        out = (bessel_k_scaled(mu, x1) * bessel_k_scaled(mu, x2)
-               * ScaledArray.from_log(-0.75j * p.r_gamma * u))
+        # both factors from one K call: array calls equal scalar calls
+        k = bessel_k_scaled(mu, np.concatenate([x1, x2]))
+        k1, k2 = map(ScaledArray, k.mantissa.reshape(2, -1), k.log_scale.reshape(2, -1))
+        out = k1 * k2 * ScaledArray.from_log(-0.75j * p.r_gamma * u)
         peak_log = float(out.log_abs().max())
         return out
 
@@ -397,6 +399,23 @@ def _pq_values(p_coeffs: np.ndarray, q_coeffs: np.ndarray, y: float,
     return acc[0], acc[1]
 
 
+@functools.lru_cache(maxsize=8)
+def _series_plan(p: LanglandsParams, nmax: int) -> tuple[tuple, np.ndarray]:
+    """The y-free parts of w_series_small, memoized per (p, nmax): per
+    cyclic triple (d1, d2, d3), d1, the K order (d2 - d3)/2 and the
+    prefactor Gamma((d2-d1)/2) Gamma((d3-d1)/2), and the read-only rows of
+    coefficient denominators 2 (k+1) (q12+k) (q13+k), k < nmax."""
+    triples = _cyclic_triples(p)
+    log_gammas = _log_gamma_array(np.array([((d2 - d1) / 2.0, (d3 - d1) / 2.0)
+                                            for d1, d2, d3 in triples]))
+    k = np.arange(nmax)
+    denoms = np.array([2.0 * (k + 1.0) * (1.0 + (d1 - d2) / 2.0 + k) * (1.0 + (d1 - d3) / 2.0 + k)
+                       for d1, d2, d3 in triples])
+    denoms.setflags(write=False)
+    return tuple((d1, (d2 - d3) / 2.0, ScaledComplex.from_log(complex(lg[0] + lg[1])))
+                 for (d1, d2, d3), lg in zip(triples, log_gammas)), denoms
+
+
 def w_series_small(p: LanglandsParams, a: WhittakerArgs,
                    budget: SeriesBudget | None = None) -> ScaledComplex:
     """W(y1,y2) as three single-variable power series in (pi y1)^2, one per
@@ -406,11 +425,12 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
           * sum_n [ P_n(y2) K_mu(2 pi y2) + 2 pi y2 Q_n(y2) K_mu'(2 pi y2) ]
                   (pi y1)^(2n) / [ (1+(d1-d2)/2)_n (1+(d1-d3)/2)_n 2^n n! ]
 
-    with mu = (d2-d3)/2.  Costs six K-Bessel evaluations total, Horner
-    passes over the P/Q rows the series reach, _PQ_ROWS rows at a time,
-    and the n-series arithmetic; the tables come from build_pq_table,
-    which builds them on the first call per (params, nmax) and returns
-    them from its memo after that.
+    with mu = (d2-d3)/2.  Costs one K/K' pair (bessel_k_pair_scaled) per
+    distinct |mu|, Horner passes over the P/Q rows the series reach,
+    _PQ_ROWS rows at a time, and the n-series arithmetic, with the three
+    series summed as one (3, rows) array.  The tables come from
+    build_pq_table and the y-free factors from _series_plan; both are
+    built on the first call per (params, nmax) and memoized after that.
     Intended for small y1 (the dispatcher swaps arguments first when
     y1 > y2).
 
@@ -425,63 +445,58 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
     y1, y2 = a.y1, a.y2
     x2 = TWO_PI * y2
     nmax = budget.nmax
-    triples = _cyclic_triples(p)
+    slices, denoms = _series_plan(p, nmax)
     tables = build_pq_table(p, nmax)
     p_vals, q_vals = _pq_values(*tables, y2, 0, _PQ_ROWS)
-    log_gammas = _log_gamma_array(np.array([((d2 - d1) / 2.0, (d3 - d1) / 2.0)
-                                            for d1, d2, d3 in triples]))
-    k = np.arange(nmax)
-
-    totals: list[ScaledComplex] = []
-    max_term_log = -math.inf
-    for j, (d1, d2, d3) in enumerate(triples):
-        mu = (d2 - d3) / 2.0
-        kv = bessel_k_scaled(mu, x2)
-        kp = bessel_k_prime_scaled(mu, x2)
-        scale = max(kv.log_scale, kp.log_scale)
-        pref = ScaledComplex.from_log(complex(log_gammas[j, 0] + log_gammas[j, 1]))
-        pref = pref * ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
-                                             + (1.0 + d1 / 2.0) * math.log(math.pi * y2))
-        pref = pref * _CONTOUR_WEIGHT
-        q12 = 1.0 + (d1 - d2) / 2.0
-        q13 = 1.0 + (d1 - d3) / 2.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            # (pi y1)^(2n) / ((q12)_n (q13)_n 2^n n!)
-            coef = np.ones(nmax + 1, dtype=np.complex128)
-            coef[1:] = np.cumprod((math.pi * y1) ** 2
-                                  / (2.0 * (k + 1.0) * (q12 + k) * (q13 + k)))
-        # the series over the rows evaluated so far; _PQ_ROWS more rows
-        # until it stops or the tables run out
+    # one K/K' pair per order |mu| (K is even in mu): LIFT's r, r, 2r take two
+    orders = {abs(mu): mu for _, mu, _ in slices}
+    pairs = {m: bessel_k_pair_scaled(mu, x2) for m, mu in orders.items()}
+    ks = [pairs[abs(mu)] for _, mu, _ in slices]
+    scales = [max(kv.log_scale, kp.log_scale) for kv, kp in ks]
+    kv_f, kp_f = (np.array([[v.mantissa * math.exp(v.log_scale - s)] for v, s in zip(vs, scales)])
+                  for vs in zip(*ks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (pi y1)^(2n) / ((q12)_n (q13)_n 2^n n!)
+        coef = np.ones((len(slices), nmax + 1), dtype=np.complex128)
+        coef[:, 1:] = np.cumprod((math.pi * y1) ** 2 / denoms, axis=1)
+        # the three series over the rows evaluated so far; _PQ_ROWS more
+        # rows until every series stops or the tables run out
         while True:
             rows = p_vals.shape[1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                kv_part = kv.mantissa * math.exp(kv.log_scale - scale) * p_vals[j]
-                kp_part = kp.mantissa * math.exp(kp.log_scale - scale) * (x2 * q_vals[j])
-                terms = coef[:rows] * (kv_part + kp_part)
-                partial = np.cumsum(terms)
-                mags = np.abs(terms)
-                small = mags < budget.target_eps * np.maximum.accumulate(np.abs(partial))
-                # the two products of a term can cancel inside it, so the
-                # guard sees the larger product, not the term
-                products = np.abs(coef[:rows]) * np.maximum(np.abs(kv_part), np.abs(kp_part))
-            # the first n >= 2 ending a run of three small terms, before any
-            # non-finite partial sum
-            reached = np.logical_and.accumulate(np.isfinite(partial))
-            stops = np.flatnonzero(small[2:] & small[1:-1] & small[:-2] & reached[2:])
-            if stops.size or rows > nmax:
+            kv_part = kv_f * p_vals
+            kp_part = kp_f * (x2 * q_vals)
+            terms = coef[:, :rows] * (kv_part + kp_part)
+            partial = np.cumsum(terms, axis=1)
+            small = np.abs(terms) < budget.target_eps * np.maximum.accumulate(np.abs(partial), axis=1)
+            # the first n >= 2 ending a run of three small terms, before
+            # any non-finite partial sum
+            reached = np.logical_and.accumulate(np.isfinite(partial), axis=1)
+            ends = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & reached[:, 2:]
+            if ends.any(axis=1).all() or rows > nmax:
                 break
             more = _pq_values(*tables, y2, rows, rows + _PQ_ROWS)
             p_vals, q_vals = (np.concatenate(v, axis=1) for v in zip((p_vals, q_vals), more))
+        # the two products of a term can cancel inside it, so the guard
+        # sees the larger product, not the term
+        products = np.abs(coef[:, :rows]) * np.maximum(np.abs(kv_part), np.abs(kp_part))
+
+    totals: list[ScaledComplex] = []
+    max_term_log = -math.inf
+    for j, (d1, _, pref) in enumerate(slices):
+        stops = np.flatnonzero(ends[j])
         if stops.size == 0:
-            if not reached[-1]:
+            if not reached[j, -1]:
                 raise CancellationError(
                     "small-argument series terms left binary64 range")
             raise NonConvergenceError(
                 f"small-argument series did not converge within nmax={nmax}")
         stop = int(stops[0]) + 2
+        pref = pref * ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
+                                             + (1.0 + d1 / 2.0) * math.log(math.pi * y2))
+        pref = pref * _CONTOUR_WEIGHT
         max_term_log = max(max_term_log,
-                           pref.log_abs() + scale + math.log(float(products[:stop + 1].max())))
-        totals.append(pref * ScaledComplex(complex(partial[stop]), scale))
+                           pref.log_abs() + scales[j] + math.log(float(products[j, :stop + 1].max())))
+        totals.append(pref * ScaledComplex(complex(partial[j, stop]), scales[j]))
 
     total = scaled_sum(totals)
     if total.is_zero or max_term_log - total.log_abs() > math.log(CANCELLATION_GUARD_RATIO):
@@ -736,7 +751,8 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     # assembly needs there
     floor_log = math.log(eps)
     resid = 0.0
-    ends = np.unique([lo, hi])
+    # the distinct ends without np.unique, which imports numpy.ma (~15 ms)
+    ends = np.array([lo] if lo == hi else [lo, hi])
     for y2, w in zip(ends.tolist(), w_mellin_fixed_d(cache, ends)[0]):
         ref = w_eval(p, WhittakerArgs(math.sqrt(D / y2), y2))
         diff = (w - ref).log_abs()

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +358,24 @@ def test_fresh_forms_are_bit_identical():
     v2, s2 = eval_maass_report(synthetic_form(params=GENERIC), E2_POINT)
     assert v1 == v2
     assert s1 == s2
+
+
+def test_evaluation_does_not_import_numpy_ma():
+    """numpy.ma costs ~15 ms to import; np.unique imports it on its first
+    call, and the cache validation called it on the ends of each y2
+    range.  One E2-point evaluation in a fresh process leaves it out."""
+    script = ("import sys\n"
+              "from sl3maass.langlands import LanglandsParams\n"
+              "from sl3maass.maass import H3Point, MaassForm, eval_maass_report\n"
+              "form = MaassForm(params=LanglandsParams(-3.7, 1.2), eps=1e-8,\n"
+              "                 coeff_fn=lambda m1, m2: 1.0 / (1.0 + m1 * m2))\n"
+              "_, stats = eval_maass_report(form, H3Point(0.13, 0.27, -0.41, 1.1, 0.95))\n"
+              "assert stats.n_caches > 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_caches_built_per_evaluation():

@@ -9,8 +9,9 @@ from sl3maass import specfun
 from sl3maass.errors import DomainError, PoleError, UnderflowError
 from sl3maass.specfun import (BesselOrder, GammaRatioSpec, bessel_k,
                               bessel_k_mellin, bessel_k_prime,
-                              bessel_k_prime_scaled, bessel_k_scaled,
-                              gamma_ratio, log_gamma, pochhammer)
+                              bessel_k_pair_scaled, bessel_k_prime_scaled,
+                              bessel_k_scaled, gamma_ratio, log_gamma,
+                              pochhammer)
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +345,26 @@ def test_bessel_large_argument_step():
             assert abs(got_p - ref_p) <= 5e-13 * abs(ref_p), (m, x)
 
 
+# at the lift order: the steepest-descent contour, and the real axis at 0
+# to 3 step halvings
+EVERY_RULE_XS = np.array([0.3, 12.0, 21.9, 22.0, 40.0, 1500.0, 3000.0, 3e4, 1e5])
+
+
 def test_bessel_one_call_on_every_rule(monkeypatch):
     """At the lift order the switch is at x ~ 21.95 and the axis step
-    first halves past x ~ 2496, so one array reaches the shifted line and
-    the real axis at 0 to 3 step halvings.  Each group is summed by one
-    call, and every element equals its scalar call in either order."""
+    first halves past x ~ 2496, so one array reaches the steepest-descent
+    contour and the real axis at 0 to 3 step halvings.  Each group is
+    summed by one call, and every element equals its scalar call in either
+    order."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-    xs = np.array([0.3, 12.0, 21.9, 22.0, 40.0, 1500.0, 3000.0, 3e4, 1e5])
+    xs = EVERY_RULE_XS
     keys = []
     line = specfun._bessel_line
 
-    def spy(m, x, derivative, key, h):
+    def spy(m, x, derivatives, key, h):
         keys.append((key, x.tolist()))
-        return line(m, x, derivative, key, h)
+        return line(m, x, derivatives, key, h)
 
     monkeypatch.setattr(specfun, "_bessel_line", spy)
     k = bessel_k_scaled(1j * LIFT_M, xs)
@@ -430,10 +437,31 @@ def test_gauss_legendre_rule(n):
         assert abs(math.fsum(w * x ** k) - 1.0 / (k + 1)) <= 1e-15
 
 
+@pytest.mark.parametrize("m, xs", [
+    (LIFT_M, EVERY_RULE_XS),
+    (GEN_M, np.concatenate([GEN_XS, [1500.0, 3000.0, 3e4, 1e5]])),
+], ids=["LIFT", "GEN"])
+def test_bessel_pair_equals_single_calls(m, xs):
+    """The pair's K and K' equal bessel_k_scaled and bessel_k_prime_scaled
+    bit for bit, as arrays and as scalars: at the lift order on the
+    contour and the axis at 0 to 3 step halvings, at a GEN order (m < 4)
+    on the axis alone."""
+    k, kp = bessel_k_pair_scaled(1j * m, xs)
+    for got, fn in ((k, bessel_k_scaled), (kp, bessel_k_prime_scaled)):
+        ref = fn(1j * m, xs)
+        assert got.mantissa.tobytes() == ref.mantissa.tobytes(), fn.__name__
+        assert got.log_scale.tobytes() == ref.log_scale.tobytes(), fn.__name__
+    for x in xs.tolist():
+        pair = bessel_k_pair_scaled(1j * m, x)
+        assert repr(pair) == repr((bessel_k_scaled(1j * m, x), bessel_k_prime_scaled(1j * m, x))), x
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_bessel_array_rejects_any_bad_element(bad):
     xs = np.array([0.5, 2.0, bad, 3.0])
-    for fn in (bessel_k_scaled, bessel_k_prime_scaled):
+    for fn in (bessel_k_scaled, bessel_k_prime_scaled, bessel_k_pair_scaled):
         with pytest.raises(DomainError):
             fn(1j * LIFT_M, xs)
+        with pytest.raises(DomainError):
+            fn(1j * LIFT_M, bad)
 

@@ -284,7 +284,7 @@ def stade_node_arrays(monkeypatch) -> list:
 
 def test_stade_bessel_calls_per_block(monkeypatch):
     # the node range is fixed before sampling, so the integrand is called
-    # once on all nodes, with one array K call per Bessel factor
+    # once on all nodes, with one array K call for both Bessel factors
     k_calls = []
 
     def counting_k(mu, x):
@@ -295,7 +295,7 @@ def test_stade_bessel_calls_per_block(monkeypatch):
     nodes = stade_node_arrays(monkeypatch)
     w_stade(LIFT, WhittakerArgs(0.6, 1.0))
     assert len(nodes) == 1
-    assert k_calls == [nodes[0].size, nodes[0].size]
+    assert k_calls == [2 * nodes[0].size]
 
 
 def test_stade_node_range_at_large_arguments(monkeypatch):
@@ -323,20 +323,22 @@ def test_stade_default_step_resolves_the_peak(y, monkeypatch):
 
 
 def test_series_work_per_call(monkeypatch):
-    # one P/Q table build and six K calls per series evaluation, and the
-    # n-series summed as arrays: the ScaledComplex values made per call do
-    # not grow with the number of terms
-    tables, k_calls, scaled = [], [], []
+    # one P/Q table build and one K/K' pair call per distinct order |mu| per
+    # series evaluation (LIFT's three orders are r, r and 2r), no single K
+    # call, no log-gamma once the plan is memoized, and the n-series summed
+    # as arrays: the ScaledComplex values made per call do not grow with
+    # the number of terms
+    tables, pair_calls, single_calls, log_gammas, scaled = [], [], [], [], []
 
     def counting_table(p, nmax):
         tables.append(nmax)
         return build_pq_table(p, nmax)
 
-    def counting(k):
-        def f(mu, x):
-            k_calls.append(mu)
-            return k(mu, x)
-        return f
+    def counting(calls, f):
+        def spy(*args):
+            calls.append(args)
+            return f(*args)
+        return spy
 
     post_init = ScaledComplex.__post_init__
 
@@ -350,19 +352,71 @@ def test_series_work_per_call(monkeypatch):
     w_series_small(LIFT, few, SeriesBudget(nmax=6))
     with pytest.raises(NonConvergenceError):
         w_series_small(LIFT, many, SeriesBudget(nmax=21))
+    for p in (LIFT, GENERIC):
+        w_series_small(p, few)
     monkeypatch.setattr(whittaker, "build_pq_table", counting_table)
-    monkeypatch.setattr(whittaker, "bessel_k_scaled", counting(bessel_k_scaled))
-    monkeypatch.setattr(whittaker, "bessel_k_prime_scaled", counting(bessel_k_prime_scaled))
+    monkeypatch.setattr(whittaker, "bessel_k_pair_scaled",
+                        counting(pair_calls, whittaker.bessel_k_pair_scaled))
+    monkeypatch.setattr(whittaker, "bessel_k_scaled", counting(single_calls, bessel_k_scaled))
+    monkeypatch.setattr(whittaker, "_log_gamma_array", counting(log_gammas, _log_gamma_array))
     monkeypatch.setattr(ScaledComplex, "__post_init__", counting_post_init)
     made = []
-    for a in (few, many):
-        for counts in (tables, k_calls, scaled):
+    for p, a, orders in ((LIFT, few, 2), (LIFT, many, 2), (GENERIC, few, 3)):
+        for counts in (tables, pair_calls, single_calls, log_gammas, scaled):
             counts.clear()
-        w_series_small(LIFT, a)
+        w_series_small(p, a)
         assert tables == [60]
-        assert len(k_calls) == 6
+        assert len(pair_calls) == orders
+        assert len({abs(mu.imag) for mu, _ in pair_calls}) == orders
+        assert single_calls == [] and log_gammas == []
         made.append(len(scaled))
     assert made[0] == made[1]
+
+
+# w_series_small's values recorded from the implementation that summed one
+# slice at a time from six scalar K calls and a per-call log-gamma: the
+# series plan, the K/K' pair and the (3, rows) sums must keep every bit
+SERIES_GOLDEN = [
+    (LIFT, 0.01, 0.05, "ScaledComplex(mantissa=(-1.25399563469959+1.4716024995163883e-32j), log_scale=56.17357436019651)"),
+    (LIFT, 0.01, 0.6, "ScaledComplex(mantissa=(1.2221243237360717+9.8192683391687e-32j), log_scale=58.65848100998451)"),
+    (LIFT, 0.01, 1.3, "ScaledComplex(mantissa=(1.7981713820071366+2.5269165534084134e-30j), log_scale=58.892449495387424)"),
+    (LIFT, 0.2, 0.05, "ScaledComplex(mantissa=(-2.020216659388568-3.2997274211075786e-25j), log_scale=58.16930663375051)"),
+    (LIFT, 0.2, 0.6, "ScaledComplex(mantissa=(1.3992786207793497+7.301065841448417e-24j), log_scale=61.6542132835385)"),
+    (LIFT, 0.2, 1.3, "ScaledComplex(mantissa=(2.265158365535718+4.414070392930166e-22j), log_scale=60.88818176894141)"),
+    (LIFT, 0.7, 0.05, "ScaledComplex(mantissa=(-1.7734544528535638-3.1782178936791965e-20j), log_scale=60.07549601196589)"),
+    (LIFT, 0.7, 0.6, "ScaledComplex(mantissa=(1.332305210662236+3.6226448216934363e-19j), log_scale=60.56040266175389)"),
+    (LIFT, 0.7, 1.3, "ScaledComplex(mantissa=(1.2585944453453557+3.117764775918972e-19j), log_scale=63.14094473743678)"),
+    (GENERIC, 0.01, 0.05, "ScaledComplex(mantissa=(0.5039787925991766+0.8832843694975561j), log_scale=4.8744145389621405)"),
+    (GENERIC, 0.01, 0.6, "ScaledComplex(mantissa=(0.32168628307385555+1.9737929380671952j), log_scale=5.541603866885183)"),
+    (GENERIC, 0.01, 1.3, "ScaledComplex(mantissa=(-1.239941067368626+2.398795732580038j), log_scale=1.916564040092954)"),
+    (GENERIC, 0.2, 0.05, "ScaledComplex(mantissa=(-1.2539644533389593+0.13706271761156275j), log_scale=7.369506652289715)"),
+    (GENERIC, 0.2, 0.6, "ScaledComplex(mantissa=(2.1123648663038046-0.7845839194894624j), log_scale=7.537336140439173)"),
+    (GENERIC, 0.2, 1.3, "ScaledComplex(mantissa=(1.40894426737947-0.4040953731301373j), log_scale=3.9122963136469444)"),
+    (GENERIC, 0.7, 0.05, "ScaledComplex(mantissa=(-1.3090850235797316+1.900105981428166j), log_scale=6.622269620785083)"),
+    (GENERIC, 0.7, 0.6, "ScaledComplex(mantissa=(1.9808383831798224+0.026890720765063755j), log_scale=4.790099108934541)"),
+    (GENERIC, 0.7, 1.3, "ScaledComplex(mantissa=(1.251774504238902-0.03286115791972328j), log_scale=0.02638452483208198)"),
+    (SMALL, 0.01, 0.05, "ScaledComplex(mantissa=(-0.3961027703134537+1.2884197176736452j), log_scale=4.3750027615814915)"),
+    (SMALL, 0.01, 0.6, "ScaledComplex(mantissa=(-0.42467727278562334+1.4236990679676365j), log_scale=4.876432683596307)"),
+    (SMALL, 0.01, 1.3, "ScaledComplex(mantissa=(0.054044343832893554+1.0316210330028601j), log_scale=1.2513928568040793)"),
+    (SMALL, 0.2, 0.05, "ScaledComplex(mantissa=(1.3521705536457898-0.914780624852115j), log_scale=7.370735035135483)"),
+    (SMALL, 0.2, 0.6, "ScaledComplex(mantissa=(2.714715339271376+0.1390775474692651j), log_scale=4.872164957150298)"),
+    (SMALL, 0.2, 1.3, "ScaledComplex(mantissa=(1.515980249197422+0.07022133228127335j), log_scale=0.7748499391824826)"),
+    (SMALL, 0.7, 0.05, "ScaledComplex(mantissa=(1.0564346030193987-0.4161863439162558j), log_scale=5.623498003630851)"),
+    (SMALL, 0.7, 0.6, "ScaledComplex(mantissa=(1.353534067831261-0.003265822997189888j), log_scale=1.6526527344700792)"),
+    (SMALL, 0.7, 1.3, "ScaledComplex(mantissa=(1.4056714826382124+0.00689210000505879j), log_scale=-3.9723870923221494)"),
+    (GENERIC, 0.9886363636363638, 1.2568181818181818, "ScaledComplex(mantissa=(1.4385947938622983-0.01085521419433228j), log_scale=-2.252156094062741)"),
+    (GENERIC, 2.0, 0.8, "CancellationError"),
+    (SMALL, 2.0, 0.5, "CancellationError"),
+]
+
+
+@pytest.mark.parametrize("p, y1, y2, expected", SERIES_GOLDEN)
+def test_series_golden_bits(p, y1, y2, expected):
+    try:
+        got = repr(w_series_small(p, WhittakerArgs(y1, y2)))
+    except CancellationError as exc:
+        got = type(exc).__name__
+    assert got == expected
 
 
 @pytest.mark.parametrize("field, value", [
