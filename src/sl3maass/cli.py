@@ -21,7 +21,8 @@ from .scaled import ScaledComplex
 from .whittaker import (SeriesBudget, WhittakerArgs, build_fixed_d_cache,
                         choose_algorithm, default_mellin_grid,
                         default_stade_grid, w_mellin_fixed_d,
-                        w_series_origin, w_series_small, w_stade)
+                        w_series_origin, w_series_small, w_stade,
+                        w_stade_report)
 
 __all__ = ["main", "RunReport"]
 
@@ -137,8 +138,14 @@ def _given(**fields) -> dict:
 
 
 def _stade(p, a, ns):
+    """The value on the halved grid, its halving estimate, and the step,
+    node count and relative stated error (w_stade_report) of that value."""
     grid = replace(default_stade_grid(p, a), **_given(h=ns.grid_h, N=ns.grid_n))
-    return _refined(lambda g: w_stade(p, a, g), grid, grid.halved())
+    coarse = w_stade(p, a, grid)
+    v, err_log, used = w_stade_report(p, a, grid.halved())
+    rel = v.rel_diff(coarse) if not v.is_zero else 0.0
+    return v, rel, {"h": used.h, "nodes": 2 * used.N + 1,
+                    "rule_error": math.exp(err_log - v.log_abs())}
 
 
 _SERIES_BUDGETS = (SeriesBudget(nmax=60, target_eps=1e-12),
@@ -146,7 +153,7 @@ _SERIES_BUDGETS = (SeriesBudget(nmax=60, target_eps=1e-12),
 
 
 def _series(fn):
-    return lambda p, a, ns: _refined(lambda b: fn(p, a, b), *_SERIES_BUDGETS)
+    return lambda p, a, ns: (*_refined(lambda b: fn(p, a, b), *_SERIES_BUDGETS), {})
 
 
 def _mellin(p, a, ns):
@@ -160,10 +167,11 @@ def _mellin(p, a, ns):
                                   sigma1=ns.sigma1, sigma2=ns.sigma2))
     cache = build_fixed_d_cache(p, a.y1 * a.y1 * a.y2, grid=grid,
                                 y2_range=(a.y2, a.y2))
-    return w_mellin_fixed_d(cache, a.y2), cache.validation_residual
+    return w_mellin_fixed_d(cache, a.y2), cache.validation_residual, {}
 
 
-# the only place the CLI names an algorithm: name -> (p, a, ns) -> (value, rel_error)
+# the only place the CLI names an algorithm: name -> (p, a, ns) ->
+# (value, rel_error, settings the run reports)
 _ALGORITHMS = {"stade": _stade,
                "origin": _series(w_series_origin),
                "smallarg": _series(w_series_small),
@@ -171,13 +179,14 @@ _ALGORITHMS = {"stade": _stade,
 
 
 def _eval_one(p, a, algo, ns):
-    """(scaled value, relative error estimate, tag) for one algorithm;
-    auto evaluates w_eval's route at its canonical argument order."""
+    """(scaled value, relative error estimate, tag, reported settings) for
+    one algorithm; auto evaluates w_eval's route at its canonical argument
+    order."""
     swapped = False
     if algo == "auto":
         algo, swapped = choose_algorithm(p, a)
-    v, err = _ALGORITHMS[algo](p, a.swapped if swapped else a, ns)
-    return v.conjugate() if swapped else v, max(err, 2e-16), algo
+    v, err, details = _ALGORITHMS[algo](p, a.swapped if swapped else a, ns)
+    return v.conjugate() if swapped else v, max(err, 2e-16), algo, details
 
 
 def _emit(report: RunReport, ns, *extra_lines: str) -> None:
@@ -195,10 +204,10 @@ def cmd_whittaker(ns) -> int:
     p = _params(ns)
     a = WhittakerArgs(ns.y1, ns.y2)
     t0 = time.perf_counter()
-    v, err, algo = _eval_one(p, a, ns.algo, ns)
+    v, err, algo, details = _eval_one(p, a, ns.algo, ns)
     report = RunReport(operation="whittaker",
                        settings={"params": (p.r_alpha, p.r_beta, p.r_gamma),
-                                 "y1": a.y1, "y2": a.y2, "algo": ns.algo})
+                                 "y1": a.y1, "y2": a.y2, "algo": ns.algo, **details})
     report.add("scaled mantissa", v.mantissa, err, algo)
     report.add("log scale", complex(v.log_scale), 0.0, algo)
     shift = p.scale_shift
@@ -229,7 +238,7 @@ def cmd_xcheck(ns) -> int:
             vals = {}
             for algo, evaluate in _ALGORITHMS.items():
                 try:
-                    vals[algo], _ = evaluate(p, a, ns)
+                    vals[algo] = evaluate(p, a, ns)[0]
                 except NumericsError:
                     continue
             pair_worst = 0.0

@@ -23,6 +23,8 @@ from .scaled import ScaledArray, ScaledComplex
 __all__ = [
     "QuadratureGrid",
     "MellinGrid2D",
+    "strip_error_log",
+    "strip_step",
     "trapezoid_line",
     "inverse_mellin_line",
     "refine_check",
@@ -76,6 +78,21 @@ class MellinGrid2D:
                 raise ValueError(f"{name} must be an int, got {v!r}")
             if v < 1:
                 raise ValueError(f"{name} must be at least 1")
+
+
+def strip_error_log(a: float, growth_log: float, h: float) -> float:
+    """log of the trapezoid error bound 2M / (e^{2 pi a/h} - 1) at step h,
+    relative to int |f|, for f analytic in |Im u| < a with int |f(u + iv)|
+    du <= M = e^growth_log int |f| (Trefethen & Weideman, SIAM Review 2014)."""
+    x = 2.0 * math.pi * a / h
+    return math.log(2.0) + growth_log - x - math.log1p(-math.exp(-x))
+
+
+def strip_step(a: float, growth_log: float, eps: float) -> tuple[float, float]:
+    """The step h whose strip_error_log is log(eps), and that log."""
+    h = 2.0 * math.pi * a / (growth_log + math.log(2.0 / eps)
+                             + math.log1p(0.5 * eps * math.exp(-growth_log)))
+    return h, strip_error_log(a, growth_log, h)
 
 
 def trapezoid_line(f: Callable[[np.ndarray], ScaledArray],

@@ -390,13 +390,19 @@ def _bessel_backend_a(mu, x, derivatives: tuple[bool, ...]):
     keys = np.maximum(0.0, np.ceil(0.5 * np.log2(flat / x_resolved)))
     if m > 4.0:
         keys[0.5 * math.pi * m - flat > _SHIFT_THRESHOLD] = -1.0
-    mantissas = np.empty((len(derivatives),) + flat.shape)
-    log_scale = np.empty(flat.shape)
-    for key in sorted(set(keys.tolist())):
-        rows = keys == key
-        mantissas[:, rows], log_scale[rows] = _bessel_line(m, flat[rows], derivatives, int(key), h)
-    outs = [ScaledArray(v, log_scale) for v in mantissas]
-    return tuple(out if xs.ndim else out.item(0) for out in outs)
+    if keys.min() == keys.max():
+        # one rule for every argument, as in every scalar call: no scatter
+        mantissas, log_scale = _bessel_line(m, flat, derivatives, int(keys[0]), h)
+    else:
+        mantissas = np.empty((len(derivatives),) + flat.shape)
+        log_scale = np.empty(flat.shape)
+        for key in sorted(set(keys.tolist())):
+            rows = keys == key
+            mantissas[:, rows], log_scale[rows] = _bessel_line(m, flat[rows], derivatives,
+                                                               int(key), h)
+    if not xs.ndim:
+        return tuple(ScaledComplex(complex(v[0]), float(log_scale[0])) for v in mantissas)
+    return tuple(ScaledArray(v, log_scale) for v in mantissas)
 
 
 def bessel_k_scaled(mu, x):

@@ -42,7 +42,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import (CancellationError, DegenerateParametersError,
                      NonConvergenceError, AccuracyRangeError, PoleError)
 from .langlands import LanglandsParams, permutations
-from .quadrature import MellinGrid2D, QuadratureGrid, trapezoid_line
+from .quadrature import (MellinGrid2D, QuadratureGrid, strip_error_log, strip_step,
+                         trapezoid_line)
 from .scaled import ScaledArray, ScaledComplex, scaled_sum
 from .specfun import (GammaRatioSpec, bessel_k_pair_scaled, bessel_k_scaled,
                       gamma_ratio, _log_gamma_array, _pole_distance)
@@ -53,6 +54,7 @@ __all__ = [
     "pq_build",
     "build_pq_table",
     "w_stade",
+    "w_stade_report",
     "w_series_origin",
     "w_series_small",
     "MellinKernel",
@@ -136,15 +138,33 @@ def _k_log_magnitude(m: float, x: float) -> float:
     return -0.5 * math.pi * m
 
 
+# w_stade's discretization error and dropped tails, relative to int |f| and
+# to the peak; _STADE_NOISE is a K sample's error (tests/test_specfun.py)
+_STADE_EPS = 1e-16
+_STADE_NOISE = 5e-14
+
+
+def _stade_strip(p: LanglandsParams, a: WhittakerArgs) -> tuple[float, float]:
+    """(half-width a <= pi/2, log growth of int |f| at |Im u| < a) for
+    w_stade's integrand: 3 |gamma| a/4 from the phase, m a/2 from K_{im},
+    (3 sqrt(2) pi/8) sqrt(y1 y2) a^2 from the peak (README)."""
+    m = abs(((p.triple[0] - p.triple[1]) / 2.0).imag)
+    c1 = 0.75 * abs(p.r_gamma) + 0.5 * m
+    c2 = 3.0 * math.sqrt(2.0) * math.pi / 8.0 * math.sqrt(a.y1 * a.y2)
+    half = min(0.5 * math.pi, math.sqrt(math.log(2.0 / _STADE_EPS) / c2))
+    return half, c1 * half + c2 * half * half
+
+
 def default_stade_grid(p: LanglandsParams, a: WhittakerArgs | None = None) -> QuadratureGrid:
-    """Step resolving the exp(-3 gamma u / 4) oscillation and, with the
-    arguments given, the integrand's peak, whose width in u is about
-    1/sqrt(pi sqrt(y1 y2)); N caps the node range w_stade fixes per
-    evaluation."""
-    h = min(1.0 / 16.0, math.pi / (5.0 * (1.0 + 0.75 * abs(p.r_gamma))))
-    if a is not None:
-        h = min(h, 0.74 / math.sqrt(math.pi * math.sqrt(a.y1 * a.y2)))
-    return QuadratureGrid(h=h, N=20000)
+    """w_stade's grid; N caps the node range w_stade fixes per evaluation.
+    With the arguments, the step is strip_step's for _stade_strip at
+    _STADE_EPS: a discretization error of at most 1e-16 of int |f| du,
+    0.19-0.25 for small arguments and 0.4 (y1 y2)^(-1/4) for large ones.
+    Without them it is min(1/16, pi/(5 (1 + 3 |gamma|/4)))."""
+    if a is None:
+        return QuadratureGrid(h=min(1.0 / 16.0, math.pi / (5.0 * (1.0 + 0.75 * abs(p.r_gamma)))),
+                              N=20000)
+    return QuadratureGrid(h=strip_step(*_stade_strip(p, a), _STADE_EPS)[0], N=20000)
 
 
 def w_stade(p: LanglandsParams, a: WhittakerArgs,
@@ -155,13 +175,23 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
           * int_R K_mu(2 pi y1 sqrt(1+e^u)) K_mu(2 pi y2 sqrt(1+e^-u))
                   e^(-3 g u / 4) du,
 
-    mu = (alpha-beta)/2, evaluated by trapezoid_line.  The grid is
-    recentred at u0 = log(y2/y1), where the doubly exponentially decaying
-    integrand peaks.  The half-width is fixed before sampling, from an
-    envelope of the integrand's tails; NonConvergenceError is raised when
-    it exceeds grid.N.  Applicable for all argument sizes; one call of the
-    integrand samples every node with one array K-Bessel call.
+    mu = (alpha-beta)/2, by trapezoid_line on grid (default:
+    default_stade_grid(p, a)) recentred at u0 = log(y2/y1), all nodes in
+    one array K call.  The estimated log|f| is concave in u, so each side
+    stops _STADE_EPS below the peak, fixed before sampling;
+    NonConvergenceError is raised past grid.N.  The stated error
+    (w_stade_report) is int |f| du times the prefactor times
+    (e^strip_error_log at the grid's step + _STADE_EPS + _STADE_NOISE +
+    _ROUNDOFF times the |f|-weighted mean of x1 + x2, since K's condition
+    number ~x amplifies the rounding of x).
     """
+    return w_stade_report(p, a, grid)[0]
+
+
+def w_stade_report(p: LanglandsParams, a: WhittakerArgs,
+                   grid: QuadratureGrid | None = None) -> tuple[ScaledComplex, float, QuadratureGrid]:
+    """(w_stade's value, log of its stated absolute error in the same scaled
+    units, the grid summed with N the half-width used)."""
     if grid is None:
         grid = default_stade_grid(p, a)
     alpha, beta, g = p.triple
@@ -170,10 +200,10 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
     y1, y2 = a.y1, a.y2
     u0 = math.log(y2 / y1)
 
-    peak_log = -math.inf
+    peak_log = l1_log = x_mean = -math.inf
 
     def integrand(v: np.ndarray) -> ScaledArray:
-        nonlocal peak_log
+        nonlocal peak_log, l1_log, x_mean
         u = v + u0
         # x1 = 2 pi y1 sqrt(1+e^u), x2 = 2 pi y2 sqrt(1+e^-u), with the
         # growing factor e^{|u|/2} split off so nothing overflows
@@ -185,30 +215,37 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
         k = bessel_k_scaled(mu, np.concatenate([x1, x2]))
         k1, k2 = map(ScaledArray, k.mantissa.reshape(2, -1), k.log_scale.reshape(2, -1))
         out = k1 * k2 * ScaledArray.from_log(-0.75j * p.r_gamma * u)
-        peak_log = float(out.log_abs().max())
+        la = out.log_abs()
+        peak_log = float(la.max())
+        w = np.exp(la - peak_log)
+        l1_log = peak_log + math.log(grid.h * w.sum())
+        x_mean = float(w @ (x1 + x2) / w.sum())
         return out
 
-    # floor relative to the integrand scale near the peak; |K| can vanish
-    # at an oscillation zero, so probe a few nodes
-    probe = max(_k_log_magnitude(m, TWO_PI * y1 * math.sqrt(1.0 + math.exp(u0 + s)))
-                + _k_log_magnitude(m, TWO_PI * y2 * math.sqrt(1.0 + math.exp(-u0 - s)))
-                for s in (-2.0, -1.0, 0.0, 1.0, 2.0))
-    # half-width from the envelope of the tails: at v = u - u0, x1 >= S
-    # e^{v/2} for v > 0 and x2 >= S e^{|v|/2} for v < 0, with S = 2 pi
-    # sqrt(y1 y2), while the other factor is at most about e^{-pi m/2}.
-    # Arguments past e^700 lie far below any floor
-    log_s = math.log(TWO_PI) + 0.5 * (math.log(y1) + math.log(y2))
+    def log_node(v: float) -> float:
+        """Estimated log|integrand| at u0 + v; past |u| = 700 it is far
+        below any floor."""
+        u = u0 + v
+        return (_k_log_magnitude(m, TWO_PI * y1 * math.sqrt(1.0 + math.exp(min(u, 700.0))))
+                + _k_log_magnitude(m, TWO_PI * y2 * math.sqrt(1.0 + math.exp(min(-u, 700.0)))))
 
-    def below_floor(k: int) -> bool:
-        x = math.exp(min(log_s + 0.5 * k * grid.h, 700.0))
-        return _k_log_magnitude(m, x) - 0.5 * math.pi * m < probe - 44.0
-
-    n = 1 + bisect.bisect_left(range(1, grid.N + 1), True, key=below_floor)
+    # |K| can vanish at an oscillation zero, so the peak is probed at a few
+    # points; the floor is below log_node(0), so on each side the nodes
+    # below it form one tail.  Since log|K| <= -x, log_node(v) <= -x1 for
+    # v > 0 and -x2 for v < 0, and both pass the floor by |v| = 2 log(-floor
+    # / (2 pi sqrt(y1 y2))): the tails start within that reach
+    floor = max(log_node(s) for s in (-2.0, -1.0, 0.0, 1.0, 2.0)) + math.log(_STADE_EPS)
+    reach = 2.0 * (math.log(-floor / TWO_PI) - 0.5 * (math.log(y1) + math.log(y2)))
+    last = math.ceil(min(reach / grid.h + 1.0, grid.N))
+    n = 1 + max(bisect.bisect_left(range(1, last + 1), True,
+                                   key=lambda k: log_node(side * k * grid.h) < floor)
+                for side in (-1.0, 1.0))
     if n > grid.N:
         raise NonConvergenceError(
             f"double-Bessel integrand at ({y1:g}, {y2:g}) does not fall below "
             f"its floor within N={grid.N} steps of h={grid.h:g}")
-    total = trapezoid_line(integrand, replace(grid, N=n))
+    grid = replace(grid, N=n)
+    total = trapezoid_line(integrand, grid)
     # the e^{-3 g u/4} phase can cancel the node values far below their
     # size; each node carries ~1e-14 relative Bessel noise, so the result
     # keeps only ~14 - log10(ratio) digits
@@ -223,7 +260,10 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
     pref = ScaledComplex.from_log(math.log(4.0)
                                   + (1.0 - g / 2.0) * math.log(TWO_PI * y1)
                                   + (1.0 + g / 2.0) * math.log(TWO_PI * y2))
-    return (total * pref).scaled_by(p.scale_shift)
+    rel_err = (math.exp(strip_error_log(*_stade_strip(p, a), grid.h)) + _STADE_EPS
+               + _STADE_NOISE + _ROUNDOFF * x_mean)
+    err_log = math.log(rel_err) + l1_log + pref.log_abs() + p.scale_shift
+    return (total * pref).scaled_by(p.scale_shift), err_log, grid
 
 
 # ---------------------------------------------------------------------------

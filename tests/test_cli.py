@@ -2,11 +2,13 @@ import math
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sl3maass import whittaker
 from sl3maass.cli import main
 from sl3maass.coeffio import (CoefficientFileError, load_coefficient_file,
                               write_coefficient_file)
@@ -48,6 +50,36 @@ def test_whittaker_auto_routes_smallarg(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "[smallarg]" in out
+
+
+def test_whittaker_stade_reports_its_step_rule(capsys, monkeypatch):
+    # the printed value comes from the halved default grid: its step, its
+    # node count and its stated error are reported next to the halving
+    # estimate, and the stated error covers the value's distance from an
+    # eighth of the default step
+    nodes = []
+    rule = whittaker.trapezoid_line
+
+    def spy(f, grid):
+        nodes.append(2 * grid.N + 1)
+        return rule(f, grid)
+
+    monkeypatch.setattr(whittaker, "trapezoid_line", spy)
+    rc = main(["whittaker", *GEN_PARAMS, "--y1", "1.0", "--y2", "3.853", "--algo", "stade",
+               "--digits", "17"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    settings = dict(line.strip().split(": ", 1) for line in out.splitlines()
+                    if line.startswith("  "))
+    p, a = LanglandsParams(-3.7, 1.2), WhittakerArgs(1.0, 3.853)
+    grid = default_stade_grid(p, a)
+    assert float(settings["h"]) == grid.h / 2.0
+    assert len(nodes) == 2 and int(settings["nodes"]) == nodes[1]
+    rule_error = float(settings["rule_error"])
+    assert rule_error < 1e-12
+    value, _ = printed_rows(out)["unscaled value"]
+    ref = w_stade(p, a, replace(grid, h=grid.h / 8.0)).to_complex(extra_log=-p.scale_shift)
+    assert abs(value - ref) <= rule_error * abs(ref)
 
 
 def test_whittaker_stade_origin_agree(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from sl3maass.quadrature import (MellinGrid2D, QuadratureGrid,
                                  inverse_mellin_line, refine_check,
-                                 trapezoid_line)
+                                 strip_error_log, strip_step, trapezoid_line)
 from sl3maass.scaled import ScaledArray, ScaledComplex
 from sl3maass.specfun import _log_gamma_array, bessel_k, bessel_k_mellin
 
@@ -24,6 +24,21 @@ def k0_integrand(x: np.ndarray) -> ScaledArray:
 
 def zero_integrand(x: np.ndarray) -> ScaledArray:
     return ScaledArray(np.zeros_like(x), 0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+def test_strip_step_bounds_the_error(eps):
+    # sech is analytic in |Im u| < pi/2, where |sech(u + iv)| <= sech(u) /
+    # cos(v); its integral over the line is pi
+    a = 1.2
+    growth = -math.log(math.cos(a))
+    h, disc_log = strip_step(a, growth, eps)
+    assert disc_log == pytest.approx(math.log(eps), abs=1e-9)
+    assert strip_error_log(a, growth, h) == disc_log
+    n = int(math.ceil(60.0 / h))
+    total = trapezoid_line(lambda t: ScaledArray(1.0 / np.cosh(t), 0.0), QuadratureGrid(h=h, N=n))
+    err = abs(total.to_complex() - math.pi)
+    assert err <= math.exp(disc_log) * math.pi
 
 
 def test_grid_validation():

@@ -456,6 +456,33 @@ def test_bessel_pair_equals_single_calls(m, xs):
         assert repr(pair) == repr((bessel_k_scaled(1j * m, x), bessel_k_prime_scaled(1j * m, x))), x
 
 
+@pytest.mark.parametrize("m, xs, key", [
+    (LIFT_M, np.array([0.3, 5.0, 12.0, 21.9]), -1),
+    (LIFT_M, np.array([22.0, 40.0, 1500.0]), 0),
+    (GEN_M, GEN_XS, 0),
+    (GEN_M, np.array([3e4, 5e4]), 3),
+], ids=["LIFT-contour", "LIFT-axis", "GEN-axis", "GEN-axis-3"])
+def test_bessel_one_key_array_equals_scalar_calls(m, xs, key, monkeypatch):
+    """An array whose arguments share one rule key is summed by one
+    _bessel_line call on the whole array (no per-key scatter), and its K,
+    K' and pair values equal the elementwise scalar calls bit for bit."""
+    keys = []
+    line = specfun._bessel_line
+
+    def spy(m, x, derivatives, key, h):
+        keys.append((key, x.size))
+        return line(m, x, derivatives, key, h)
+
+    monkeypatch.setattr(specfun, "_bessel_line", spy)
+    k, kp = bessel_k_pair_scaled(1j * m, xs)
+    assert keys == [(key, xs.size)]
+    for fn, batch in ((bessel_k_scaled, k), (bessel_k_prime_scaled, kp)):
+        ref = fn(1j * m, xs)
+        assert ref.mantissa.tobytes() == batch.mantissa.tobytes(), fn.__name__
+        for i, x in enumerate(xs.tolist()):
+            assert repr(batch.item(i)) == repr(fn(1j * m, x)), (fn.__name__, x)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_bessel_array_rejects_any_bad_element(bad):
     xs = np.array([0.5, 2.0, bad, 3.0])

@@ -322,6 +322,47 @@ def test_stade_default_step_resolves_the_peak(y, monkeypatch):
     assert [t[t.size // 2 + 1] for t in nodes] == [1.0 / 16.0, 1.0 / 32.0]
 
 
+STEP_RULE_YS = np.geomspace(0.01, 100.0, 9)
+
+
+@pytest.mark.parametrize("p", [LIFT, GENERIC, SMALL], ids=["LIFT", "GEN", "SMALL"])
+def test_stade_step_rule_error_bound(p):
+    """The default step comes from the strip error of the trapezoid rule;
+    on a geometric grid over [0.01, 100]^2 (and at the LIFT near-zero
+    (1.0, 0.8443)) the default value agrees with the quarter step within
+    its stated absolute error.  At twice the step the discretization error
+    is well above roundoff, and the stated error of that grid bounds it
+    too, which checks the strip's growth terms."""
+    pts = [(y1, y2) for y1 in STEP_RULE_YS for y2 in STEP_RULE_YS]
+    if p is LIFT:
+        pts.append((1.0, 0.8443))
+    for y1, y2 in pts:
+        a = WhittakerArgs(y1, y2)
+        grid = whittaker.default_stade_grid(p, a)
+        ref = w_stade(p, a, replace(grid, h=grid.h / 4.0))
+        for step in (grid.h, 2.0 * grid.h):
+            v, err_log, used = whittaker.w_stade_report(p, a, replace(grid, h=step))
+            assert used.h == step
+            assert (v - ref).log_abs() < err_log, (y1, y2, step)
+
+
+def test_stade_step_rule_halves_the_nodes(monkeypatch):
+    # GEN (1.0, 3.853) is a form-orbit validation end; at the fixed step
+    # 1/16 and the 44-nat floor it sampled 123 nodes
+    nodes = stade_node_arrays(monkeypatch)
+    w_stade(GENERIC, WhittakerArgs(1.0, 3.853))
+    assert len(nodes) == 1 and nodes[0].size <= 65
+
+
+@pytest.mark.parametrize("y", [3e7, 1e8])
+def test_stade_huge_equal_arguments(y):
+    # the tail envelope bounded the other Bessel factor by e^{-pi m/2}, far
+    # above its e^{-x} here, and the node range ran past N = 20000
+    a = WhittakerArgs(y, y)
+    v, err_log, grid = whittaker.w_stade_report(GENERIC, a)
+    assert (v - w_stade(GENERIC, a, grid.halved())).log_abs() < err_log
+
+
 def test_series_work_per_call(monkeypatch):
     # one P/Q table build and one K/K' pair call per distinct order |mu| per
     # series evaluation (LIFT's three orders are r, r and 2r), no single K
