@@ -21,8 +21,7 @@ from .scaled import ScaledComplex
 from .whittaker import (SeriesBudget, WhittakerArgs, build_fixed_d_cache,
                         choose_algorithm, default_mellin_grid,
                         default_stade_grid, w_mellin_fixed_d,
-                        w_series_origin, w_series_small, w_stade,
-                        w_stade_report)
+                        w_series_origin, w_series_small, w_stade_report)
 
 __all__ = ["main", "RunReport"]
 
@@ -126,26 +125,16 @@ def _fmt_scaled(v: ScaledComplex, digits: int) -> str:
             f"*exp({v.log_scale:.{digits}g})")
 
 
-def _refined(evaluate, coarse, fine):
-    """The fine value and its relative distance from the coarse one."""
-    v1 = evaluate(coarse)
-    v2 = evaluate(fine)
-    return v2, v2.rel_diff(v1) if not v2.is_zero else 0.0
-
-
 def _given(**fields) -> dict:
     return {k: v for k, v in fields.items() if v is not None}
 
 
 def _stade(p, a, ns):
-    """The value on the halved grid, its halving estimate, and the step,
-    node count and relative stated error (w_stade_report) of that value."""
+    """The value, its stated error relative to |W| (w_stade_report), and
+    the step and node count it was summed with."""
     grid = replace(default_stade_grid(p, a), **_given(h=ns.grid_h, N=ns.grid_n))
-    coarse = w_stade(p, a, grid)
-    v, err_log, used = w_stade_report(p, a, grid.halved())
-    rel = v.rel_diff(coarse) if not v.is_zero else 0.0
-    return v, rel, {"h": used.h, "nodes": 2 * used.N + 1,
-                    "rule_error": math.exp(err_log - v.log_abs())}
+    v, err_log, used = w_stade_report(p, a, grid)
+    return v, math.exp(err_log - v.log_abs()), {"h": used.h, "nodes": 2 * used.N + 1}
 
 
 _SERIES_BUDGETS = (SeriesBudget(nmax=60, target_eps=1e-12),
@@ -153,7 +142,18 @@ _SERIES_BUDGETS = (SeriesBudget(nmax=60, target_eps=1e-12),
 
 
 def _series(fn):
-    return lambda p, a, ns: (*_refined(lambda b: fn(p, a, b), *_SERIES_BUDGETS), {})
+    def evaluate(p, a, ns):
+        coarse, fine = (fn(p, a, b) for b in _SERIES_BUDGETS)
+        return fine, fine.rel_diff(coarse) if not fine.is_zero else 0.0, {}
+    return evaluate
+
+
+def _smallarg(p, a, ns):
+    """The series at the argument order w_eval routes (choose_algorithm);
+    a swap is undone by W(y1, y2) = conj W(y2, y1)."""
+    swapped = choose_algorithm(p, a)[1]
+    v, err, _ = _series(w_series_small)(p, a.swapped if swapped else a, ns)
+    return v.conjugate() if swapped else v, err, {}
 
 
 def _mellin(p, a, ns):
@@ -174,19 +174,17 @@ def _mellin(p, a, ns):
 # (value, rel_error, settings the run reports)
 _ALGORITHMS = {"stade": _stade,
                "origin": _series(w_series_origin),
-               "smallarg": _series(w_series_small),
+               "smallarg": _smallarg,
                "mellin": _mellin}
 
 
 def _eval_one(p, a, algo, ns):
     """(scaled value, relative error estimate, tag, reported settings) for
-    one algorithm; auto evaluates w_eval's route at its canonical argument
-    order."""
-    swapped = False
+    one algorithm; auto is the algorithm w_eval routes to."""
     if algo == "auto":
-        algo, swapped = choose_algorithm(p, a)
-    v, err, details = _ALGORITHMS[algo](p, a.swapped if swapped else a, ns)
-    return v.conjugate() if swapped else v, max(err, 2e-16), algo, details
+        algo = choose_algorithm(p, a)[0]
+    v, err, details = _ALGORITHMS[algo](p, a, ns)
+    return v, max(err, 2e-16), algo, details
 
 
 def _emit(report: RunReport, ns, *extra_lines: str) -> None:

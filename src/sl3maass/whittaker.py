@@ -176,9 +176,11 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
                   e^(-3 g u / 4) du,
 
     mu = (alpha-beta)/2, by trapezoid_line on grid (default:
-    default_stade_grid(p, a)) recentred at u0 = log(y2/y1), all nodes in
-    one array K call.  The estimated log|f| is concave in u, so each side
-    stops _STADE_EPS below the peak, fixed before sampling;
+    default_stade_grid(p, a)) recentred at u0 = log(y2) - log(y1), all
+    nodes in one array K call.  The swap negates u0 and the imaginary
+    part of the prefactor's log exactly, so w_stade(p, a.swapped) is the
+    bitwise conjugate of w_stade(p, a).  The estimated log|f| is concave in u, so
+    each side stops _STADE_EPS below the peak, fixed before sampling;
     NonConvergenceError is raised past grid.N.  The stated error
     (w_stade_report) is int |f| du times the prefactor times
     (e^strip_error_log at the grid's step + _STADE_EPS + _STADE_NOISE +
@@ -191,19 +193,21 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
 def w_stade_report(p: LanglandsParams, a: WhittakerArgs,
                    grid: QuadratureGrid | None = None) -> tuple[ScaledComplex, float, QuadratureGrid]:
     """(w_stade's value, log of its stated absolute error in the same scaled
-    units, the grid summed with N the half-width used)."""
+    units, the grid summed with N the half-width used).  A stated error
+    above 1e-6 of |W| is logged as a warning; the usual cause is the
+    e^(-3 g u/4) phase cancelling the integral far below int |f| du."""
     if grid is None:
         grid = default_stade_grid(p, a)
     alpha, beta, g = p.triple
     mu = (alpha - beta) / 2.0
     m = abs(mu.imag)
     y1, y2 = a.y1, a.y2
-    u0 = math.log(y2 / y1)
+    u0 = math.log(y2) - math.log(y1)
 
-    peak_log = l1_log = x_mean = -math.inf
+    l1_log = x_mean = -math.inf
 
     def integrand(v: np.ndarray) -> ScaledArray:
-        nonlocal peak_log, l1_log, x_mean
+        nonlocal l1_log, x_mean
         u = v + u0
         # x1 = 2 pi y1 sqrt(1+e^u), x2 = 2 pi y2 sqrt(1+e^-u), with the
         # growing factor e^{|u|/2} split off so nothing overflows
@@ -246,24 +250,19 @@ def w_stade_report(p: LanglandsParams, a: WhittakerArgs,
             f"its floor within N={grid.N} steps of h={grid.h:g}")
     grid = replace(grid, N=n)
     total = trapezoid_line(integrand, grid)
-    # the e^{-3 g u/4} phase can cancel the node values far below their
-    # size; each node carries ~1e-14 relative Bessel noise, so the result
-    # keeps only ~14 - log10(ratio) digits
-    if not total.is_zero:
-        cancel_log = peak_log + math.log(grid.h) - total.log_abs()
-        if cancel_log > math.log(1e8):
-            log.warning(
-                "oscillation cancellation ~e^%.1f in the double-Bessel "
-                "integral at (%g, %g); expect only ~%d reliable digits, "
-                "prefer the series algorithms here",
-                cancel_log, y1, y2, max(0, int(14 - cancel_log / math.log(10.0))))
-    pref = ScaledComplex.from_log(math.log(4.0)
-                                  + (1.0 - g / 2.0) * math.log(TWO_PI * y1)
-                                  + (1.0 + g / 2.0) * math.log(TWO_PI * y2))
+    ly1, ly2 = math.log(TWO_PI * y1), math.log(TWO_PI * y2)
+    pref = ScaledComplex.from_log(math.log(4.0) + (ly1 + ly2) - (g / 2.0) * (ly1 - ly2))
     rel_err = (math.exp(strip_error_log(*_stade_strip(p, a), grid.h)) + _STADE_EPS
                + _STADE_NOISE + _ROUNDOFF * x_mean)
     err_log = math.log(rel_err) + l1_log + pref.log_abs() + p.scale_shift
-    return (total * pref).scaled_by(p.scale_shift), err_log, grid
+    value = (total * pref).scaled_by(p.scale_shift)
+    rel_log = err_log - value.log_abs()
+    if rel_log > math.log(1e-6):
+        log.warning(
+            "oscillation cancellation in the double-Bessel integral at "
+            "(%g, %g): stated error %.1e of |W|; prefer the series "
+            "algorithms here", y1, y2, math.exp(rel_log))
+    return value, err_log, grid
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from sl3maass.coeffio import (CoefficientFileError, load_coefficient_file,
 from sl3maass.langlands import LanglandsParams
 from sl3maass.maass import expand_coefficients
 from sl3maass.whittaker import (WhittakerArgs, default_stade_grid, w_series_origin,
-                                w_stade)
+                                w_stade, w_stade_report)
 
 PARAMS = ["--alpha-im", "-1.3", "--beta-im", "2.1"]
 GEN_PARAMS = ["--alpha-im", "-3.7", "--beta-im", "1.2"]
@@ -53,9 +53,9 @@ def test_whittaker_auto_routes_smallarg(capsys):
 
 
 def test_whittaker_stade_reports_its_step_rule(capsys, monkeypatch):
-    # the printed value comes from the halved default grid: its step, its
-    # node count and its stated error are reported next to the halving
-    # estimate, and the stated error covers the value's distance from an
+    # the printed value is one w_stade_report call on the default grid: its
+    # step and node count are reported, the err column is its stated error
+    # relative to |W|, and that error covers the value's distance from an
     # eighth of the default step
     nodes = []
     rule = whittaker.trapezoid_line
@@ -73,13 +73,31 @@ def test_whittaker_stade_reports_its_step_rule(capsys, monkeypatch):
                     if line.startswith("  "))
     p, a = LanglandsParams(-3.7, 1.2), WhittakerArgs(1.0, 3.853)
     grid = default_stade_grid(p, a)
-    assert float(settings["h"]) == grid.h / 2.0
-    assert len(nodes) == 2 and int(settings["nodes"]) == nodes[1]
-    rule_error = float(settings["rule_error"])
-    assert rule_error < 1e-12
-    value, _ = printed_rows(out)["unscaled value"]
+    assert float(settings["h"]) == grid.h
+    assert len(nodes) == 1 and int(settings["nodes"]) == nodes[0]
+    v, err_log, _ = w_stade_report(p, a)
+    stated = math.exp(err_log - v.log_abs())
+    assert stated < 1e-12
+    value, err = printed_rows(out)["unscaled value"]
+    assert f"{err:.2e}" == f"{stated:.2e}"
     ref = w_stade(p, a, replace(grid, h=grid.h / 8.0)).to_complex(extra_log=-p.scale_shift)
-    assert abs(value - ref) <= rule_error * abs(ref)
+    assert abs(value - ref) <= err * abs(ref)
+
+
+@pytest.mark.parametrize("y1, y2", [(3.0, 0.05), (0.8, 0.4)])
+def test_whittaker_smallarg_runs_at_the_smaller_argument(y1, y2, capsys):
+    # either order evaluates the series at the order w_eval routes, so the
+    # two rows are conjugates bit for bit; the series in the larger
+    # argument raised at (3.0, 0.05) and was 1.3e-12 off at (0.8, 0.4)
+    rows = []
+    for args in ((y1, y2), (y2, y1)):
+        rc = main(["whittaker", *GEN_PARAMS, "--y1", str(args[0]), "--y2", str(args[1]),
+                   "--algo", "smallarg", "--digits", "17"])
+        assert rc == 0
+        rows.append(printed_rows(capsys.readouterr().out))
+    for label in ("scaled mantissa", "log scale", "unscaled value"):
+        (v, err_v), (w, err_w) = rows[0][label], rows[1][label]
+        assert (v, err_v) == (w.conjugate(), err_w), label
 
 
 def test_whittaker_stade_origin_agree(capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sl3maass.errors import (AccuracyRangeError, CancellationError,
                              DegenerateParametersError, NonConvergenceError)
@@ -251,12 +251,26 @@ def test_stade_dual_symmetry():
     assert w.rel_diff(v.conjugate()) < 1e-9
 
 
+@pytest.mark.parametrize("p", [LIFT, GENERIC, SMALL], ids=["LIFT", "GEN", "SMALL"])
+def test_stade_swap_is_the_bitwise_conjugate(p):
+    # the swapped call samples the mirrored nodes, so its value is the
+    # exact conjugate on a 13 x 13 geometric grid over [0.01, 100]^2
+    ys = np.geomspace(0.01, 100.0, 13).tolist()
+    for y1 in ys:
+        for y2 in ys:
+            a = WhittakerArgs(y1, y2)
+            v, w = w_stade(p, a).conjugate(), w_stade(p, a.swapped)
+            assert (w.mantissa, w.log_scale) == (v.mantissa, v.log_scale), (y1, y2)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([LIFT, GENERIC, SMALL]),
        st.floats(math.log(0.05), math.log(3.0)), st.floats(math.log(0.05), math.log(3.0)))
+@example(LIFT, 0.0, -0.16924846018252904)
 def test_stade_dual_symmetry_property(p, log_y1, log_y2):
     """W(y2, y1) = conj W(y1, y2) holds for the integral algorithm, whose
-    nodes are recentred at log(y2/y1) and so differ between the orders."""
+    nodes are recentred at log(y2) - log(y1) and so mirror each other
+    between the orders; the example is a near-zero of W at LIFT."""
     a = WhittakerArgs(math.exp(log_y1), math.exp(log_y2))
     assert w_stade(p, a.swapped).rel_diff(w_stade(p, a).conjugate()) < 1e-12
 
@@ -1070,6 +1084,7 @@ def test_w_eval_dual_symmetry_is_canonical():
 def test_w_eval_matches_components():
     a = WhittakerArgs(0.4, 0.9)
     assert w_eval(GENERIC, a).rel_diff(w_series_small(GENERIC, a)) == 0.0
+    assert repr(w_eval(GENERIC, (0.4, 0.9))) == repr(w_eval(GENERIC, a))
     b = WhittakerArgs(1.7, 2.1)
     assert w_eval(GENERIC, b).rel_diff(w_stade(GENERIC, b)) == 0.0
 
