@@ -455,6 +455,39 @@ def _series_plan(p: LanglandsParams, nmax: int) -> tuple[tuple, np.ndarray]:
                  for (d1, d2, d3), lg in zip(triples, log_gammas)), denoms
 
 
+@functools.lru_cache(maxsize=256)
+def _series_y2_half(p: LanglandsParams, nmax: int, y2: float) -> tuple:
+    """The y2 half of w_series_small, memoized per (p, nmax, y2): the K/K'
+    columns at per-slice log scales, from one pair per distinct |mu|, and
+    the P/Q values at y2 by row count, which _memo_rows fills.  At most 256
+    entries of 2-15 KB (all 61 rows read); the arrays are read-only."""
+    slices, _ = _series_plan(p, nmax)
+    # one K/K' pair per order |mu| (K is even in mu): LIFT's r, r, 2r take two
+    orders = {abs(mu): mu for _, mu, _ in slices}
+    pairs = {m: bessel_k_pair_scaled(mu, TWO_PI * y2) for m, mu in orders.items()}
+    ks = [pairs[abs(mu)] for _, mu, _ in slices]
+    scales = tuple(max(kv.log_scale, kp.log_scale) for kv, kp in ks)
+    kv_f, kp_f = (np.array([[v.mantissa * math.exp(v.log_scale - s)] for v, s in zip(vs, scales)])
+                  for vs in zip(*ks))
+    kv_f.setflags(write=False)
+    kp_f.setflags(write=False)
+    return kv_f, kp_f, scales, {}
+
+
+def _memo_rows(pq_rows: dict, tables, y2: float, rows: int) -> tuple:
+    """P_n(y2), Q_n(y2) for n < rows + _PQ_ROWS: the memoized first rows
+    and one more Horner block, stored read-only under rows."""
+    vals = pq_rows.get(rows)
+    if vals is None:
+        vals = _pq_values(*tables, y2, rows, rows + _PQ_ROWS)
+        if rows:
+            vals = tuple(np.concatenate(v, axis=1) for v in zip(pq_rows[rows - _PQ_ROWS], vals))
+        for arr in vals:
+            arr.setflags(write=False)
+        vals = pq_rows.setdefault(rows, vals)
+    return vals
+
+
 def w_series_small(p: LanglandsParams, a: WhittakerArgs,
                    budget: SeriesBudget | None = None) -> ScaledComplex:
     """W(y1,y2) as three single-variable power series in (pi y1)^2, one per
@@ -465,13 +498,15 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
                   (pi y1)^(2n) / [ (1+(d1-d2)/2)_n (1+(d1-d3)/2)_n 2^n n! ]
 
     with mu = (d2-d3)/2.  Costs one K/K' pair (bessel_k_pair_scaled) per
-    distinct |mu|, Horner passes over the P/Q rows the series reach,
+    distinct (|mu|, y2), Horner passes over the P/Q rows the series reach,
     _PQ_ROWS rows at a time, and the n-series arithmetic, with the three
     series summed as one (3, rows) array.  The tables come from
     build_pq_table and the y-free factors from _series_plan; both are
     built on the first call per (params, nmax) and memoized after that.
-    Intended for small y1 (the dispatcher swaps arguments first when
-    y1 > y2).
+    The K pairs and P/Q values at y2 come from _series_y2_half, memoized
+    per (params, nmax, exact y2), at most 256 entries, so a repeated y2
+    costs only the y1 work.  Intended for small y1 (the dispatcher swaps
+    arguments first when y1 > y2).
 
     Each n-series is summed in complex128 at the larger log scale of its
     K and K'.  It stops once three consecutive terms (n >= 2) lie below
@@ -486,21 +521,16 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
     nmax = budget.nmax
     slices, denoms = _series_plan(p, nmax)
     tables = build_pq_table(p, nmax)
-    p_vals, q_vals = _pq_values(*tables, y2, 0, _PQ_ROWS)
-    # one K/K' pair per order |mu| (K is even in mu): LIFT's r, r, 2r take two
-    orders = {abs(mu): mu for _, mu, _ in slices}
-    pairs = {m: bessel_k_pair_scaled(mu, x2) for m, mu in orders.items()}
-    ks = [pairs[abs(mu)] for _, mu, _ in slices]
-    scales = [max(kv.log_scale, kp.log_scale) for kv, kp in ks]
-    kv_f, kp_f = (np.array([[v.mantissa * math.exp(v.log_scale - s)] for v, s in zip(vs, scales)])
-                  for vs in zip(*ks))
+    kv_f, kp_f, scales, pq_rows = _series_y2_half(p, nmax, y2)
     with np.errstate(over="ignore", invalid="ignore"):
         # (pi y1)^(2n) / ((q12)_n (q13)_n 2^n n!)
         coef = np.ones((len(slices), nmax + 1), dtype=np.complex128)
         coef[:, 1:] = np.cumprod((math.pi * y1) ** 2 / denoms, axis=1)
         # the three series over the rows evaluated so far; _PQ_ROWS more
         # rows until every series stops or the tables run out
+        rows = 0
         while True:
+            p_vals, q_vals = _memo_rows(pq_rows, tables, y2, rows)
             rows = p_vals.shape[1]
             kv_part = kv_f * p_vals
             kp_part = kp_f * (x2 * q_vals)
@@ -513,8 +543,6 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
             ends = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & reached[:, 2:]
             if ends.any(axis=1).all() or rows > nmax:
                 break
-            more = _pq_values(*tables, y2, rows, rows + _PQ_ROWS)
-            p_vals, q_vals = (np.concatenate(v, axis=1) for v in zip((p_vals, q_vals), more))
         # the two products of a term can cancel inside it, so the guard
         # sees the larger product, not the term
         products = np.abs(coef[:, :rows]) * np.maximum(np.abs(kv_part), np.abs(kp_part))
@@ -895,8 +923,9 @@ _PRODUCT_CUT = 1.3
 def choose_algorithm(p: LanglandsParams, a: WhittakerArgs) -> tuple[str, bool]:
     """(algorithm, swapped): which route w_eval takes for these arguments.
 
-    swapped means the conjugate-swap W(y1,y2) = conj(W(y2,y1)) is applied
-    first so that the evaluated pair has y1 <= y2.
+    swapped means the series route evaluates the conjugate-swapped pair,
+    W(y1,y2) = conj(W(y2,y1)), so that y1 <= y2; the flag matters only
+    for the series route, since w_stade is order-free.
     """
     swapped = a.y1 > a.y2
     y_min = min(a.y1, a.y2)
@@ -908,23 +937,21 @@ def choose_algorithm(p: LanglandsParams, a: WhittakerArgs) -> tuple[str, bool]:
 
 
 def w_eval(p: LanglandsParams, a: WhittakerArgs) -> ScaledComplex:
-    """Dispatching evaluator: canonicalizes to y1 <= y2 via the conjugate
-    swap, then uses the small-argument series when the smaller argument is
-    at most _SMALL_CUT and y1*y2 at most _PRODUCT_CUT, and the integral
-    algorithm otherwise (degenerate parameter triples always take the
-    integral route).
+    """Dispatching evaluator: the small-argument series, in the smaller
+    argument via the conjugate swap, when the smaller argument is at most
+    _SMALL_CUT and y1*y2 at most _PRODUCT_CUT; the integral algorithm
+    otherwise, and where the series guard trips (degenerate parameter
+    triples always take the integral route).
     """
     if not isinstance(a, WhittakerArgs):
         a = WhittakerArgs(*a)
     algo, swapped = choose_algorithm(p, a)
-    work = a.swapped if swapped else a
     if algo == "smallarg":
+        work = a.swapped if swapped else a
         try:
             val = w_series_small(p, work)
+            return val.conjugate() if swapped else val
         except CancellationError:
             log.warning("series guard tripped at (%g, %g); falling back to "
                         "the integral algorithm", work.y1, work.y2)
-            val = w_stade(p, work)
-    else:
-        val = w_stade(p, work)
-    return val.conjugate() if swapped else val
+    return w_stade(p, a)

@@ -32,6 +32,15 @@ GENERIC = LanglandsParams(-3.7, 1.2)
 SMALL = LanglandsParams(-1.3, 2.1)
 
 
+@pytest.fixture
+def cold_memos():
+    """Clear the series memos (P/Q tables, plan, y2 half), so that a test
+    counting the series' work does not depend on what earlier tests
+    evaluated."""
+    for memo in (build_pq_table, whittaker._series_plan, whittaker._series_y2_half):
+        memo.cache_clear()
+
+
 def test_args_validation():
     with pytest.raises(ValueError):
         WhittakerArgs(0.0, 1.0)
@@ -116,7 +125,7 @@ def test_pq_recursion_off_zero(y):
 
 
 @pytest.mark.parametrize("y", [0.05, 0.8, 3.0])
-def test_pq_values_by_row_blocks(y, monkeypatch):
+def test_pq_values_by_row_blocks(y, monkeypatch, cold_memos):
     """The series evaluates P/Q rows in blocks up to its stop: every block
     equals the full-table rows bit for bit, and the series evaluates only
     the blocks it reaches."""
@@ -377,12 +386,12 @@ def test_stade_huge_equal_arguments(y):
     assert (v - w_stade(GENERIC, a, grid.halved())).log_abs() < err_log
 
 
-def test_series_work_per_call(monkeypatch):
+def test_series_work_per_call(monkeypatch, cold_memos):
     # one P/Q table build and one K/K' pair call per distinct order |mu| per
-    # series evaluation (LIFT's three orders are r, r and 2r), no single K
-    # call, no log-gamma once the plan is memoized, and the n-series summed
-    # as arrays: the ScaledComplex values made per call do not grow with
-    # the number of terms
+    # series evaluation at a new y2 (LIFT's three orders are r, r and 2r),
+    # no single K call, no log-gamma once the plan is memoized, and the
+    # n-series summed as arrays: the ScaledComplex values made per call do
+    # not grow with the number of terms
     tables, pair_calls, single_calls, log_gammas, scaled = [], [], [], [], []
 
     def counting_table(p, nmax):
@@ -407,8 +416,10 @@ def test_series_work_per_call(monkeypatch):
     w_series_small(LIFT, few, SeriesBudget(nmax=6))
     with pytest.raises(NonConvergenceError):
         w_series_small(LIFT, many, SeriesBudget(nmax=21))
+    # memoize the y-free plan and the tables, but not the y2 half at few.y2
     for p in (LIFT, GENERIC):
-        w_series_small(p, few)
+        whittaker._series_plan(p, 60)
+        build_pq_table(p, 60)
     monkeypatch.setattr(whittaker, "build_pq_table", counting_table)
     monkeypatch.setattr(whittaker, "bessel_k_pair_scaled",
                         counting(pair_calls, whittaker.bessel_k_pair_scaled))
@@ -466,12 +477,16 @@ SERIES_GOLDEN = [
 
 
 @pytest.mark.parametrize("p, y1, y2, expected", SERIES_GOLDEN)
-def test_series_golden_bits(p, y1, y2, expected):
-    try:
-        got = repr(w_series_small(p, WhittakerArgs(y1, y2)))
-    except CancellationError as exc:
-        got = type(exc).__name__
-    assert got == expected
+def test_series_golden_bits(p, y1, y2, expected, cold_memos):
+    # cold, then on a y2 memo hit: the points that raise CancellationError
+    # raise it on the hit too
+    for hits in (0, 1):
+        try:
+            got = repr(w_series_small(p, WhittakerArgs(y1, y2)))
+        except CancellationError as exc:
+            got = type(exc).__name__
+        assert got == expected
+        assert whittaker._series_y2_half.cache_info().hits == hits
 
 
 @pytest.mark.parametrize("field, value", [
@@ -527,12 +542,70 @@ def test_memoized_series_is_bit_identical(p, y1, t):
     from the dispatcher's series domain: y1 <= y2 and y1 y2 <= 1.3."""
     a = WhittakerArgs(y1, y1 + t * (1.3 / y1 - y1))
     build_pq_table.cache_clear()
+    whittaker._series_y2_half.cache_clear()
     cold = _series_outcome(p, a)
     assert _series_outcome(p, a) == cold
     for nmax in (40, 60, 80):
         fresh = pq_build(_cyclic_triples(p), nmax)
         for memo, ref in zip(build_pq_table(p, nmax), fresh):
             assert memo.tobytes() == ref.tobytes()
+
+
+def _counting(calls, f, keep=lambda args: args):
+    def spy(*args):
+        calls.append(keep(args))
+        return f(*args)
+    return spy
+
+
+def test_series_warm_call_does_only_y1_work(monkeypatch, cold_memos):
+    # at a (params, nmax, y2) seen before, a call with another y1 makes no
+    # K pair call and evaluates only the P/Q blocks the memo does not hold
+    # yet; it still fetches the tables once.  At y2 = 0.6 the LIFT series
+    # reads one block at y1 = 0.01, two at 0.9 and three at 3.0
+    tables, pair_calls, blocks = [], [], []
+    monkeypatch.setattr(whittaker, "build_pq_table", _counting(tables, build_pq_table))
+    monkeypatch.setattr(whittaker, "bessel_k_pair_scaled",
+                        _counting(pair_calls, whittaker.bessel_k_pair_scaled))
+    monkeypatch.setattr(whittaker, "_pq_values",
+                        _counting(blocks, _pq_values, keep=lambda args: args[3:]))
+    calls = [(0.01, [(0, 16)]), (0.9, [(16, 32)]), (0.3, []), (3.0, [(32, 48)]), (0.9, [])]
+    for y1, new_blocks in calls:
+        blocks.clear()
+        w_series_small(LIFT, WhittakerArgs(y1, 0.6))
+        assert blocks == new_blocks, y1
+    assert len(tables) == len(calls)
+    assert len(pair_calls) == 2
+
+
+def test_series_memo_keeps_nmax_apart(monkeypatch, cold_memos):
+    # nmax = 21 does not reach the stop at (3.0, 0.4); its 22-row table
+    # cuts the second block short.  A later call at nmax 60 and the same
+    # y2 reads every row from its own 61-row table, and equals a cold call
+    a = WhittakerArgs(3.0, 0.4)
+    with pytest.raises(NonConvergenceError):
+        w_series_small(LIFT, a, SeriesBudget(nmax=21))
+    heights = []
+    monkeypatch.setattr(whittaker, "_pq_values",
+                        _counting(heights, _pq_values, keep=lambda args: args[0].shape[1]))
+    warm = _series_outcome(LIFT, a)
+    assert heights == [61] * 3
+    whittaker._series_y2_half.cache_clear()
+    assert _series_outcome(LIFT, a) == warm
+
+
+def test_series_y2_memo_is_bounded(cold_memos):
+    memo = whittaker._series_y2_half
+    cap = memo.cache_info().maxsize
+    assert cap is not None
+    ys = np.geomspace(0.05, 1.0, cap + 8).tolist()
+    for y2 in ys:
+        w_series_small(SMALL, WhittakerArgs(0.01, y2))
+    assert memo.cache_info().currsize == cap
+    kv_f, kp_f, _, pq_rows = memo(SMALL, 60, ys[-1])
+    for arr in (kv_f, kp_f, *pq_rows[0]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
 
 
 def test_series_terms_outside_binary64_raise():
@@ -1071,6 +1144,18 @@ def test_dispatcher_rule_and_swap(p, y1, y2):
     w = w_eval(p, a.swapped)
     assert w.conjugate().mantissa == v.mantissa
     assert w.log_scale == v.log_scale
+
+
+@pytest.mark.parametrize("p", [LIFT, GENERIC, SMALL], ids=["LIFT", "GEN", "SMALL"])
+def test_w_eval_integral_route_is_w_stade(p):
+    # w_stade is order-free, so the integral route takes either argument
+    # order as it is; a 9 x 9 geometric grid over [0.01, 100]^2 holds both
+    ys = np.geomspace(0.01, 100.0, 9).tolist()
+    for y1 in ys:
+        for y2 in ys:
+            a = WhittakerArgs(y1, y2)
+            if choose_algorithm(p, a)[0] == "stade":
+                assert repr(w_eval(p, a)) == repr(w_stade(p, a)), (y1, y2)
 
 
 def test_w_eval_dual_symmetry_is_canonical():
