@@ -7,14 +7,14 @@ exceeds C), enumerates the coprime (c, d) pairs allowed by the annulus
 
     sqrt(m2 y2 / C) < |c z2 + d| < C / (m1 y1),
 
-and obtains all Whittaker values for one (m1, m2) pair from a single
-fixed-D cache in one batched call, since D = (m1 y1)^2 m2 y2 is
-invariant along the (c, d) sum.  The caches' inner sums are formed in
-waves: when the walk reaches a D without a cache or column, one kernel
-product forms the columns of every uncached D of the next 16, 32 or 64
-pairs of the same m1.  Those D are (m1 y1)^2 m2 y2, so a wave needs no
-(c, d) enumeration; the walk enumerates a pair only when it reaches it,
-and wraps a column in a cache then.
+and serves all Whittaker values of one (m1, m2) pair from one fixed-D
+cache, since D = (m1 y1)^2 m2 y2 is invariant along the (c, d) sum; one
+batched call reads the values of a chunk of pairs the walk is certain to
+visit.  The caches' inner sums are formed in waves: when the walk reaches
+a D without a cache or column, one kernel product forms the columns of
+every uncached D of the next 16, 32 or 64 pairs of the same m1.  Those D
+are (m1 y1)^2 m2 y2, so a wave needs no (c, d) enumeration; the walk
+enumerates a pair only on reaching it, and wraps a column in a cache then.
 """
 
 from __future__ import annotations
@@ -400,12 +400,12 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     """Truncated even cosine expansion at z, with evaluation statistics.
 
     backend selects the Whittaker engine: "mellin" (fixed-D caches, the
-    default; their columns are formed in waves, see the module docstring)
-    or "stade" (direct double-Bessel integral).  A term contributes when
-    its |W| clears both the accuracy goal and the backend's roundoff
-    floor.  A(m1, m2) is fetched at its pair's first contributing term,
-    and from then on every term of that pair is summed, contributing or
-    not; earlier terms of the pair that do not contribute are dropped.
+    default; waves of columns, one call per chunk of pairs, see the module
+    docstring) or "stade" (direct double-Bessel integral).  A term
+    contributes when its |W| clears both the accuracy goal and the
+    backend's roundoff floor.  A(m1, m2) is fetched at its pair's first
+    contributing term, and from then on every term of that pair is summed,
+    contributing or not; the pair's earlier non-contributing terms are dropped.
     Summing only the contributing terms would move values by about 1e-6
     relative at eps 1e-8, away from the benchmark's stored form-orbit
     references, so the rule stays until those references change.  With
@@ -468,58 +468,75 @@ def eval_maass_report(f: MaassForm, z: H3Point,
         waves = 0
         m2_misses = 0
         m1_hit = False
-        for m2 in range(1, m2_cap + 1):
-            m2y2 = m2 * y2
-            D = m1y1 * m1y1 * m2y2
-            jobs = jobs_of(m1, m2)
-            y2_args = [y2_arg for _, _, y2_arg in jobs]
+        last = 0
+        while last < m2_cap:
+            # a chunk: the pairs the walk is certain to visit, every m2 with
+            # m2 y2 <= C, then as many as the stop rule needs if all miss
+            first = last + 1
+            while last < m2_cap and (last + 1) * y2 <= C:
+                last += 1
+            last = min(m2_cap, last + max(1, 4 - m2_misses - (last + 1 - first)))
+            chunk = [(m2, jobs_of(m1, m2)) for m2 in range(first, last + 1)]
+            # contributes: above the accuracy goal and e^2 above any roundoff floor
+            contributes, item = [], None
             if backend == "stade":
-                ws = [w_stade(p, WhittakerArgs(math.sqrt(D / y), y)) for y in y2_args]
-                floors = [-math.inf] * len(ws)
-            elif jobs:
-                key = cache_key(D)
-                if key not in caches:
-                    if m2 not in columns:
-                        # a wave: one kernel product forms the columns of
-                        # every uncached D of the next pairs of this m1
-                        size = _WAVE_SIZES[min(waves, len(_WAVE_SIZES) - 1)]
-                        Ds = {m: m1y1 * m1y1 * (m * y2)
-                              for m in range(m2, min(m2 + size, m2_cap + 1))}
-                        Ds = {m: D_m for m, D_m in Ds.items() if cache_key(D_m) not in caches}
-                        inner = mellin_kernel(p, grid).inner(list(Ds.values()))
-                        columns.update(zip(Ds, (column.copy() for column in inner.T)))
-                        waves += 1
-                    caches[key] = build_fixed_d_cache(
-                        p, D, grid=grid, eps=math.exp(log_eps), inner=columns.pop(m2),
-                        y2_range=None if count_only else (D / C ** 2 * 0.99, C * 1.01))
-                    n_built += 1
-                # a batch: sub-eps terms only need absolute accuracy, and
-                # the contribution filter drops anything below the outer
-                # sums' roundoff floor
-                ws, floors = w_mellin_fixed_d(caches[key], np.array(y2_args))
+                ws = [w_stade(p, WhittakerArgs(math.sqrt(m1y1 * m1y1 * (m2 * y2) / y), y))
+                      for m2, jobs in chunk for _, _, y in jobs]
+                contributes, item = [w.log_abs() >= log_eps for w in ws], ws.__getitem__
             else:
-                ws = floors = []
-            coef = None
-            hit = False
-            for (cos1, cos2, _), w, floor_log in zip(jobs, ws, floors):
-                # contributes only when above the accuracy goal AND clear
-                # of the backend's roundoff floor
-                if w.log_abs() >= max(log_eps, floor_log + 2.0):
-                    hit = True
-                    if coef is None and not count_only:
-                        coef = f.coefficient(m1, m2)
-                if coef is not None:
-                    weight = 4.0 * coef / (m1 * m2) * cos1 * cos2
-                    terms.append(weight * w.to_complex(extra_log=-shift))
-            if hit:
-                max_m2 = max(max_m2, m2)
-                max_m1 = max(max_m1, m1)
-                m2_misses = 0
-                m1_hit = True
-            else:
-                m2_misses += 1
-                if m2_misses >= 4 and m2y2 > C:
-                    break
+                pair_caches, pair_y2s = [], []
+                for m2, jobs in chunk:
+                    if not jobs:
+                        continue
+                    D = m1y1 * m1y1 * (m2 * y2)
+                    key = cache_key(D)
+                    if key not in caches:
+                        if m2 not in columns:
+                            # a wave: one kernel product forms the columns
+                            # of every uncached D of the next pairs of this m1
+                            size = _WAVE_SIZES[min(waves, len(_WAVE_SIZES) - 1)]
+                            Ds = {m: m1y1 * m1y1 * (m * y2)
+                                  for m in range(m2, min(m2 + size, m2_cap + 1))}
+                            Ds = {m: D_m for m, D_m in Ds.items() if cache_key(D_m) not in caches}
+                            inner = mellin_kernel(p, grid).inner(list(Ds.values()))
+                            columns.update(zip(Ds, inner.T))
+                            waves += 1
+                        caches[key] = build_fixed_d_cache(
+                            p, D, grid=grid, eps=math.exp(log_eps), inner=columns.pop(m2),
+                            y2_range=None if count_only else (D / C ** 2 * 0.99, C * 1.01))
+                        n_built += 1
+                    pair_caches.append(caches[key])
+                    pair_y2s.append([y2_arg for _, _, y2_arg in jobs])
+                if pair_caches:
+                    # one batch: sub-eps terms need only absolute accuracy
+                    values, floors = w_mellin_fixed_d(pair_caches, pair_y2s)
+                    contributes = (values.log_abs() >= np.maximum(log_eps, floors + 2.0)).tolist()
+                    item = values.item
+            for m2, _ in chunk:  # reached: its column is wrapped by now or never
+                columns.pop(m2, None)
+            row = 0
+            for m2, jobs in chunk:
+                coef = None
+                hit = False
+                for k, (cos1, cos2, _) in enumerate(jobs, row):
+                    if contributes[k]:
+                        hit = True
+                        if coef is None and not count_only:
+                            coef = f.coefficient(m1, m2)
+                    if coef is not None:
+                        weight = 4.0 * coef / (m1 * m2) * cos1 * cos2
+                        terms.append(weight * item(k).to_complex(extra_log=-shift))
+                row += len(jobs)
+                if hit:
+                    max_m2 = max(max_m2, m2)
+                    max_m1 = max(max_m1, m1)
+                    m2_misses = 0
+                    m1_hit = True
+                else:
+                    m2_misses += 1
+                    if m2_misses >= 4 and m2 * y2 > C:
+                        last = m2_cap  # the stop: no further pair of this m1
+                        break
         if m1_hit:
             m1_misses = 0
         else:

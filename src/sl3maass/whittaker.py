@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import logging
 import math
 from collections.abc import Sequence
@@ -692,6 +693,14 @@ class MellinKernel:
         a = min(self.grid.sigma1 / 2.0, self.grid.sigma2)
         return self.log_scale + math.log(self.abs_peak) + _ALIAS_MARGIN - TWO_PI * a / self.grid.h
 
+    @functools.cached_property
+    def outer_phase_h(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r h, k_a h) of the outer phases: the steps 0 <= r < _PHASE_STEP
+        and the anchors k_a = -N2 + q _PHASE_STEP, one per _PHASE_STEP k2."""
+        n_anchors = -(-self.abs_rows.size // _PHASE_STEP)
+        return (np.arange(_PHASE_STEP) * self.grid.h,
+                (np.arange(n_anchors) * _PHASE_STEP - self.grid.N2) * self.grid.h)
+
     def inner(self, Ds: Sequence[float]) -> np.ndarray:
         """inner_D for every D of Ds, as the columns of a
         (2 N2 + 1, len(Ds)) array, all entries at the common scale
@@ -744,7 +753,7 @@ class FixedDCache:
     and inner_peak is max |inner| at that scale.  y2_range is set exactly
     when the cache was validated, and validation_residual with it.
     Immutable; w_mellin_fixed_d evaluates only the outer k2-sums, O(N2)
-    work per y2.
+    work per y2; inner is a read-only view of its padded layout, inner.base.
     """
 
     kernel: MellinKernel
@@ -755,7 +764,10 @@ class FixedDCache:
     validation_residual: float | None = None
 
     def __post_init__(self):
-        self.inner.setflags(write=False)
+        layout = np.zeros(-(-self.inner.size // _PHASE_STEP) * _PHASE_STEP, dtype=np.complex128)
+        layout[:self.inner.size] = self.inner
+        layout.setflags(write=False)
+        object.__setattr__(self, "inner", layout[:self.inner.size])
 
     @property
     def grid(self) -> MellinGrid2D:
@@ -829,15 +841,7 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     return replace(cache, y2_range=(lo, hi), validation_residual=resid)
 
 
-def _outer_prefactor_log(cache: FixedDCache, y2):
-    grid = cache.kernel.grid
-    log_pi3d = 3.0 * math.log(math.pi) + math.log(cache.D)
-    return (0.5 * (1.0 - grid.sigma1) * log_pi3d
-            + 0.5 * (1.0 - 2.0 * grid.sigma2 + grid.sigma1) * np.log(math.pi * y2)
-            + math.log(grid.h * grid.h / (2.0 * math.pi ** 2)))
-
-
-def w_mellin_fixed_d(cache: FixedDCache, y2):
+def w_mellin_fixed_d(cache, y2):
     """W(y1, y2) with y1 = sqrt(D / y2), from the cached inner sums.
 
     A scalar y2 is a point query: it gives one ScaledComplex and raises
@@ -846,53 +850,71 @@ def w_mellin_fixed_d(cache: FixedDCache, y2):
     batch: it gives (values, floor_logs), a list of ScaledComplex and the
     array of their log roundoff floors in the shared scaling convention,
     and never raises CancellationError; the caller drops what it cannot
-    resolve.  Both raise ValueError for a y2 that is not positive and
-    finite, and AccuracyRangeError for any y2 outside the cache's y2_range
-    (always checked when the cache has one).  Only the outer sums against
-    (pi y2)^(-i k2 h) are evaluated.  Their phases are factored at anchors
-    every _PHASE_STEP = 32 entries of k2, so a batch costs one
-    (y2 x 32) @ (32 x anchors) product plus a row-wise dot with the anchor
-    phases, and only (2 N2 + 1) / 32 phases per y2 are formed.  Each
-    factored phase carries a few u more rounding than a direct one; at the
-    lift's grid the sums move by at most 9.3e-14 of max |inner|, below the
-    floor's (2 N2 + 1) u max |inner| term (2.5e-13 of it).
+    resolve.  A sequence of caches on one kernel, one 1-D y2 array each,
+    is a batch over all of them, its values one ScaledArray.  All raise
+    ValueError for a y2 that is not positive and finite, and
+    AccuracyRangeError naming the D for a y2 outside its cache's y2_range.
+    The outer sums' phases are factored at anchors every _PHASE_STEP = 32
+    entries of k2: one phase block of 32 + (2 N2 + 1) / 32 entries per y2
+    for the whole call, then per cache one (y2 x 32) @ (32 x anchors)
+    product against its padded inner sums, cut as in a one-cache call so
+    that no value's bits depend on the other caches, and a row-wise dot
+    with the anchor phases.  Factored phases move the sums by at most
+    9.3e-14 of max |inner| at the lift's grid, below the floor's
+    (2 N2 + 1) u max |inner| term (2.5e-13 of it).
     """
-    y2s = np.atleast_1d(np.asarray(y2, dtype=float))
-    if y2s.ndim != 1:
-        raise ValueError("y2 must be a scalar or a 1-D array")
-    bad = ~((y2s > 0.0) & np.isfinite(y2s))
-    if bad.any():
-        raise ValueError(f"y2 must be positive and finite, got {y2s[bad][0]}")
-    if cache.y2_range is not None:
-        lo, hi = cache.y2_range
-        outside = (y2s < lo * (1 - 1e-12)) | (y2s > hi * (1 + 1e-12))
-        if outside.any():
-            raise AccuracyRangeError(
-                f"y2={y2s[outside][0]:g} outside the validated range [{lo:g}, "
-                f"{hi:g}] of this cache")
+    one = isinstance(cache, FixedDCache)
+    caches = [cache] if one else list(cache)
+    arrays = ([np.atleast_1d(np.asarray(y2, dtype=float))] if one
+              else [np.asarray(ys, dtype=float) for ys in y2])
+    if (not caches or len(arrays) != len(caches) or any(ys.ndim != 1 for ys in arrays)
+            or any(c.kernel is not caches[0].kernel for c in caches)):
+        raise ValueError("y2 must be a scalar or a 1-D array, one per cache of one kernel")
+    kernel = caches[0].kernel
+    sizes = [ys.size for ys in arrays]
+    y2s = arrays[0] if one else np.concatenate(arrays)
+    if y2s.size and not (y2s.min() > 0.0 and y2s.max() < math.inf):
+        raise ValueError("y2 must be positive and finite, got "
+                         f"{y2s[~((y2s > 0.0) & np.isfinite(y2s))][0]}")
+    per_cache = [(*(c.y2_range or (0.0, math.inf)), 3.0 * math.log(math.pi) + math.log(c.D),
+                  c.noise_log) for c in caches]
+    lo, hi, log_pi3d, noise = per_cache[0] if one else np.repeat(np.array(per_cache), sizes, 0).T
+    outside = (y2s < lo * (1 - 1e-12)) | (y2s > hi * (1 + 1e-12))
+    if outside.any():
+        c = caches[int(np.searchsorted(np.cumsum(sizes), np.argmax(outside), side="right"))]
+        raise AccuracyRangeError(f"y2={y2s[outside][0]:g} outside the validated range "
+                                 f"[{c.y2_range[0]:g}, {c.y2_range[1]:g}] of the cache at D={c.D:g}")
     # e^{-i theta k2 h} = e^{-i theta k_a h} e^{-i theta r h} with anchors
     # k_a = -N2 + q _PHASE_STEP and steps 0 <= r < _PHASE_STEP, against the
-    # inner sums laid out as steps[r, q] = inner[q _PHASE_STEP + r]
+    # padded inner sums laid out as steps[r, q] = inner[q _PHASE_STEP + r]
     log_py2 = np.log(math.pi * y2s)
-    kernel = cache.kernel
-    h = kernel.grid.h
-    n_anchors = -(-cache.inner.size // _PHASE_STEP)
-    steps = np.zeros(n_anchors * _PHASE_STEP, dtype=np.complex128)
-    steps[:cache.inner.size] = cache.inner
-    steps = steps.reshape(n_anchors, _PHASE_STEP).T
-    anchor_h = (np.arange(n_anchors) * _PHASE_STEP - kernel.grid.N2) * h
-    step_h = np.arange(_PHASE_STEP) * h
+    step_h, anchor_h = kernel.outer_phase_h
+    n_anchors, width = anchor_h.size, anchor_h.size + _PHASE_STEP
+    # each cache's rows cut as in a one-cache call; consecutive pieces share phases
+    pieces = [(c, r + a, r + b) for c, r, n in zip(caches, itertools.accumulate([0] + sizes), sizes)
+              for a, b in _row_blocks(n, width)]
     totals = np.empty(y2s.size, dtype=np.complex128)
-    for r0, r1 in _row_blocks(y2s.size, n_anchors + _PHASE_STEP):
+    while pieces:
+        block = [q for q in pieces if q[2] - pieces[0][1] <= max(1, _BLOCK_ELEMS // width)]
+        pieces = pieces[len(block):]
+        r0, r1 = block[0][1], block[-1][2]
         theta = log_py2[r0:r1, None]
-        partial = np.exp(-1j * (theta * step_h)) @ steps
+        phases = np.exp(-1j * (theta * step_h))
+        partial = np.empty((r1 - r0, n_anchors), dtype=np.complex128)
+        for c, a, b in block:
+            partial[a - r0:b - r0] = phases[a - r0:b - r0] @ c.inner.base.reshape(-1, _PHASE_STEP).T
         totals[r0:r1] = np.einsum("yq,yq->y", partial, np.exp(-1j * (theta * anchor_h)))
-    prefactor = _outer_prefactor_log(cache, y2s)
-    scale = kernel.log_scale + kernel.params.scale_shift
-    values = [ScaledComplex(total, scale + pref) for total, pref
-              in zip(totals.tolist(), prefactor.tolist())]
+    # log of the outer sums' y2 prefactor
+    g = kernel.grid
+    prefactor = (0.5 * (1.0 - g.sigma1) * log_pi3d + 0.5 * (1 - 2 * g.sigma2 + g.sigma1) * log_py2
+                 + math.log(g.h * g.h / (2.0 * math.pi ** 2)))
+    scales = kernel.log_scale + kernel.params.scale_shift + prefactor
+    floors = noise + prefactor + kernel.params.scale_shift
+    if not one:
+        return ScaledArray(totals, scales), floors
+    values = [ScaledComplex(total, scale) for total, scale in zip(totals.tolist(), scales.tolist())]
     if np.ndim(y2):
-        return values, cache.noise_log + prefactor + kernel.params.scale_shift
+        return values, floors
     # the floor test also catches inner sums that cancelled to noise,
     # where max |inner| is noise itself and the ratio test passes
     mag = abs(totals[0])

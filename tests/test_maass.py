@@ -453,6 +453,62 @@ def test_walk_enumerates_each_pair_once(monkeypatch):
         assert [m2 for k, m2 in seen if k == m1] == list(range(1, stop + 1)), m1
 
 
+# the walk at E2 and then at its S1 image, on one form, as recorded when
+# every pair made a query of its own: the A(m1, m2) fetches in order,
+# n_caches, n_caches_built, the validation w_eval calls and the y2 queried
+E2_WALKS = [
+    ("", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1)], 15, 15, 30, 124),
+    ("S1", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1)], 33, 18, 36, 183),
+]
+
+
+def test_chunked_walk_does_no_speculative_work(monkeypatch):
+    """The walk queries a chunk of pairs per call, and only pairs it is
+    certain to visit: the coefficients, caches, validations and y2 of its
+    queries are those of one query per pair, and it enumerates no pair
+    past the m2 where the stop rule ends its m1, so no such pair's y2 is
+    queried either."""
+    fetched = []
+    form = MaassForm(params=GENERIC, eps=1e-8,
+                     coeff_fn=lambda m1, m2: fetched.append((m1, m2)) or 1.0 / (1.0 + m1 * m2))
+    C = form.cutoff_value()
+    evals, queried, seen = [], [], []
+    validate, query, enumerate_pairs = whittaker.w_eval, maass.w_mellin_fixed_d, maass.enumerate_cd
+
+    def counted_eval(*args):
+        evals.append(args)
+        return validate(*args)
+
+    def counted_query(caches, y2):
+        queried.append(sum(len(ys) for ys in y2))
+        return query(caches, y2)
+
+    def recorded(C_, m1y1, m2y2, z2):
+        seen.append((m1y1, m2y2))
+        return enumerate_pairs(C_, m1y1, m2y2, z2)
+
+    monkeypatch.setattr(whittaker, "w_eval", counted_eval)
+    monkeypatch.setattr(maass, "w_mellin_fixed_d", counted_query)
+    monkeypatch.setattr(maass, "enumerate_cd", recorded)
+    for word, fetches, n_caches, n_built, n_evals, n_y2 in E2_WALKS:
+        z = iwasawa_act(word_matrix(word), E2_POINT) if word else E2_POINT
+        for log in (fetched, evals, queried, seen):
+            log.clear()
+        _, stats = eval_maass_report(form, z)
+        assert fetched == fetches
+        assert (stats.n_caches, stats.n_caches_built, len(evals)) == (n_caches, n_built, n_evals)
+        assert sum(queried) == n_y2 and len(queried) < len(seen)
+        pairs = [(round(m1y1 / z.y1), round(m2y2 / z.y2)) for m1y1, m2y2 in seen]
+        for m1 in sorted({m1 for m1, _ in pairs}):
+            misses, stop = 0, int(C ** 3 / (z.y2 * (m1 * z.y1) ** 2)) + 1
+            for m2 in range(1, stop + 1):
+                misses = 0 if (m1, m2) in fetches else misses + 1
+                if misses >= 4 and m2 * z.y2 > C:
+                    stop = m2
+                    break
+            assert [m2 for k, m2 in pairs if k == m1] == list(range(1, stop + 1)), (word, m1)
+
+
 @pytest.mark.parametrize("params, z, eps", [
     (LIFT, E2_POINT, 1e-8),
     (GENERIC, H3Point(0.3, -0.2, 0.1, 0.97, 1.02), 1e-10)], ids=["LIFT", "GEN"])

@@ -23,8 +23,7 @@ from sl3maass.whittaker import (SeriesBudget, WhittakerArgs,
                                 mellin_kernel, pq_build, w_eval,
                                 w_mellin_fixed_d, w_series_origin,
                                 w_series_small, w_stade,
-                                _cyclic_triples, _outer_prefactor_log,
-                                _pq_values)
+                                _cyclic_triples, _pq_values)
 
 LIFT_R = 9.533695
 LIFT = LanglandsParams(-2.0 * LIFT_R, 2.0 * LIFT_R)
@@ -867,12 +866,20 @@ def rule_points(D):
     return np.geomspace(D / 13.0 ** 2, 13.0, 16)
 
 
+def prefactor_log(cache, y2):
+    """log of the outer sums' y2 prefactor of cache at y2."""
+    g = cache.grid
+    return (0.5 * (1.0 - g.sigma1) * (3.0 * math.log(math.pi) + math.log(cache.D))
+            + 0.5 * (1.0 - 2.0 * g.sigma2 + g.sigma1) * np.log(math.pi * np.asarray(y2))
+            + math.log(g.h * g.h / (2.0 * math.pi ** 2)))
+
+
 def predicted_error_log(p, eps, D):
     """log of the absolute error that the rule's kernel at eps predicts at
     each point of D."""
     cache = build_fixed_d_cache(p, D, grid=default_mellin_grid(p, eps))
     return (cache.kernel.discretization_log
-            + _outer_prefactor_log(cache, rule_points(D)) + p.scale_shift)
+            + prefactor_log(cache, rule_points(D)) + p.scale_shift)
 
 
 def half_step_excess(p, grid, D, predicted_log):
@@ -1009,6 +1016,43 @@ def test_batched_outer_sums_match_scalar_calls(p):
         assert one_floor == pytest.approx(floor, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
+@pytest.mark.parametrize("block_rows", [None, 48], ids=["one-block", "48-row-blocks"])
+def test_multi_cache_batch_equals_per_cache_batches(monkeypatch, p, block_rows):
+    """One call over several caches gives each cache the values and floors
+    of its own batch call bit for bit, whatever the other caches, their
+    order, and the row blocks the 130 y2 fall into."""
+    grid = default_mellin_grid(p)
+    if block_rows:
+        width = -(-(2 * grid.N2 + 1) // whittaker._PHASE_STEP) + whittaker._PHASE_STEP
+        monkeypatch.setattr(whittaker, "_BLOCK_ELEMS", block_rows * width)
+    caches = [build_fixed_d_cache(p, D, grid=grid) for D in WAVE_DS]
+    ys = [np.geomspace(0.05, 20.0, n) for n in (0, 1, 3, 130)]
+    singles = [w_mellin_fixed_d(cache, y) for cache, y in zip(caches, ys)]
+    for order in (slice(None), slice(None, None, -1)):
+        values, floors = w_mellin_fixed_d(caches[order], ys[order])
+        assert isinstance(values, ScaledArray) and len(values) == floors.size == 134
+        got = [repr(values.item(k)) for k in range(len(values))]
+        want = [repr(v) for one, _ in singles[order] for v in one]
+        assert got == want
+        assert floors.tolist() == [f for _, fl in singles[order] for f in fl.tolist()]
+
+
+def test_multi_cache_batch_errors():
+    grid = default_mellin_grid(GENERIC)
+    caches = [build_fixed_d_cache(GENERIC, D, grid=grid, y2_range=(D / 16.0, 4.0))
+              for D in (0.5, 3.7)]
+    with pytest.raises(AccuracyRangeError, match=r"at D=3\.7$"):
+        w_mellin_fixed_d(caches, [np.array([0.1]), np.array([1.0, 5.0])])
+    with pytest.raises(AccuracyRangeError, match=r"at D=0\.5$"):
+        w_mellin_fixed_d(caches, [np.array([0.01]), np.array([1.0])])
+    other = build_fixed_d_cache(GENERIC, 3.7, grid=replace(grid, N2=grid.N2 + 1))
+    with pytest.raises(ValueError, match="one kernel"):
+        w_mellin_fixed_d([caches[0], other], [np.array([1.0]), np.array([1.0])])
+    with pytest.raises(ValueError, match="one per cache"):
+        w_mellin_fixed_d(caches, [np.array([1.0])])
+
+
 def test_kernel_log_gamma_only_on_first_build(monkeypatch):
     calls = []
     log_gamma = whittaker._log_gamma_array
@@ -1047,7 +1091,7 @@ def test_noise_floor_bounds_batched_error(D, cancels):
         t = ref_inner * np.exp(-1j * k2h * math.log(math.pi * y))
         total = complex(math.fsum(t.real), math.fsum(t.imag))
         ref = (ScaledComplex(total, cache.kernel.log_scale)
-               * ScaledComplex.from_log(complex(_outer_prefactor_log(cache, y))))
+               * ScaledComplex.from_log(complex(prefactor_log(cache, y))))
         ref = ref.scaled_by(GENERIC.scale_shift)
         assert (w - ref).log_abs() < floor
         resolved += ref.log_abs() > floor + 2.0
