@@ -337,6 +337,11 @@ def _inverse_mod(d: int, c: int) -> int:
 # the form and its evaluation
 # ---------------------------------------------------------------------------
 
+def _cache_key(D: float) -> float:
+    """D rounded to 12 significant digits, ties to even."""
+    return float(f"{D:.11e}")
+
+
 @dataclass
 class MaassForm:
     """Spectral parameters, coefficient table, and accuracy goal.
@@ -352,8 +357,7 @@ class MaassForm:
     coeff_fn: Callable[[int, int], complex] | None = None
     cutoff: float | None = field(default=None, init=False)
     peak_log: float | None = field(default=None, init=False)
-    # fixed-D caches keyed by D rounded to 12 significant digits, shared
-    # across evaluations of this form
+    # fixed-D caches keyed by _cache_key(D), shared across its evaluations
     cache_map: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -432,9 +436,6 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     t_min = _min_lattice_radius(C, y1, z2)
     m1_cap = int(C / (y1 * min(t_min, 1.0))) + 1
 
-    def cache_key(D: float) -> float:
-        return float(np.format_float_scientific(D, precision=11))
-
     def jobs_of(m1: int, m2: int) -> list[tuple[float, float, float]]:
         """(cos1, cos2, y2_arg) of every term of the (m1, m2) pair."""
         m1y1 = m1 * y1
@@ -489,7 +490,7 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                     if not jobs:
                         continue
                     D = m1y1 * m1y1 * (m2 * y2)
-                    key = cache_key(D)
+                    key = _cache_key(D)
                     if key not in caches:
                         if m2 not in columns:
                             # a wave: one kernel product forms the columns
@@ -497,7 +498,7 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                             size = _WAVE_SIZES[min(waves, len(_WAVE_SIZES) - 1)]
                             Ds = {m: m1y1 * m1y1 * (m * y2)
                                   for m in range(m2, min(m2 + size, m2_cap + 1))}
-                            Ds = {m: D_m for m, D_m in Ds.items() if cache_key(D_m) not in caches}
+                            Ds = {m: D_m for m, D_m in Ds.items() if _cache_key(D_m) not in caches}
                             inner = mellin_kernel(p, grid).inner(list(Ds.values()))
                             columns.update(zip(Ds, inner.T))
                             waves += 1

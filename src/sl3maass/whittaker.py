@@ -579,7 +579,8 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
 # ---------------------------------------------------------------------------
 
 # complex elements per row block of the kernel products and of the outer
-# sums; one block of B * C (4 MiB) is the largest single temporary
+# sums (no bits depend on it there); one block of B * C (4 MiB) is the
+# largest single temporary
 _BLOCK_ELEMS = 1 << 18
 
 # one kernel product forms at most as many columns as keep its
@@ -706,7 +707,7 @@ class MellinKernel:
         (2 N2 + 1, len(Ds)) array, all entries at the common scale
         exp(log_scale).  The columns are formed max_columns at a time, one
         kernel product each; a column's last bits may depend on the other
-        D formed with it."""
+        D formed with it and on the BLAS thread count."""
         k1h = np.arange(-self.grid.N1, self.grid.N1 + 1) * self.grid.h
         log_pi3d = [3.0 * math.log(math.pi) + math.log(D) for D in Ds]
         step = self.max_columns
@@ -855,13 +856,13 @@ def w_mellin_fixed_d(cache, y2):
     ValueError for a y2 that is not positive and finite, and
     AccuracyRangeError naming the D for a y2 outside its cache's y2_range.
     The outer sums' phases are factored at anchors every _PHASE_STEP = 32
-    entries of k2: one phase block of 32 + (2 N2 + 1) / 32 entries per y2
-    for the whole call, then per cache one (y2 x 32) @ (32 x anchors)
-    product against its padded inner sums, cut as in a one-cache call so
-    that no value's bits depend on the other caches, and a row-wise dot
-    with the anchor phases.  Factored phases move the sums by at most
-    9.3e-14 of max |inner| at the lift's grid, below the floor's
-    (2 N2 + 1) u max |inner| term (2.5e-13 of it).
+    entries of k2: 32 + (2 N2 + 1) / 32 phases per y2, then one (anchors
+    x 32) mat-vec against its cache's padded inner sums and a dot with the
+    anchor phases.  All of it is per row, so a value's bits depend only on
+    its cache and y2, not on the rest of the call, the row blocks or the
+    BLAS threads.  Factored phases move the sums by at most 9.3e-14 of
+    max |inner| at the lift's grid, below the floor's (2 N2 + 1) u max
+    |inner| term (2.5e-13 of it).
     """
     one = isinstance(cache, FixedDCache)
     caches = [cache] if one else list(cache)
@@ -886,24 +887,20 @@ def w_mellin_fixed_d(cache, y2):
                                  f"[{c.y2_range[0]:g}, {c.y2_range[1]:g}] of the cache at D={c.D:g}")
     # e^{-i theta k2 h} = e^{-i theta k_a h} e^{-i theta r h} with anchors
     # k_a = -N2 + q _PHASE_STEP and steps 0 <= r < _PHASE_STEP, against the
-    # padded inner sums laid out as steps[r, q] = inner[q _PHASE_STEP + r]
+    # padded inner sums laid out as layout[q, r] = inner[q _PHASE_STEP + r]
     log_py2 = np.log(math.pi * y2s)
     step_h, anchor_h = kernel.outer_phase_h
-    n_anchors, width = anchor_h.size, anchor_h.size + _PHASE_STEP
-    # each cache's rows cut as in a one-cache call; consecutive pieces share phases
-    pieces = [(c, r + a, r + b) for c, r, n in zip(caches, itertools.accumulate([0] + sizes), sizes)
-              for a, b in _row_blocks(n, width)]
+    bounds = list(itertools.accumulate([0] + sizes))
     totals = np.empty(y2s.size, dtype=np.complex128)
-    while pieces:
-        block = [q for q in pieces if q[2] - pieces[0][1] <= max(1, _BLOCK_ELEMS // width)]
-        pieces = pieces[len(block):]
-        r0, r1 = block[0][1], block[-1][2]
+    for r0, r1 in _row_blocks(y2s.size, anchor_h.size + _PHASE_STEP):
         theta = log_py2[r0:r1, None]
-        phases = np.exp(-1j * (theta * step_h))
-        partial = np.empty((r1 - r0, n_anchors), dtype=np.complex128)
-        for c, a, b in block:
-            partial[a - r0:b - r0] = phases[a - r0:b - r0] @ c.inner.base.reshape(-1, _PHASE_STEP).T
-        totals[r0:r1] = np.einsum("yq,yq->y", partial, np.exp(-1j * (theta * anchor_h)))
+        steps = np.exp(-1j * (theta * step_h))[:, :, None]
+        partial = np.empty((r1 - r0, anchor_h.size, 1), dtype=np.complex128)
+        cuts = [min(max(b, r0), r1) - r0 for b in bounds]
+        for c, a, b in zip(caches, cuts, cuts[1:]):
+            # one mat-vec per row: a row's bits never depend on the rows beside it
+            partial[a:b] = c.inner.base.reshape(-1, _PHASE_STEP) @ steps[a:b]
+        totals[r0:r1] = np.einsum("yq,yq->y", partial[:, :, 0], np.exp(-1j * (theta * anchor_h)))
     # log of the outer sums' y2 prefactor
     g = kernel.grid
     prefactor = (0.5 * (1.0 - g.sigma1) * log_pi3d + 0.5 * (1 - 2 * g.sigma2 + g.sigma1) * log_py2

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -210,6 +211,25 @@ def test_inverse_mod():
                 a = _inverse_mod(d, c)
                 assert 1 <= a <= c
                 assert (a * d) % c == 1 % c
+
+
+def test_cache_key_rounds_as_numpy_scientific_format():
+    """_cache_key gives the keys of float(np.format_float_scientific(D,
+    precision=11)): over log-uniform D, and over D whose exact decimal
+    value is a 13-digit tie, which both round to even."""
+    rng = np.random.default_rng(7)
+    sample = np.exp(rng.uniform(math.log(1e-6), math.log(1e9), 10000)).tolist()
+    # odd m / 2^12 in [1, 10), odd m / 2^13 in [0.1, 1) and integers
+    # ending in 5 have 13 significant digits, the last a 5
+    ties = ([m / 4096 for m in range(4097, 40960, 2)] + [m / 8192 for m in range(821, 8192, 2)]
+            + (10.0 * rng.integers(10 ** 11, 10 ** 12, 2000) + 5.0).tolist())
+    assert all(Decimal(D).as_tuple().digits[-1] == 5 and len(Decimal(D).as_tuple().digits) == 13
+               for D in ties)
+    assert maass._cache_key(4097 / 4096) == 1.00024414062
+    assert maass._cache_key(1234567890135.0) == 1.23456789014e12
+    Ds = sample + ties
+    assert ([maass._cache_key(D) for D in Ds]
+            == [float(np.format_float_scientific(D, precision=11)) for D in Ds])
 
 
 def test_representative_shift_invariance():

@@ -1,7 +1,11 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1002,18 +1006,28 @@ def test_kernel_inner_splits_at_max_columns(monkeypatch):
         assert np.all(np.abs(columns[:, k] - row_wise_inner(GENERIC, grid, D)) <= bound)
 
 
+def patch_block_rows(monkeypatch, grid, rows):
+    """Patch _BLOCK_ELEMS to give w_mellin_fixed_d row blocks of `rows`
+    rows on grid; returns the row width."""
+    width = -(-(2 * grid.N2 + 1) // whittaker._PHASE_STEP) + whittaker._PHASE_STEP
+    monkeypatch.setattr(whittaker, "_BLOCK_ELEMS", rows * width)
+    return width
+
+
 @pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
-def test_batched_outer_sums_match_scalar_calls(p):
+def test_batched_outer_sums_match_scalar_calls(monkeypatch, p):
     cache = build_fixed_d_cache(p, 3.7)
-    # more points than one row block holds, so several blocks are used
+    # 48-row blocks, so the 120 points span three
+    width = patch_block_rows(monkeypatch, cache.grid, 48)
     ys = np.geomspace(0.05, 20.0, 120)
+    assert len(whittaker._row_blocks(ys.size, width)) == 3
     batch, floors = w_mellin_fixed_d(cache, ys)
     assert len(batch) == ys.size
     for y, w, floor in zip(ys, batch, floors):
         one, (one_floor,) = w_mellin_fixed_d(cache, np.array([y]))
         assert isinstance(one[0], ScaledComplex)
-        assert (w - one[0]).log_abs() < floor
-        assert one_floor == pytest.approx(floor, abs=1e-12)
+        assert repr(w) == repr(one[0])
+        assert one_floor == floor
 
 
 @pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
@@ -1024,8 +1038,7 @@ def test_multi_cache_batch_equals_per_cache_batches(monkeypatch, p, block_rows):
     order, and the row blocks the 130 y2 fall into."""
     grid = default_mellin_grid(p)
     if block_rows:
-        width = -(-(2 * grid.N2 + 1) // whittaker._PHASE_STEP) + whittaker._PHASE_STEP
-        monkeypatch.setattr(whittaker, "_BLOCK_ELEMS", block_rows * width)
+        patch_block_rows(monkeypatch, grid, block_rows)
     caches = [build_fixed_d_cache(p, D, grid=grid) for D in WAVE_DS]
     ys = [np.geomspace(0.05, 20.0, n) for n in (0, 1, 3, 130)]
     singles = [w_mellin_fixed_d(cache, y) for cache, y in zip(caches, ys)]
@@ -1036,6 +1049,64 @@ def test_multi_cache_batch_equals_per_cache_batches(monkeypatch, p, block_rows):
         want = [repr(v) for one, _ in singles[order] for v in one]
         assert got == want
         assert floors.tolist() == [f for _, fl in singles[order] for f in fl.tolist()]
+
+
+@pytest.mark.parametrize("p", [LIFT, GENERIC], ids=["LIFT", "GEN"])
+@pytest.mark.parametrize("block_rows", [None, 48], ids=["default-blocks", "48-row-blocks"])
+def test_outer_sum_bits_depend_only_on_cache_and_y2(monkeypatch, p, block_rows):
+    """Each of 130 y2 on each WAVE_DS cache (D = 3.7 among them) keeps the
+    value and floor of its own 1-row call bit for bit: in its cache's
+    130-row batch, and in one call over all four caches in either order,
+    whatever row blocks the rows fall into."""
+    grid = default_mellin_grid(p)
+    caches = [build_fixed_d_cache(p, D, grid=grid) for D in WAVE_DS]
+    ys = np.geomspace(0.05, 20.0, 130)
+    alone = [[w_mellin_fixed_d(cache, ys[j:j + 1]) for j in range(ys.size)] for cache in caches]
+    alone = [[(repr(values[0]), floors[0]) for values, floors in calls] for calls in alone]
+    if block_rows:
+        patch_block_rows(monkeypatch, grid, block_rows)
+    for cache, want in zip(caches, alone):
+        values, floors = w_mellin_fixed_d(cache, ys)
+        assert list(zip(map(repr, values), floors.tolist())) == want
+    for order in (slice(None), slice(None, None, -1)):
+        values, floors = w_mellin_fixed_d(caches[order], [ys] * len(caches))
+        got = [(repr(values.item(k)), floors[k]) for k in range(len(values))]
+        assert got == [pair for want in alone[order] for pair in want]
+
+
+def test_outer_sums_do_not_depend_on_blas_threads(tmp_path):
+    """One call over the WAVE_DS caches of LIFT and of GEN, 130 y2 each,
+    gives the same bits under 1 and 2 BLAS threads.  The columns are
+    formed here and passed in, since a kernel product's bits may depend
+    on the thread count."""
+    for k, p in enumerate((LIFT, GENERIC)):
+        np.save(tmp_path / f"inner{k}.npy", mellin_kernel(p, default_mellin_grid(p)).inner(WAVE_DS))
+    params = [(p.r_alpha, p.r_beta) for p in (LIFT, GENERIC)]
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "from sl3maass.langlands import LanglandsParams\n"
+              "from sl3maass.whittaker import (build_fixed_d_cache, default_mellin_grid,\n"
+              "                                w_mellin_fixed_d)\n"
+              "ys = np.geomspace(0.05, 20.0, 130)\n"
+              f"for k, (ra, rb) in enumerate({params!r}):\n"
+              "    p = LanglandsParams(ra, rb)\n"
+              "    inner = np.load(f'{sys.argv[1]}/inner{k}.npy')\n"
+              "    caches = [build_fixed_d_cache(p, D, grid=default_mellin_grid(p), inner=inner[:, j])\n"
+              f"              for j, D in enumerate({WAVE_DS!r})]\n"
+              "    values, floors = w_mellin_fixed_d(caches, [ys] * len(caches))\n"
+              "    for j in range(len(values)):\n"
+              "        print(repr(values.item(j)), repr(floors[j]))\n")
+    src = str(Path(whittaker.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 2 * len(WAVE_DS) * 130
+    assert outputs[0] == outputs[1]
 
 
 def test_multi_cache_batch_errors():
