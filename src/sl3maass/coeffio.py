@@ -7,14 +7,15 @@
     c1 <n> <re> <im>            # A(1, n) rows (Dirichlet coefficients), or
     c2 <m1> <m2> <re> <im>      # full-table rows
 
-The three header lines must precede the body; c1 and c2 rows may not be
-mixed.  A c1-only file is expanded into a full table at load through the
-Moebius identity (see expand_coefficients).
+Each line holds exactly the fields shown, every number finite.  The
+three header lines must precede the body, once each; c1 and c2 rows may
+not be mixed.  A c1-only file is expanded into a full table at load
+through the Moebius identity (see expand_coefficients).
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,54 +39,49 @@ class _Parsed:
     table: dict[tuple[int, int], complex]
 
 
-def _coefficient(path: Path, lineno: int, re: str, im: str) -> complex:
-    v = complex(float(re), float(im))
-    if not cmath.isfinite(v):
-        raise CoefficientFileError(f"{path}:{lineno}: coefficient must be finite, got {re} {im}")
-    return v
+_HEADER = ("alpha_im", "beta_im", "gamma_im")
+# the number of fields after the key on each kind of line
+_FIELDS = {"alpha_im": 1, "beta_im": 1, "gamma_im": 1, "c1": 3, "c2": 4}
 
 
 def _parse(path: Path) -> _Parsed:
     header: dict[str, float] = {}
-    c1: dict[int, complex] = {}
+    c1: dict[tuple[int], complex] = {}
     c2: dict[tuple[int, int], complex] = {}
-    body_started = False
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        key = parts[0]
+        where = f"{path}:{lineno}"
+        key, *fields = line.split()
+        if key not in _FIELDS:
+            raise CoefficientFileError(f"{where}: unknown key {key!r}")
+        if len(fields) != _FIELDS[key]:
+            raise CoefficientFileError(
+                f"{where}: {key} takes {_FIELDS[key]} field(s), got {len(fields)}")
+        # the indices, then one header value or a coefficient's Re and Im
         try:
-            if key in ("alpha_im", "beta_im", "gamma_im"):
-                if body_started:
-                    raise CoefficientFileError(
-                        f"{path}:{lineno}: header line after body rows")
-                header[key] = float(parts[1])
-            elif key == "c1":
-                body_started = True
-                n = int(parts[1])
-                if n < 1:
-                    raise CoefficientFileError(f"{path}:{lineno}: index must be >= 1")
-                if n in c1:
-                    raise CoefficientFileError(f"{path}:{lineno}: duplicate c1 row n={n}")
-                c1[n] = _coefficient(path, lineno, parts[2], parts[3])
-            elif key == "c2":
-                body_started = True
-                m1, m2 = int(parts[1]), int(parts[2])
-                if m1 < 1 or m2 < 1:
-                    raise CoefficientFileError(f"{path}:{lineno}: indices must be >= 1")
-                if (m1, m2) in c2:
-                    raise CoefficientFileError(
-                        f"{path}:{lineno}: duplicate c2 row ({m1},{m2})")
-                c2[(m1, m2)] = _coefficient(path, lineno, parts[3], parts[4])
-            else:
-                raise CoefficientFileError(f"{path}:{lineno}: unknown key {key!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, CoefficientFileError):
-                raise
-            raise CoefficientFileError(f"{path}:{lineno}: malformed line: {raw!r}") from exc
-    missing = {"alpha_im", "beta_im", "gamma_im"} - set(header)
+            index = tuple(int(v) for v in fields[:-2])
+            values = [float(v) for v in fields[-2:]]
+        except ValueError as exc:
+            raise CoefficientFileError(f"{where}: malformed line: {raw!r}") from exc
+        if not all(map(math.isfinite, values)):
+            raise CoefficientFileError(
+                f"{where}: {key} values must be finite, got {' '.join(fields[-2:])}")
+        if key in _HEADER:
+            if c1 or c2:
+                raise CoefficientFileError(f"{where}: header line after body rows")
+            if key in header:
+                raise CoefficientFileError(f"{where}: duplicate {key} line")
+            header[key] = values[0]
+            continue
+        if min(index) < 1:
+            raise CoefficientFileError(f"{where}: indices must be >= 1")
+        rows = c1 if key == "c1" else c2
+        if index in rows:
+            raise CoefficientFileError(f"{where}: duplicate {key} row {' '.join(fields[:-2])}")
+        rows[index] = complex(*values)
+    missing = set(_HEADER) - set(header)
     if missing:
         raise CoefficientFileError(f"{path}: missing header line(s): {sorted(missing)}")
     if c1 and c2:
@@ -94,8 +90,8 @@ def _parse(path: Path) -> _Parsed:
         raise CoefficientFileError(f"{path}: no coefficient rows")
     params = LanglandsParams(header["alpha_im"], header["beta_im"], header["gamma_im"])
     if c1:
-        m_cap = min(max(c1), DEFAULT_EXPANSION_M)
-        return _Parsed(params, expand_coefficients(c1, m_cap))
+        a = {n: v for (n,), v in c1.items()}
+        return _Parsed(params, expand_coefficients(a, min(max(a), DEFAULT_EXPANSION_M)))
     return _Parsed(params, c2)
 
 

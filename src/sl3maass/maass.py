@@ -19,6 +19,8 @@ enumerates a pair only on reaching it, and wraps a column in a cache then.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -243,16 +245,11 @@ def _cutoff_scan(p: LanglandsParams, eps: float) -> tuple[float, float]:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
 
-    def max_log(y: float) -> float:
-        return max(w_eval(p, WhittakerArgs(q, y)).log_abs() for q in _CUTOFF_PROBES)
-
     ys = [_CUTOFF_START * _CUTOFF_RATIO ** k for k in range(_CUTOFF_STEPS)]
-    logs: dict[int, float] = {}
 
+    @functools.cache
     def level(i: int) -> float:
-        if i not in logs:
-            logs[i] = max_log(ys[i])
-        return logs[i]
+        return max(w_eval(p, WhittakerArgs(q, ys[i])).log_abs() for q in _CUTOFF_PROBES)
 
     # the peak sits at small-to-moderate y; scan until clearly past it
     peak = -math.inf
@@ -312,25 +309,11 @@ def enumerate_cd(C: float, m1y1: float, m2y2: float, z2: complex) -> list[tuple[
     return out
 
 
-def _min_lattice_radius(C: float, y1: float, z2: complex) -> float:
-    """min |c z2 + d| over c >= 1 and d integer, restricted to c z2 below
-    the outermost annulus; infinity when no (c, d) pair can contribute."""
-    upper = C / y1
-    best = math.inf
-    c = 1
-    while c * z2.imag < min(upper, best):
-        d = -round(c * z2.real)
-        best = min(best, math.hypot(c * z2.real + d, c * z2.imag))
-        c += 1
-    return best
-
-
 def _inverse_mod(d: int, c: int) -> int:
     """Smallest positive a with a d = 1 (mod c)."""
     if c == 1:
         return 1
-    a = pow(d % c, -1, c)
-    return a if a > 0 else a + c
+    return pow(d % c, -1, c)
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +390,17 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     default; waves of columns, one call per chunk of pairs, see the module
     docstring) or "stade" (direct double-Bessel integral).  A term
     contributes when its |W| clears both the accuracy goal and the
-    backend's roundoff floor.  A(m1, m2) is fetched at its pair's first
-    contributing term, and from then on every term of that pair is summed,
-    contributing or not; the pair's earlier non-contributing terms are dropped.
-    Summing only the contributing terms would move values by about 1e-6
-    relative at eps 1e-8, away from the benchmark's stored form-orbit
-    references, so the rule stays until those references change.  With
-    count_only the coefficient table is never touched, caches get no
-    y2_range and so are not validated, and the returned value is
-    meaningless; only the statistics are valid.
+    backend's roundoff floor.  An m1 ends at four m2 in a row without a
+    contributing term, the last with m2 y2 > C; the walk ends at two m1 in
+    a row without one, the second with m1 y1 > C.  A(m1, m2) is fetched at
+    its pair's first contributing term, and from then on every term of
+    that pair is summed, contributing or not; the pair's earlier
+    non-contributing terms are dropped.  Summing only the contributing
+    terms would move values by about 1e-6 relative at eps 1e-8, away from
+    the benchmark's stored form-orbit references, so the rule stays until
+    those references change.  With count_only the coefficient table is
+    never touched, caches get no y2_range and so are not validated, and
+    the returned value is meaningless; only the statistics are valid.
     """
     if backend not in ("mellin", "stade"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -432,9 +417,7 @@ def eval_maass_report(f: MaassForm, z: H3Point,
 
     caches = f.cache_map if backend == "mellin" else {}
     grid = default_mellin_grid(p, eps * 1e-2)
-    n_built = 0
-    t_min = _min_lattice_radius(C, y1, z2)
-    m1_cap = int(C / (y1 * min(t_min, 1.0))) + 1
+    n_before = len(caches)
 
     def jobs_of(m1: int, m2: int) -> list[tuple[float, float, float]]:
         """(cos1, cos2, y2_arg) of every term of the (m1, m2) pair."""
@@ -457,26 +440,24 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     terms: list[complex] = []
     max_m2 = 0
     max_m1 = 0
-    m1_misses = 0
-    for m1 in range(1, m1_cap + 1):
+    # ends by the m1 stop rule, as m1 past the lattice's reach have no terms
+    for m1 in itertools.count(1):
         m1y1 = m1 * y1
-        if m1y1 > C and m1y1 * t_min > C:
-            break
         m2_cap = int(C ** 3 / (y2 * m1y1 * m1y1)) + 1
         # kernel columns by m2, formed by this m1's waves and not yet
         # wrapped in a cache
         columns: dict[int, np.ndarray] = {}
-        waves = 0
-        m2_misses = 0
-        m1_hit = False
+        wave_sizes = itertools.chain(_WAVE_SIZES, itertools.repeat(_WAVE_SIZES[-1]))
+        hit_m2 = 0  # the last contributing m2 of this m1
         last = 0
         while last < m2_cap:
             # a chunk: the pairs the walk is certain to visit, every m2 with
-            # m2 y2 <= C, then as many as the stop rule needs if all miss
+            # m2 y2 <= C, then at least one more and on to hit_m2 + 4, the
+            # first m2 where the stop rule can end this m1
             first = last + 1
             while last < m2_cap and (last + 1) * y2 <= C:
                 last += 1
-            last = min(m2_cap, last + max(1, 4 - m2_misses - (last + 1 - first)))
+            last = min(m2_cap, max(last + 1, hit_m2 + 4))
             chunk = [(m2, jobs_of(m1, m2)) for m2 in range(first, last + 1)]
             # contributes: above the accuracy goal and e^2 above any roundoff floor
             contributes, item = [], None
@@ -495,17 +476,15 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                         if m2 not in columns:
                             # a wave: one kernel product forms the columns
                             # of every uncached D of the next pairs of this m1
-                            size = _WAVE_SIZES[min(waves, len(_WAVE_SIZES) - 1)]
+                            size = next(wave_sizes)
                             Ds = {m: m1y1 * m1y1 * (m * y2)
                                   for m in range(m2, min(m2 + size, m2_cap + 1))}
                             Ds = {m: D_m for m, D_m in Ds.items() if _cache_key(D_m) not in caches}
                             inner = mellin_kernel(p, grid).inner(list(Ds.values()))
                             columns.update(zip(Ds, inner.T))
-                            waves += 1
                         caches[key] = build_fixed_d_cache(
                             p, D, grid=grid, eps=math.exp(log_eps), inner=columns.pop(m2),
                             y2_range=None if count_only else (D / C ** 2 * 0.99, C * 1.01))
-                        n_built += 1
                     pair_caches.append(caches[key])
                     pair_y2s.append([y2_arg for _, _, y2_arg in jobs])
                 if pair_caches:
@@ -515,41 +494,32 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                     item = values.item
             for m2, _ in chunk:  # reached: its column is wrapped by now or never
                 columns.pop(m2, None)
-            row = 0
+            k = 0  # the chunk's running term index
             for m2, jobs in chunk:
                 coef = None
-                hit = False
-                for k, (cos1, cos2, _) in enumerate(jobs, row):
+                for cos1, cos2, _ in jobs:
                     if contributes[k]:
-                        hit = True
+                        hit_m2 = m2
                         if coef is None and not count_only:
                             coef = f.coefficient(m1, m2)
                     if coef is not None:
                         weight = 4.0 * coef / (m1 * m2) * cos1 * cos2
                         terms.append(weight * item(k).to_complex(extra_log=-shift))
-                row += len(jobs)
-                if hit:
+                    k += 1
+                if hit_m2 == m2:
                     max_m2 = max(max_m2, m2)
-                    max_m1 = max(max_m1, m1)
-                    m2_misses = 0
-                    m1_hit = True
-                else:
-                    m2_misses += 1
-                    if m2_misses >= 4 and m2 * y2 > C:
-                        last = m2_cap  # the stop: no further pair of this m1
-                        break
-        if m1_hit:
-            m1_misses = 0
-        else:
-            m1_misses += 1
-            if m1_misses >= 2 and m1y1 > C:
-                break
+                    max_m1 = m1
+                elif m2 - hit_m2 >= 4 and m2 * y2 > C:
+                    last = m2_cap  # the stop: no further pair of this m1
+                    break
+        if m1 - max_m1 >= 2 and m1y1 > C:
+            break
 
     value = complex(math.fsum(t.real for t in terms),
                     math.fsum(t.imag for t in terms))
     stats = MaassEvalStats(cutoff=C, max_contributing_m2=max_m2, max_m1=max_m1,
                            n_terms=len(terms), n_caches=len(caches),
-                           n_caches_built=n_built)
+                           n_caches_built=len(caches) - n_before)
     return value, stats
 
 

@@ -409,6 +409,9 @@ def test_csv_output_deterministic(tmp_path, capsys):
     assert csvs[0].splitlines()[0] == "label,value_re,value_im,error,algorithm"
 
 
+HEADER = "alpha_im -1.3\nbeta_im 2.1\ngamma_im -0.8\n"
+
+
 def test_coefficient_file_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("c1 1 1.0 0.0\nalpha_im 1.0\n")
@@ -422,18 +425,36 @@ def test_coefficient_file_errors(tmp_path):
                  "c1 1 1.0 0.0\nc1 1 2.0 0.0\n")
     with pytest.raises(CoefficientFileError):
         load_coefficient_file(p)
+    # each key takes its exact field count, and each header key comes once
+    for text, line in [
+        ("alpha_im -1.3 9\nbeta_im 2.1\ngamma_im -0.8\nc1 1 1.0 0.0\n", 1),
+        (HEADER + "c1 1 1.0 0.0 7 7\n", 4),
+        (HEADER + "c2 1 1 1.0 0.0 0.25\n", 4),
+        (HEADER + "c2 1 1 1.0\n", 4),
+        (HEADER + "c1 1 1.0 0.0\nc1\n", 5),
+        ("alpha_im -1.3\nbeta_im 2.1\nalpha_im 0.5\ngamma_im -0.8\nc1 1 1.0 0.0\n", 3),
+    ]:
+        p.write_text(text)
+        with pytest.raises(CoefficientFileError, match=f"bad.txt:{line}: "):
+            load_coefficient_file(p)
 
 
-@pytest.mark.parametrize("rows", [
+# rows after HEADER, named by the rows, then a non-finite header value,
+# named by the value
+@pytest.mark.parametrize("text", [pytest.param(HEADER + rows, id=rows) for rows in (
     "c2 1 1 nan 0\n",
     "c2 1 1 1.0 0.0\nc2 1 2 inf 0\n",
     "c1 1 1.0 0.0\nc1 2 nan 0\n",
     "c1 1 1.0 -inf\n",
-])
-def test_coefficient_file_rejects_non_finite(tmp_path, capsys, rows):
+)] + [pytest.param(HEADER.replace(*change) + "c1 1 1.0 0.0\n", id=change[1]) for change in (
+    ("-1.3", "inf"),
+    ("2.1", "1e400"),
+)])
+def test_coefficient_file_rejects_non_finite(tmp_path, capsys, text):
     p = tmp_path / "bad.txt"
-    p.write_text("alpha_im -1.3\nbeta_im 2.1\ngamma_im -0.8\n" + rows)
-    line = 3 + rows.count("\n")
+    p.write_text(text)
+    line = next(k for k, row in enumerate(text.splitlines(), 1)
+                if "nan" in row or "inf" in row or "e400" in row)
     with pytest.raises(CoefficientFileError, match=f"bad.txt:{line}: .*finite"):
         load_coefficient_file(p)
     rc = main(["maass-eval", "--coeffs", str(p), "--point", "0.1,0.2,-0.3,1.0,1.1",

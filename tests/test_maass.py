@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -441,7 +442,9 @@ def test_walk_enumerates_each_pair_once(monkeypatch):
     """The walk enumerates the (c, d) of a pair only when it reaches the
     pair: each (m1, m2) at most once, m2 in order from 1, and none past the
     m2 where the stop rule (four misses in a row, the last past m2 y2 = C)
-    ends its m1.  Waves are planned from D alone and enumerate nothing."""
+    ends its m1; and m1 in order from 1, up to the m1 where the m1 stop
+    rule ends the walk.  Waves are planned from D alone and enumerate
+    nothing."""
     z = H3Point(0.0, 0.0, 0.0, 1.0, 1.0)
     eps = 1e-6
     # the walk's contributing pairs: A(m1, m2) is fetched for exactly these
@@ -471,6 +474,12 @@ def test_walk_enumerates_each_pair_once(monkeypatch):
                 stop = m2
                 break
         assert [m2 for k, m2 in seen if k == m1] == list(range(1, stop + 1)), m1
+    # the m1 stop rule: the walk ends at the first m1 past m1 y1 = C that
+    # follows an m1 without a contributing pair and has none itself
+    hit_m1 = {m1 for m1, _ in hits}
+    last_m1 = next(m1 for m1 in itertools.count(1)
+                   if m1 * z.y1 > C and not hit_m1 & {m1 - 1, m1})
+    assert sorted({m1 for m1, _ in seen}) == list(range(1, last_m1 + 1))
 
 
 # the walk at E2 and then at its S1 image, on one form, as recorded when
