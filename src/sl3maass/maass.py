@@ -15,6 +15,8 @@ a D without a cache or column, one kernel product forms the columns of
 every uncached D of the next 16, 32 or 64 pairs of the same m1.  Those D
 are (m1 y1)^2 m2 y2, so a wave needs no (c, d) enumeration; the walk
 enumerates a pair only on reaching it, and wraps a column in a cache then.
+A pair's (c, d) are a radius slice of one memoized lattice per m1, whose
+m2-free parts are formed once per m1; each chunk's terms are one array.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .errors import (DegenerateLatticeError, DomainError,
                      MissingCoefficientError, NonConvergenceError)
 from .langlands import LanglandsParams
+from .scaled import ScaledArray
 from .whittaker import (WhittakerArgs, build_fixed_d_cache,
                         default_mellin_grid, mellin_kernel, w_eval,
                         w_mellin_fixed_d, w_stade)
@@ -278,6 +281,30 @@ def decay_cutoff(p: LanglandsParams, eps: float) -> float:
     return _cutoff_scan(p, eps)[0]
 
 
+@functools.lru_cache(maxsize=128)
+def _lattice(C: float, m1y1: float, x2: float, y2: float) -> tuple[tuple[int, int, float, float], ...]:
+    """(c, d, t2, u) of the coprime (c, d), c >= 1, with
+    |c z2 + d| < C / (m1 y1), in (c, d) order: t2 = |c z2 + d|^2 and
+    u = a - (c x2 + d) / t2, a the inverse of d mod c.  One m1's pairs
+    are radius slices of it."""
+    upper = C / m1y1
+    upper2 = upper * upper
+    out = []
+    c = 1
+    while c * y2 < upper:
+        height2 = (c * y2) ** 2
+        span2 = upper2 - height2
+        if span2 <= 0.0:
+            break
+        span = math.sqrt(span2)
+        for d in range(math.ceil(-c * x2 - span), math.floor(-c * x2 + span) + 1):
+            t2 = (c * x2 + d) ** 2 + height2
+            if t2 < upper2 and math.gcd(c, abs(d)) == 1:
+                out.append((c, d, t2, _inverse_mod(d, c) - (c * x2 + d) / t2))
+        c += 1
+    return tuple(out)
+
+
 def enumerate_cd(C: float, m1y1: float, m2y2: float, z2: complex) -> list[tuple[int, int]]:
     """Coprime pairs (c, d), c >= 1, with
     sqrt(m2 y2 / C) < |c z2 + d| < C / (m1 y1); empty when the annulus is.
@@ -286,27 +313,7 @@ def enumerate_cd(C: float, m1y1: float, m2y2: float, z2: complex) -> list[tuple[
     if not (z2.imag > 0.0):
         raise ValueError("z2 must have positive imaginary part")
     lower2 = m2y2 / C
-    upper = C / m1y1
-    upper2 = upper * upper
-    if lower2 >= upper2:
-        return []
-    x2, y2 = z2.real, z2.imag
-    out: list[tuple[int, int]] = []
-    c = 1
-    while c * y2 < upper:
-        height2 = (c * y2) ** 2
-        span2 = upper2 - height2
-        if span2 <= 0.0:
-            break
-        span = math.sqrt(span2)
-        d_lo = math.ceil(-c * x2 - span)
-        d_hi = math.floor(-c * x2 + span)
-        for d in range(d_lo, d_hi + 1):
-            r2 = (c * x2 + d) ** 2 + height2
-            if lower2 < r2 < upper2 and math.gcd(c, abs(d)) == 1:
-                out.append((c, d))
-        c += 1
-    return out
+    return [(c, d) for c, d, t2, _ in _lattice(C, m1y1, z2.real, z2.imag) if t2 > lower2]
 
 
 def _inverse_mod(d: int, c: int) -> int:
@@ -400,7 +407,8 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     the benchmark's stored form-orbit references, so the rule stays until
     those references change.  With count_only the coefficient table is
     never touched, caches get no y2_range and so are not validated, and
-    the returned value is meaningless; only the statistics are valid.
+    the returned value is meaningless; only the statistics are valid,
+    n_terms among them.
     """
     if backend not in ("mellin", "stade"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -412,38 +420,38 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     # truncation scan (the form's natural term scale); W carries that
     # scale, so caches are validated against this level, not against eps
     log_eps = math.log(eps) + f.peak_log
-    y1, y2 = z.y1, z.y2
+    x1, x2, x3, y1, y2 = z.x1, z.x2, z.x3, z.y1, z.y2
     z2 = z.z2
 
     caches = f.cache_map if backend == "mellin" else {}
     grid = default_mellin_grid(p, eps * 1e-2)
     n_before = len(caches)
 
-    def jobs_of(m1: int, m2: int) -> list[tuple[float, float, float]]:
-        """(cos1, cos2, y2_arg) of every term of the (m1, m2) pair."""
-        m1y1 = m1 * y1
-        m2y2 = m2 * y2
-        jobs = []
-        if m1y1 <= C and m2y2 <= C:
-            jobs.append((math.cos(2.0 * math.pi * m1 * z.x1),
-                         math.cos(2.0 * math.pi * m2 * z.x2),
-                         m2y2))
-        for (c, d) in enumerate_cd(C, m1y1, m2y2, z2):
-            t2 = (c * z2.real + d) ** 2 + (c * z2.imag) ** 2
-            a_inv = _inverse_mod(d, c)
-            cos1 = math.cos(2.0 * math.pi * m1 * (c * z.x3 + d * z.x1))
-            cos2 = math.cos(2.0 * math.pi * (m2 / c)
-                            * (a_inv - (c * z2.real + d) / t2))
-            jobs.append((cos1, cos2, m2y2 / t2))
-        return jobs
-
-    terms: list[complex] = []
+    two_pi = 2.0 * math.pi
+    terms: list[np.ndarray] = []
+    n_terms = 0
     max_m2 = 0
     max_m1 = 0
     # ends by the m1 stop rule, as m1 past the lattice's reach have no terms
     for m1 in itertools.count(1):
         m1y1 = m1 * y1
         m2_cap = int(C ** 3 / (y2 * m1y1 * m1y1)) + 1
+        # the m2-free parts of this m1's lattice points: t2, cos1 and u
+        two_pi_m1 = two_pi * m1
+        parts = {(c, d): (t2, math.cos(two_pi_m1 * (c * x3 + d * x1)), u)
+                 for c, d, t2, u in _lattice(C, m1y1, x2, y2)}
+        cos_x1 = math.cos(two_pi_m1 * x1)
+
+        def jobs_of(m2: int) -> list[tuple[float, float, float]]:
+            """(cos1, cos2, y2_arg) of every term of the (m1, m2) pair."""
+            m2y2 = m2 * y2
+            jobs = ([(cos_x1, math.cos(two_pi * m2 * x2), m2y2)]
+                    if m1y1 <= C and m2y2 <= C else [])
+            for c, d in enumerate_cd(C, m1y1, m2y2, z2):
+                t2, cos1, u = parts[c, d]
+                jobs.append((cos1, math.cos(two_pi * (m2 / c) * u), m2y2 / t2))
+            return jobs
+
         # kernel columns by m2, formed by this m1's waves and not yet
         # wrapped in a cache
         columns: dict[int, np.ndarray] = {}
@@ -458,13 +466,15 @@ def eval_maass_report(f: MaassForm, z: H3Point,
             while last < m2_cap and (last + 1) * y2 <= C:
                 last += 1
             last = min(m2_cap, max(last + 1, hit_m2 + 4))
-            chunk = [(m2, jobs_of(m1, m2)) for m2 in range(first, last + 1)]
+            chunk = [(m2, jobs_of(m2)) for m2 in range(first, last + 1)]
             # contributes: above the accuracy goal and e^2 above any roundoff floor
-            contributes, item = [], None
+            contributes, values = [], None
             if backend == "stade":
                 ws = [w_stade(p, WhittakerArgs(math.sqrt(m1y1 * m1y1 * (m2 * y2) / y), y))
                       for m2, jobs in chunk for _, _, y in jobs]
-                contributes, item = [w.log_abs() >= log_eps for w in ws], ws.__getitem__
+                contributes = [w.log_abs() >= log_eps for w in ws]
+                values = ScaledArray(np.array([w.mantissa for w in ws], dtype=complex),
+                                     [w.log_scale for w in ws])
             else:
                 pair_caches, pair_y2s = [], []
                 for m2, jobs in chunk:
@@ -491,20 +501,22 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                     # one batch: sub-eps terms need only absolute accuracy
                     values, floors = w_mellin_fixed_d(pair_caches, pair_y2s)
                     contributes = (values.log_abs() >= np.maximum(log_eps, floors + 2.0)).tolist()
-                    item = values.item
             for m2, _ in chunk:  # reached: its column is wrapped by now or never
                 columns.pop(m2, None)
             k = 0  # the chunk's running term index
+            picked, weights = [], []
             for m2, jobs in chunk:
-                coef = None
+                coef = None  # 4 A(m1, m2) / (m1 m2), from the pair's first contributing term
                 for cos1, cos2, _ in jobs:
                     if contributes[k]:
                         hit_m2 = m2
-                        if coef is None and not count_only:
-                            coef = f.coefficient(m1, m2)
+                        if coef is None:
+                            coef = 0.0 if count_only else 4.0 * f.coefficient(m1, m2) / (m1 * m2)
                     if coef is not None:
-                        weight = 4.0 * coef / (m1 * m2) * cos1 * cos2
-                        terms.append(weight * item(k).to_complex(extra_log=-shift))
+                        n_terms += 1
+                        if not count_only:
+                            picked.append(k)
+                            weights.append(coef * cos1 * cos2)
                     k += 1
                 if hit_m2 == m2:
                     max_m2 = max(max_m2, m2)
@@ -512,13 +524,15 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                 elif m2 - hit_m2 >= 4 and m2 * y2 > C:
                     last = m2_cap  # the stop: no further pair of this m1
                     break
+            if picked:
+                terms.append(np.array(weights) * values.to_complex(-shift)[picked])
         if m1 - max_m1 >= 2 and m1y1 > C:
             break
 
-    value = complex(math.fsum(t.real for t in terms),
-                    math.fsum(t.imag for t in terms))
+    summed = np.concatenate(terms) if terms else np.zeros(0, dtype=complex)
+    value = complex(math.fsum(summed.real.tolist()), math.fsum(summed.imag.tolist()))
     stats = MaassEvalStats(cutoff=C, max_contributing_m2=max_m2, max_m1=max_m1,
-                           n_terms=len(terms), n_caches=len(caches),
+                           n_terms=n_terms, n_caches=len(caches),
                            n_caches_built=len(caches) - n_before)
     return value, stats
 

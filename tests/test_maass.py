@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -17,6 +18,7 @@ from sl3maass.maass import (GENERATORS, GroupWord, H3Point, MaassForm,
                             eval_maass, eval_maass_report,
                             expand_coefficients, iwasawa_act, mobius,
                             word_matrix, _inverse_mod)
+from sl3maass.scaled import ScaledArray
 from sl3maass.whittaker import (WhittakerArgs, default_mellin_grid,
                                 mellin_kernel, w_eval)
 
@@ -201,6 +203,23 @@ def test_enumerate_cd_brute_force_small():
         assert got == sorted(ref), (C, m1y1, m2y2, z2)
 
 
+def test_enumerate_cd_lattice_memo():
+    """Each m1's lattice is memoized by (C, m1 y1, z2): calls at two
+    points with the same (C, m1 y1) and different x2, interleaved, and at
+    several m2 of one point, each give the brute-force pairs.  The memo
+    holds at most a fixed number of lattices."""
+    C, m1y1 = 4.3, 0.9
+    z2s = (0.21 + 0.93j, -0.37 + 0.93j)
+    for m2y2 in (0.05, 0.4, 0.95, 1.9, 3.1, 6.0):
+        for z2 in z2s:
+            assert enumerate_cd(C, m1y1, m2y2, z2) == brute_force_cd(C, m1y1, m2y2, z2), (m2y2, z2)
+    maxsize = maass._lattice.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 5):
+        enumerate_cd(C, m1y1, 0.4, complex(k / 1000.0, 0.93))
+    assert maass._lattice.cache_info().currsize == maxsize
+
+
 def test_inverse_mod():
     assert _inverse_mod(1, 1) == 1
     assert _inverse_mod(0, 1) == 1
@@ -379,6 +398,38 @@ def test_fresh_forms_are_bit_identical():
     v2, s2 = eval_maass_report(synthetic_form(params=GENERIC), E2_POINT)
     assert v1 == v2
     assert s1 == s2
+
+
+@pytest.mark.parametrize("params, word", [(GENERIC, ""), (GENERIC, "S1"), (LIFT, "")],
+                         ids=["E2", "E2-S1", "LIFT"])
+def test_array_terms_match_per_term_values(monkeypatch, params, word):
+    """Each chunk's terms are formed as arrays, mantissa e^(log_scale -
+    shift); the value stays within 1e-14 relative of the sum whose terms
+    go one at a time through ScaledComplex.to_complex from the same batch
+    values, with the same statistics."""
+    z = iwasawa_act(word_matrix(word), E2_POINT) if word else E2_POINT
+    form = MaassForm(params=params, eps=1e-8, coeff_fn=lambda m1, m2: 1.0 / (1.0 + m1 * m2))
+    value, stats = eval_maass_report(form, z)
+
+    def per_term(values, extra_log=0.0):
+        return np.array([values.item(k).to_complex(extra_log=extra_log)
+                         for k in range(len(values))], dtype=complex)
+
+    monkeypatch.setattr(ScaledArray, "to_complex", per_term)
+    ref, ref_stats = eval_maass_report(form, z)
+    assert stats.n_caches_built > 0 and ref_stats.n_caches_built == 0
+    assert replace(ref_stats, n_caches_built=stats.n_caches_built) == stats
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def test_coefficient_demand_counts_the_terms_of_the_walk():
+    """count_only fetches no coefficient but counts the terms the full
+    walk sums."""
+    demand = coefficient_demand(GENERIC, E2_POINT, 1e-6)
+    form = MaassForm(params=GENERIC, eps=1e-6, coeff_fn=lambda m1, m2: 1.0 / (1.0 + m1 * m2))
+    _, stats = eval_maass_report(form, E2_POINT)
+    assert demand.n_terms == stats.n_terms == 15
+    assert demand == stats
 
 
 def test_evaluation_does_not_import_numpy_ma():
