@@ -281,12 +281,13 @@ def decay_cutoff(p: LanglandsParams, eps: float) -> float:
     return _cutoff_scan(p, eps)[0]
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=1)
 def _lattice(C: float, m1y1: float, x2: float, y2: float) -> tuple[tuple[int, int, float, float], ...]:
     """(c, d, t2, u) of the coprime (c, d), c >= 1, with
     |c z2 + d| < C / (m1 y1), in (c, d) order: t2 = |c z2 + d|^2 and
     u = a - (c x2 + d) / t2, a the inverse of d mod c.  One m1's pairs
-    are radius slices of it."""
+    are radius slices of it.  The walk asks for one m1's lattice in
+    consecutive calls, so the memo holds that one lattice."""
     upper = C / m1y1
     upper2 = upper * upper
     out = []
@@ -524,8 +525,11 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                 elif m2 - hit_m2 >= 4 and m2 * y2 > C:
                     last = m2_cap  # the stop: no further pair of this m1
                     break
-            if picked:
-                terms.append(np.array(weights) * values.to_complex(-shift)[picked])
+            if picked:  # the summed terms, mantissa e^(log_scale - shift)
+                s = values.log_scale[picked] - shift
+                if s.max() > 700.0:
+                    raise OverflowError(f"scaled term overflows binary64 (log scale {s.max():.3g})")
+                terms.append(np.array(weights) * (values.mantissa[picked] * np.exp(s)))
         if m1 - max_m1 >= 2 and m1y1 > C:
             break
 

@@ -196,13 +196,6 @@ class ScaledArray:
         """Element i as a (normalized) ScaledComplex."""
         return ScaledComplex(complex(self.mantissa[i]), float(self.log_scale[i]))
 
-    def to_complex(self, extra_log: float = 0.0) -> np.ndarray:
-        """The values times exp(extra_log) as a complex array; OverflowError past log scale 700."""
-        s = self.log_scale + extra_log
-        if s.size and s.max() > 700.0:
-            raise OverflowError(f"scaled value overflows binary64 (log scale {s.max():.3g})")
-        return self.mantissa * np.exp(s)
-
     def log_abs(self) -> np.ndarray:
         """log|value| per element, -inf for zeros."""
         a = np.abs(self.mantissa)

@@ -774,7 +774,7 @@ class FixedDCache:
     def grid(self) -> MellinGrid2D:
         return self.kernel.grid
 
-    @functools.cached_property
+    @property
     def noise_log(self) -> float:
         """log of the roundoff floor of one outer sum before its y2
         prefactor, the sum of two terms:
@@ -790,13 +790,6 @@ class FixedDCache:
         k = self.kernel
         return k.log_scale + math.log(_ROUNDOFF * (
             (2 * k.grid.N1 + 1) * k.abs_peak + (2 * k.grid.N2 + 1) * self.inner_peak))
-
-    @functools.cached_property
-    def query_row(self) -> tuple[float, float, float, float]:
-        """(lo, hi, log(pi^3 D), noise_log) of every query row on this
-        cache; (lo, hi) is its y2_range, (0, inf) when not validated."""
-        lo, hi = self.y2_range or (0.0, math.inf)
-        return lo, hi, 3.0 * math.log(math.pi) + math.log(self.D), self.noise_log
 
 
 def build_fixed_d_cache(p: LanglandsParams, D: float,
@@ -858,7 +851,7 @@ def w_mellin_fixed_d(cache, y2):
     batch: it gives (values, floor_logs), a list of ScaledComplex and the
     array of their log roundoff floors in the shared scaling convention,
     and never raises CancellationError; the caller drops what it cannot
-    resolve.  A sequence of caches on one kernel, one y2 sequence each,
+    resolve.  A sequence of caches on one kernel, one 1-D y2 array each,
     is a batch over all of them, its values one ScaledArray.  All raise
     ValueError for a y2 that is not positive and finite, and
     AccuracyRangeError naming the D for a y2 outside its cache's y2_range.
@@ -873,17 +866,20 @@ def w_mellin_fixed_d(cache, y2):
     """
     one = isinstance(cache, FixedDCache)
     caches = [cache] if one else list(cache)
-    sizes = [np.size(y2)] if one else [len(ys) for ys in y2]
-    y2s = (np.atleast_1d(np.asarray(y2, dtype=float)) if one
-           else np.fromiter(itertools.chain.from_iterable(y2), dtype=float, count=sum(sizes)))
-    if (not caches or len(sizes) != len(caches) or y2s.ndim != 1
+    arrays = ([np.atleast_1d(np.asarray(y2, dtype=float))] if one
+              else [np.asarray(ys, dtype=float) for ys in y2])
+    if (not caches or len(arrays) != len(caches) or any(ys.ndim != 1 for ys in arrays)
             or any(c.kernel is not caches[0].kernel for c in caches)):
         raise ValueError("y2 must be a scalar or a 1-D array, one per cache of one kernel")
     kernel = caches[0].kernel
+    sizes = [ys.size for ys in arrays]
+    y2s = arrays[0] if one else np.concatenate(arrays)
     if y2s.size and not (y2s.min() > 0.0 and y2s.max() < math.inf):
         raise ValueError("y2 must be positive and finite, got "
                          f"{y2s[~((y2s > 0.0) & np.isfinite(y2s))][0]}")
-    lo, hi, log_pi3d, noise = np.repeat(np.array([c.query_row for c in caches]), sizes, 0).T
+    per_cache = [(*(c.y2_range or (0.0, math.inf)), 3.0 * math.log(math.pi) + math.log(c.D),
+                  c.noise_log) for c in caches]
+    lo, hi, log_pi3d, noise = per_cache[0] if one else np.repeat(np.array(per_cache), sizes, 0).T
     outside = (y2s < lo * (1 - 1e-12)) | (y2s > hi * (1 + 1e-12))
     if outside.any():
         c = caches[int(np.searchsorted(np.cumsum(sizes), np.argmax(outside), side="right"))]

@@ -220,6 +220,24 @@ def test_enumerate_cd_lattice_memo():
     assert maass._lattice.cache_info().currsize == maxsize
 
 
+def test_walk_builds_each_lattice_once(monkeypatch):
+    """The walk builds one lattice per m1 and reuses it for every pair of
+    that m1, and nothing from one evaluation serves the next."""
+    m1y1s = []
+    def spy(C, m1y1, m2y2, z2):
+        m1y1s.append(m1y1)
+        return enumerate_cd(C, m1y1, m2y2, z2)
+    monkeypatch.setattr(maass, "enumerate_cd", spy)
+    maass._lattice.cache_clear()
+    for z in (E2_POINT, replace(E2_POINT, x2=-0.2)):
+        before = maass._lattice.cache_info()
+        coefficient_demand(GENERIC, z, 1e-6)
+        after = maass._lattice.cache_info()
+        assert after.misses - before.misses == len(set(m1y1s)) >= 2
+        assert after.hits - before.hits == len(m1y1s)
+        m1y1s.clear()
+
+
 def test_inverse_mod():
     assert _inverse_mod(1, 1) == 1
     assert _inverse_mod(0, 1) == 1
@@ -406,16 +424,21 @@ def test_array_terms_match_per_term_values(monkeypatch, params, word):
     """Each chunk's terms are formed as arrays, mantissa e^(log_scale -
     shift); the value stays within 1e-14 relative of the sum whose terms
     go one at a time through ScaledComplex.to_complex from the same batch
-    values, with the same statistics."""
+    values, with the same statistics.  The reference batch carries each
+    converted term as its mantissa at log scale shift, which the walk
+    multiplies by e^0 = 1."""
     z = iwasawa_act(word_matrix(word), E2_POINT) if word else E2_POINT
     form = MaassForm(params=params, eps=1e-8, coeff_fn=lambda m1, m2: 1.0 / (1.0 + m1 * m2))
     value, stats = eval_maass_report(form, z)
+    shift = params.scale_shift
 
-    def per_term(values, extra_log=0.0):
-        return np.array([values.item(k).to_complex(extra_log=extra_log)
-                         for k in range(len(values))], dtype=complex)
+    def per_term(caches, y2s):
+        values, floors = whittaker.w_mellin_fixed_d(caches, y2s)
+        return ScaledArray(np.array([values.item(k).to_complex(extra_log=-shift)
+                                     for k in range(len(values))], dtype=complex),
+                           shift), floors
 
-    monkeypatch.setattr(ScaledArray, "to_complex", per_term)
+    monkeypatch.setattr(maass, "w_mellin_fixed_d", per_term)
     ref, ref_stats = eval_maass_report(form, z)
     assert stats.n_caches_built > 0 and ref_stats.n_caches_built == 0
     assert replace(ref_stats, n_caches_built=stats.n_caches_built) == stats

@@ -1122,6 +1122,10 @@ def test_multi_cache_batch_errors():
         w_mellin_fixed_d([caches[0], other], [np.array([1.0]), np.array([1.0])])
     with pytest.raises(ValueError, match="one per cache"):
         w_mellin_fixed_d(caches, [np.array([1.0])])
+    with pytest.raises(ValueError, match="one per cache"):
+        w_mellin_fixed_d(caches, [1.0, np.array([1.0])])  # a scalar per cache
+    with pytest.raises(ValueError, match="one per cache"):
+        w_mellin_fixed_d(caches, [np.array([[1.0]]), np.array([1.0])])  # 2-D per cache
 
 
 def test_kernel_log_gamma_only_on_first_build(monkeypatch):
