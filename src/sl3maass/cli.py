@@ -275,6 +275,7 @@ def cmd_maass_eval(ns) -> int:
     report.add("max contributing m1", complex(stats.max_m1), 0.0, "count")
     report.add("distinct D caches (form)", complex(stats.n_caches), 0.0, "count")
     report.add("D caches built (this eval)", complex(stats.n_caches_built), 0.0, "count")
+    report.add("D ruled out (this eval)", complex(stats.n_ruled_out), 0.0, "count")
     report.wall_time = dt
     _emit(report, ns)
     return 0

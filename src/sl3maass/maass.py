@@ -14,7 +14,8 @@ visit.  The caches' inner sums are formed in waves: when the walk reaches
 a D without a cache or column, one kernel product forms the columns of
 every uncached D of the next 16, 32 or 64 pairs of the same m1.  Those D
 are (m1 y1)^2 m2 y2, so a wave needs no (c, d) enumeration; the walk
-enumerates a pair only on reaching it, and wraps a column in a cache then.
+enumerates a pair only on reaching it, and then wraps the column in a cache,
+or rules the D out when its column bounds every term below the goal.
 A pair's (c, d) are a radius slice of one memoized lattice per m1, whose
 m2-free parts are formed once per m1; each chunk's terms are one array.
 """
@@ -324,6 +325,16 @@ def _inverse_mod(d: int, c: int) -> int:
     return pow(d % c, -1, c)
 
 
+def _ruled_out(kernel, D: float, column: np.ndarray, y2_range: tuple[float, float],
+               log_eps: float) -> bool:
+    """Whether eval_maass_report's bound on log|W| over y2_range, plus a
+    margin of 1e-6 far above the ~1e-13 rounding of the sums, is below log_eps."""
+    log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
+    bound = (kernel.log_scale + kernel.params.scale_shift + np.log(np.abs(column).sum())
+             + max(kernel.prefactor_log(log_pi3d, math.log(math.pi * y)) for y in y2_range))
+    return bool(bound + 1e-6 < log_eps)
+
+
 # ---------------------------------------------------------------------------
 # the form and its evaluation
 # ---------------------------------------------------------------------------
@@ -348,7 +359,8 @@ class MaassForm:
     coeff_fn: Callable[[int, int], complex] | None = None
     cutoff: float | None = field(default=None, init=False)
     peak_log: float | None = field(default=None, init=False)
-    # fixed-D caches keyed by _cache_key(D), shared across its evaluations
+    # fixed-D caches keyed by _cache_key(D), shared across its
+    # evaluations; None marks a D ruled out (see eval_maass_report)
     cache_map: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -378,7 +390,8 @@ class MaassEvalStats:
 
     n_caches is the number of fixed-D caches the form holds after this
     evaluation, accumulated over all its evaluations so far;
-    n_caches_built counts the caches this evaluation built.
+    n_caches_built counts the caches this evaluation built.  Both count
+    built caches only; n_ruled_out counts the D it ruled out instead.
     """
 
     cutoff: float
@@ -387,6 +400,7 @@ class MaassEvalStats:
     n_terms: int
     n_caches: int
     n_caches_built: int
+    n_ruled_out: int
 
 
 def eval_maass_report(f: MaassForm, z: H3Point,
@@ -406,7 +420,16 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     non-contributing terms are dropped.  Summing only the contributing
     terms would move values by about 1e-6 relative at eps 1e-8, away from
     the benchmark's stored form-orbit references, so the rule stays until
-    those references change.  With count_only the coefficient table is
+    those references change.
+
+    A D without a cache is first bounded from its column (at scale
+    exp(kernel.log_scale)): every outer-sum phase has modulus 1 and the y2
+    prefactor is linear in log y2, so on the validation range [0.99 D/C^2,
+    1.01 C], which holds the walk's y2, log|W| <= log_scale + scale_shift +
+    max(prefactor at the two ends) + log sum |column|.  A D whose bound lies
+    below the goal can never contribute: the form marks it ruled out, and no
+    evaluation builds, validates, queries or forms a column for it again.
+    With count_only the coefficient table is
     never touched, caches get no y2_range and so are not validated, and
     the returned value is meaningless; only the statistics are valid,
     n_terms among them.
@@ -426,7 +449,7 @@ def eval_maass_report(f: MaassForm, z: H3Point,
 
     caches = f.cache_map if backend == "mellin" else {}
     grid = default_mellin_grid(p, eps * 1e-2)
-    n_before = len(caches)
+    n_before, n_ruled_out = len(caches), 0
 
     two_pi = 2.0 * math.pi
     terms: list[np.ndarray] = []
@@ -478,24 +501,33 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                                      [w.log_scale for w in ws])
             else:
                 pair_caches, pair_y2s = [], []
-                for m2, jobs in chunk:
+                for i, (m2, jobs) in enumerate(chunk):
                     if not jobs:
                         continue
                     D = m1y1 * m1y1 * (m2 * y2)
                     key = _cache_key(D)
                     if key not in caches:
+                        kernel = mellin_kernel(p, grid)
                         if m2 not in columns:
                             # a wave: one kernel product forms the columns
-                            # of every uncached D of the next pairs of this m1
+                            # of every D of the next pairs of this m1 not in caches
                             size = next(wave_sizes)
                             Ds = {m: m1y1 * m1y1 * (m * y2)
                                   for m in range(m2, min(m2 + size, m2_cap + 1))}
                             Ds = {m: D_m for m, D_m in Ds.items() if _cache_key(D_m) not in caches}
-                            inner = mellin_kernel(p, grid).inner(list(Ds.values()))
-                            columns.update(zip(Ds, inner.T))
-                        caches[key] = build_fixed_d_cache(
-                            p, D, grid=grid, eps=math.exp(log_eps), inner=columns.pop(m2),
-                            y2_range=None if count_only else (D / C ** 2 * 0.99, C * 1.01))
+                            columns.update(zip(Ds, kernel.inner(list(Ds.values())).T))
+                        y2_range = (D / C ** 2 * 0.99, C * 1.01)
+                        column = columns.pop(m2)
+                        if _ruled_out(kernel, D, column, y2_range, log_eps):
+                            caches[key] = None
+                            n_ruled_out += 1
+                        else:
+                            caches[key] = build_fixed_d_cache(
+                                p, D, grid=grid, eps=math.exp(log_eps), inner=column,
+                                y2_range=None if count_only else y2_range)
+                    if caches[key] is None:  # ruled out: no term contributes, none is queried
+                        chunk[i] = (m2, [])
+                        continue
                     pair_caches.append(caches[key])
                     pair_y2s.append([y2_arg for _, _, y2_arg in jobs])
                 if pair_caches:
@@ -536,8 +568,9 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     summed = np.concatenate(terms) if terms else np.zeros(0, dtype=complex)
     value = complex(math.fsum(summed.real.tolist()), math.fsum(summed.imag.tolist()))
     stats = MaassEvalStats(cutoff=C, max_contributing_m2=max_m2, max_m1=max_m1,
-                           n_terms=n_terms, n_caches=len(caches),
-                           n_caches_built=len(caches) - n_before)
+                           n_terms=n_terms, n_ruled_out=n_ruled_out,
+                           n_caches=sum(c is not None for c in caches.values()),
+                           n_caches_built=len(caches) - n_before - n_ruled_out)
     return value, stats
 
 

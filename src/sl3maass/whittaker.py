@@ -702,6 +702,13 @@ class MellinKernel:
         return (np.arange(_PHASE_STEP) * self.grid.h,
                 (np.arange(n_anchors) * _PHASE_STEP - self.grid.N2) * self.grid.h)
 
+    def prefactor_log(self, log_pi3d, log_py2):
+        """log of the outer sums' y2 prefactor at log(pi^3 D) and
+        log(pi y2), scalars or arrays; linear in both."""
+        g = self.grid
+        return (0.5 * (1.0 - g.sigma1) * log_pi3d + 0.5 * (1 - 2 * g.sigma2 + g.sigma1) * log_py2
+                + math.log(g.h * g.h / (2.0 * math.pi ** 2)))
+
     def inner(self, Ds: Sequence[float]) -> np.ndarray:
         """inner_D for every D of Ds, as the columns of a
         (2 N2 + 1, len(Ds)) array, all entries at the common scale
@@ -901,10 +908,7 @@ def w_mellin_fixed_d(cache, y2):
             # one mat-vec per row: a row's bits never depend on the rows beside it
             partial[a:b] = c.inner.base.reshape(-1, _PHASE_STEP) @ steps[a:b]
         totals[r0:r1] = np.einsum("yq,yq->y", partial[:, :, 0], np.exp(-1j * (theta * anchor_h)))
-    # log of the outer sums' y2 prefactor
-    g = kernel.grid
-    prefactor = (0.5 * (1.0 - g.sigma1) * log_pi3d + 0.5 * (1 - 2 * g.sigma2 + g.sigma1) * log_py2
-                 + math.log(g.h * g.h / (2.0 * math.pi ** 2)))
+    prefactor = kernel.prefactor_log(log_pi3d, log_py2)
     scales = kernel.log_scale + kernel.params.scale_shift + prefactor
     floors = noise + prefactor + kernel.params.scale_shift
     if not one:

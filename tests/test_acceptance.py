@@ -207,11 +207,14 @@ def test_coefficient_count():
 def test_coefficient_demand_walk_is_pinned():
     """The lift's coefficient-demand walk at the identity, eps = 1e-12,
     exactly as recorded when the fixed-D columns were still formed one D
-    at a time: any contribution decision that flips moves one of these."""
+    at a time: any contribution decision that flips moves one of these.
+    Of its 145 D, 43 are ruled out by their column's bound, and 102 get a
+    cache."""
     stats = coefficient_demand(LIFT, H3Point(0.0, 0.0, 0.0, 1.0, 1.0), 1e-12)
-    got = (stats.cutoff, stats.max_contributing_m2, stats.max_m1, stats.n_caches)
-    report("coefficient-demand walk", got == (9.313225746154785, 100, 7, 145),
-           f"cutoff, m2, m1, caches = {got}")
+    got = (stats.cutoff, stats.max_contributing_m2, stats.max_m1, stats.n_caches,
+           stats.n_ruled_out)
+    report("coefficient-demand walk", got == (9.313225746154785, 100, 7, 102, 43),
+           f"cutoff, m2, m1, caches, ruled out = {got}")
 
 
 @pytest.mark.slow

@@ -347,6 +347,7 @@ def test_maass_eval_and_periodicity(tmp_path, capsys):
     assert math.isclose(a1, a2, rel_tol=0, abs_tol=1e-12)
     assert "max contributing m2" in out1
     assert "distinct D caches" in out1
+    assert "D ruled out (this eval)" in out1
 
 
 def test_maass_eval_missing_coefficient(tmp_path, capsys):

@@ -440,8 +440,9 @@ def test_array_terms_match_per_term_values(monkeypatch, params, word):
 
     monkeypatch.setattr(maass, "w_mellin_fixed_d", per_term)
     ref, ref_stats = eval_maass_report(form, z)
-    assert stats.n_caches_built > 0 and ref_stats.n_caches_built == 0
-    assert replace(ref_stats, n_caches_built=stats.n_caches_built) == stats
+    assert stats.n_caches_built > 0 and ref_stats.n_caches_built == ref_stats.n_ruled_out == 0
+    assert replace(ref_stats, n_caches_built=stats.n_caches_built,
+                   n_ruled_out=stats.n_ruled_out) == stats
     assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
@@ -488,8 +489,9 @@ def test_caches_built_per_evaluation():
 
 def test_kernel_products_per_evaluation(monkeypatch):
     """Fixed-D columns are formed in waves: one product of the kernel per
-    wave, not per cache, and none for an evaluation whose D are all
-    cached.  The walk builds the same caches as with per-D products."""
+    wave, not per D reached (built or ruled out), and none for an
+    evaluation whose D are all cached or ruled out.  The walk reaches the
+    same D as with per-D products."""
     products = []
     product = whittaker._kernel_product
 
@@ -501,8 +503,9 @@ def test_kernel_products_per_evaluation(monkeypatch):
     mellin_kernel(GENERIC, default_mellin_grid(GENERIC, 1e-8))
     monkeypatch.setattr(whittaker, "_kernel_product", counted)
     stats = coefficient_demand(GENERIC, z, 1e-6)
-    assert stats.n_caches_built == stats.n_caches == 13
-    assert 0 < len(products) < stats.n_caches / 2
+    assert (stats.n_caches_built, stats.n_ruled_out) == (3, 10)
+    assert stats.n_caches == 3
+    assert 0 < len(products) < (stats.n_caches_built + stats.n_ruled_out) / 2
     form = MaassForm(params=GENERIC, eps=1e-6, coeff_fn=lambda m1, m2: 1.0)
     eval_maass_report(form, z, count_only=True)
     products.clear()
@@ -556,12 +559,14 @@ def test_walk_enumerates_each_pair_once(monkeypatch):
     assert sorted({m1 for m1, _ in seen}) == list(range(1, last_m1 + 1))
 
 
-# the walk at E2 and then at its S1 image, on one form, as recorded when
-# every pair made a query of its own: the A(m1, m2) fetches in order,
-# n_caches, n_caches_built, the validation w_eval calls and the y2 queried
+# the walk at E2 and then at its S1 image, on one form: the A(m1, m2)
+# fetches in order, as recorded when every pair made a query of its own,
+# and n_caches, n_caches_built, the validation w_eval calls and the y2
+# queried, with the D ruled out by their column's bound (10, then 12)
+# given no cache and no query
 E2_WALKS = [
-    ("", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1)], 15, 15, 30, 124),
-    ("S1", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1)], 33, 18, 36, 183),
+    ("", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1)], 5, 5, 10, 71),
+    ("S1", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1)], 11, 6, 12, 96),
 ]
 
 
@@ -610,6 +615,73 @@ def test_chunked_walk_does_no_speculative_work(monkeypatch):
                     stop = m2
                     break
             assert [m2 for k, m2 in pairs if k == m1] == list(range(1, stop + 1)), (word, m1)
+
+
+def _walk(params, eps, points, count_only):
+    """The walks at points on one fresh form: (value, statistics and
+    A(m1, m2) fetches) per point, and the form."""
+    fetched = []
+    form = MaassForm(params=params, eps=eps,
+                     coeff_fn=lambda m1, m2: fetched.append((m1, m2)) or 1.0 / (1.0 + m1 * m2))
+    out = []
+    for z in points:
+        fetched.clear()
+        value, stats = eval_maass_report(form, z, count_only=count_only)
+        out.append((value, stats, list(fetched)))
+    return out, form
+
+
+BOUND_WALKS = {"E2": (GENERIC, 1e-8, [E2_POINT, iwasawa_act(word_matrix("S1"), E2_POINT)], False),
+               "E1": (LIFT, 1e-12, [H3Point(0.0, 0.0, 0.0, 1.0, 1.0)], True)}
+
+
+@pytest.mark.parametrize("name", list(BOUND_WALKS))
+def test_ruled_out_d_never_contribute(monkeypatch, name):
+    """The column bound rules out only D whose caches, built anyway, give
+    no contributing term, and it leaves the walk as it was: the values,
+    fetches and statistics other than the cache counts match those of a
+    walk that rules out nothing.  Each ruled-out column, wrapped in an
+    unvalidated cache, stays below the goal over its whole y2 range."""
+    params, eps, points, count_only = BOUND_WALKS[name]
+    ruled, rule = [], maass._ruled_out
+
+    def recorded(kernel, D, column, y2_range, log_eps):
+        out = rule(kernel, D, column, y2_range, log_eps)
+        if out:
+            ruled.append((D, column.copy(), y2_range))
+        return out
+
+    monkeypatch.setattr(maass, "_ruled_out", recorded)
+    walks, form = _walk(params, eps, points, count_only)
+    log_eps = math.log(eps) + form.peak_log
+    keys = {maass._cache_key(D) for D, _, _ in ruled}
+    assert keys and all(form.cache_map[k] is None for k in keys)
+
+    hit, query = set(), maass.w_mellin_fixed_d
+
+    def contributing(caches, y2s):
+        values, floors = query(caches, y2s)
+        good = values.log_abs() >= np.maximum(log_eps, floors + 2.0)
+        rows = np.repeat(np.arange(len(caches)), [len(ys) for ys in y2s])
+        hit.update(maass._cache_key(caches[r].D) for r in rows[good])
+        return values, floors
+
+    monkeypatch.setattr(maass, "_ruled_out", lambda *args: False)
+    monkeypatch.setattr(maass, "w_mellin_fixed_d", contributing)
+    ref_walks, ref_form = _walk(params, eps, points, count_only)
+    assert None not in ref_form.cache_map.values()
+    assert keys <= set(ref_form.cache_map) - hit
+    counts = dict(n_caches=0, n_caches_built=0, n_ruled_out=0)
+    for (value, stats, fetches), (ref, ref_stats, ref_fetches) in zip(walks, ref_walks):
+        assert repr(value) == repr(ref) and fetches == ref_fetches
+        assert replace(stats, **counts) == replace(ref_stats, **counts)
+        assert stats.n_caches_built + stats.n_ruled_out == ref_stats.n_caches_built
+
+    grid = default_mellin_grid(params, eps * 1e-2)
+    for D, column, (lo, hi) in ruled:
+        cache = whittaker.build_fixed_d_cache(params, D, grid=grid, inner=column)
+        values, _ = whittaker.w_mellin_fixed_d(cache, np.geomspace(lo, hi, 50))
+        assert max(v.log_abs() for v in values) < log_eps, D
 
 
 @pytest.mark.parametrize("params, z, eps", [
