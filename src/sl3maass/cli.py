@@ -45,9 +45,10 @@ class RunReport:
         out = [f"operation: {self.operation}"]
         for k in sorted(self.settings):
             out.append(f"  {k}: {self.settings[k]}")
+        width = max([28] + [len(r["label"]) for r in self.rows])
         for r in self.rows:
             v = r["value"]
-            out.append(f"{r['label']:<28} {v.real:+.{digits}g} {v.imag:+.{digits}g}j"
+            out.append(f"{r['label']:<{width}} {v.real:+.{digits}g} {v.imag:+.{digits}g}j"
                        f"   err~{r['error']:.2e}   [{r['algorithm']}]")
         return "\n".join(out)
 
@@ -276,6 +277,7 @@ def cmd_maass_eval(ns) -> int:
     report.add("distinct D caches (form)", complex(stats.n_caches), 0.0, "count")
     report.add("D caches built (this eval)", complex(stats.n_caches_built), 0.0, "count")
     report.add("D ruled out (this eval)", complex(stats.n_ruled_out), 0.0, "count")
+    report.add("kernel columns formed (this eval)", complex(stats.n_columns), 0.0, "count")
     report.wall_time = dt
     _emit(report, ns)
     return 0

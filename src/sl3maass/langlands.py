@@ -76,6 +76,11 @@ class LanglandsParams:
         applied to Whittaker values."""
         return math.pi * abs(self.r_alpha - self.r_beta)
 
+    def is_self_dual(self) -> bool:
+        """True if the triple, negated, is the same multiset (exactly)."""
+        r = sorted((self.r_alpha, self.r_beta, self.r_gamma))
+        return r == [-x for x in reversed(r)]
+
     def is_degenerate(self, tol: float = 1e-9) -> bool:
         """True if any two parameters coincide within tol (series
         algorithms then hit gamma poles)."""

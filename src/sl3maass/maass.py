@@ -12,10 +12,11 @@ cache, since D = (m1 y1)^2 m2 y2 is invariant along the (c, d) sum; one
 batched call reads the values of a chunk of pairs the walk is certain to
 visit.  The caches' inner sums are formed in waves: when the walk reaches
 a D without a cache or column, one kernel product forms the columns of
-every uncached D of the next 16, 32 or 64 pairs of the same m1.  Those D
-are (m1 y1)^2 m2 y2, so a wave needs no (c, d) enumeration; the walk
-enumerates a pair only on reaching it, and then wraps the column in a cache,
-or rules the D out when its column bounds every term below the goal.
+every uncached D of the same m1 up to the reach that the previous m1's
+largest contributing D predicts.  Those D are (m1 y1)^2 m2 y2, so a wave
+needs no (c, d) enumeration; the walk enumerates a pair only on reaching
+it, and then wraps the column in a cache, or rules the D out when its
+column bounds every term below the goal.
 A pair's (c, d) are a radius slice of one memoized lattice per m1, whose
 m2-free parts are formed once per m1; each chunk's terms are one array.
 """
@@ -233,10 +234,6 @@ _CUTOFF_RATIO = 1.25
 _CUTOFF_START = 0.64
 _CUTOFF_STEPS = 70
 
-# m2 per wave of kernel columns: the first wave of each m1 covers 16
-# consecutive m2, the next 32, then 64 each
-_WAVE_SIZES = (16, 32, 64)
-
 
 def _cutoff_scan(p: LanglandsParams, eps: float) -> tuple[float, float]:
     """(C, peak_log): the decay cutoff and the peak log|W| seen on the
@@ -362,6 +359,8 @@ class MaassForm:
     # fixed-D caches keyed by _cache_key(D), shared across its
     # evaluations; None marks a D ruled out (see eval_maass_report)
     cache_map: dict = field(default_factory=dict, init=False, repr=False)
+    # its largest contributing D so far, which plans each evaluation's first waves
+    reach_d: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -391,7 +390,8 @@ class MaassEvalStats:
     n_caches is the number of fixed-D caches the form holds after this
     evaluation, accumulated over all its evaluations so far;
     n_caches_built counts the caches this evaluation built.  Both count
-    built caches only; n_ruled_out counts the D it ruled out instead.
+    built caches only; n_ruled_out counts the D it ruled out instead, and
+    n_columns the kernel columns it formed.
     """
 
     cutoff: float
@@ -401,6 +401,7 @@ class MaassEvalStats:
     n_caches: int
     n_caches_built: int
     n_ruled_out: int
+    n_columns: int
 
 
 def eval_maass_report(f: MaassForm, z: H3Point,
@@ -449,13 +450,14 @@ def eval_maass_report(f: MaassForm, z: H3Point,
 
     caches = f.cache_map if backend == "mellin" else {}
     grid = default_mellin_grid(p, eps * 1e-2)
-    n_before, n_ruled_out = len(caches), 0
+    n_before, n_ruled_out, n_columns = len(caches), 0, 0
 
     two_pi = 2.0 * math.pi
     terms: list[np.ndarray] = []
     n_terms = 0
     max_m2 = 0
     max_m1 = 0
+    reach_d = f.reach_d  # the previous m1's largest contributing D
     # ends by the m1 stop rule, as m1 past the lattice's reach have no terms
     for m1 in itertools.count(1):
         m1y1 = m1 * y1
@@ -479,7 +481,11 @@ def eval_maass_report(f: MaassForm, z: H3Point,
         # kernel columns by m2, formed by this m1's waves and not yet
         # wrapped in a cache
         columns: dict[int, np.ndarray] = {}
-        wave_sizes = itertools.chain(_WAVE_SIZES, itertools.repeat(_WAVE_SIZES[-1]))
+        # m2 per wave past the planned reach, or with none: 16, 32, then 64 each
+        wave_sizes = itertools.chain((16, 32), itertools.repeat(64))
+        # the m2 of reach_d and the stop rule's four after it, one more at
+        # m1 = 1, whose reach_d was met at other points
+        planned = 0 if reach_d is None else int(reach_d / (m1y1 * m1y1 * y2)) + 4 + (m1 == 1)
         hit_m2 = 0  # the last contributing m2 of this m1
         last = 0
         while last < m2_cap:
@@ -509,13 +515,16 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                     if key not in caches:
                         kernel = mellin_kernel(p, grid)
                         if m2 not in columns:
-                            # a wave: one kernel product forms the columns
-                            # of every D of the next pairs of this m1 not in caches
-                            size = next(wave_sizes)
+                            # a wave: one kernel product forms the columns of every D
+                            # not in caches from m2 to the planned reach (or a wave
+                            # size past it) and the chunk's end, less chunk pairs without terms
+                            end = planned if m2 <= planned else m2 + next(wave_sizes) - 1
                             Ds = {m: m1y1 * m1y1 * (m * y2)
-                                  for m in range(m2, min(m2 + size, m2_cap + 1))}
+                                  for m in range(m2, min(max(end, last), m2_cap) + 1)
+                                  if m > last or chunk[m - first][1]}
                             Ds = {m: D_m for m, D_m in Ds.items() if _cache_key(D_m) not in caches}
                             columns.update(zip(Ds, kernel.inner(list(Ds.values())).T))
+                            n_columns += len(Ds)
                         y2_range = (D / C ** 2 * 0.99, C * 1.01)
                         column = columns.pop(m2)
                         if _ruled_out(kernel, D, column, y2_range, log_eps):
@@ -562,13 +571,15 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                 if s.max() > 700.0:
                     raise OverflowError(f"scaled term overflows binary64 (log scale {s.max():.3g})")
                 terms.append(np.array(weights) * (values.mantissa[picked] * np.exp(s)))
+        reach_d = m1y1 * m1y1 * (hit_m2 * y2)
+        f.reach_d = max(f.reach_d or 0.0, reach_d)
         if m1 - max_m1 >= 2 and m1y1 > C:
             break
 
     summed = np.concatenate(terms) if terms else np.zeros(0, dtype=complex)
     value = complex(math.fsum(summed.real.tolist()), math.fsum(summed.imag.tolist()))
     stats = MaassEvalStats(cutoff=C, max_contributing_m2=max_m2, max_m1=max_m1,
-                           n_terms=n_terms, n_ruled_out=n_ruled_out,
+                           n_terms=n_terms, n_ruled_out=n_ruled_out, n_columns=n_columns,
                            n_caches=sum(c is not None for c in caches.values()),
                            n_caches_built=len(caches) - n_before - n_ruled_out)
     return value, stats

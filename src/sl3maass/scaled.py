@@ -1,9 +1,16 @@
 """Complex numbers carried with an explicit log-scale factor.
 
 A ScaledComplex stores a value as ``mantissa * exp(log_scale)`` with the
-mantissa normalized into [1/e, e].  Products of many gamma values and
+mantissa normalized into [1/2, 1).  Products of many gamma values and
 exponentially small Bessel factors stay representable this way even when
 the represented quantity is far outside binary64 range.
+
+Normalization scales the mantissa by an exact 2^-k and adds k ln 2 to the
+natural-log scale.  A scale equal to the rounded k * ln 2 (as from_complex
+gives) stands for exactly 2^k: products of such values stay on that lattice,
+and sums and to_complex read it as powers of two, so from_complex(a)
+.to_complex() == a for parts of size 0 or 2^-500 .. 2^500.  Other scales
+go through exp.
 
 A ScaledArray holds a 1-D array of such values (one log scale per
 element) for the vectorized quadrature integrands.
@@ -20,12 +27,20 @@ import numpy as np
 
 __all__ = ["ScaledComplex", "ScaledArray", "scaled_sum"]
 
+_LN2 = math.log(2.0)
+
+
+def _pow2(s: float) -> int | None:
+    """k when the scale s is the rounded product k * ln 2, else None."""
+    k = round(s / _LN2)
+    return k if k * _LN2 == s else None
+
 
 @dataclass(frozen=True)
 class ScaledComplex:
     """A complex value ``mantissa * exp(log_scale)``.
 
-    After construction ``|mantissa|`` lies in [1/e, e], or is exactly 0
+    After construction ``|mantissa|`` lies in [1/2, 1), or is exactly 0
     (in which case log_scale is 0).  log_scale is always finite.
     """
 
@@ -41,13 +56,11 @@ class ScaledComplex:
         a = abs(m)
         if not math.isfinite(a) or not math.isfinite(self.log_scale):
             raise ValueError(f"non-finite scaled value: {m!r} * exp({self.log_scale!r})")
-        shift = math.floor(math.log(a))
-        if shift != 0:
-            # two-step rescale: exp(-shift) itself can overflow for
-            # subnormal mantissas
-            f = math.exp(-0.5 * shift)
-            object.__setattr__(self, "mantissa", (m * f) * f)
-            object.__setattr__(self, "log_scale", self.log_scale + shift)
+        k = math.frexp(a)[1]
+        if k != 0:
+            s, j = self.log_scale, _pow2(self.log_scale)
+            object.__setattr__(self, "mantissa", complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k)))
+            object.__setattr__(self, "log_scale", s + k * _LN2 if j is None else (j + k) * _LN2)
 
     # -- constructors ------------------------------------------------------
 
@@ -95,7 +108,8 @@ class ScaledComplex:
         s = self.log_scale + extra_log
         if s > 700.0:
             raise OverflowError(f"scaled value overflows binary64 (log scale {s:.3g})")
-        return self.mantissa * math.exp(s)
+        k, m = _pow2(s), self.mantissa
+        return m * math.exp(s) if k is None else complex(math.ldexp(m.real, k), math.ldexp(m.imag, k))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -115,8 +129,10 @@ class ScaledComplex:
         if isinstance(other, ScaledComplex):
             if self.is_zero or other.is_zero:
                 return ScaledComplex.zero()
+            s, t = self.log_scale, other.log_scale
+            j, k = _pow2(s), _pow2(t)
             return ScaledComplex(self.mantissa * other.mantissa,
-                                 self.log_scale + other.log_scale)
+                                 s + t if j is None or k is None else (j + k) * _LN2)
         return ScaledComplex(self.mantissa * complex(other), self.log_scale)
 
     __rmul__ = __mul__
@@ -136,8 +152,9 @@ class ScaledComplex:
         d = small.log_scale - big.log_scale
         if d < -800.0:
             return big
-        return ScaledComplex(big.mantissa + small.mantissa * math.exp(d),
-                             big.log_scale)
+        kb, ks = _pow2(big.log_scale), _pow2(small.log_scale)
+        f = math.exp(d) if kb is None or ks is None else math.ldexp(1.0, ks - kb)
+        return ScaledComplex(big.mantissa + small.mantissa * f, big.log_scale)
 
     def __sub__(self, other: "ScaledComplex") -> "ScaledComplex":
         return self.__add__(-other if isinstance(other, ScaledComplex)

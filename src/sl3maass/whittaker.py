@@ -632,20 +632,19 @@ def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
 
 
 def _kernel_product(b: np.ndarray, c: np.ndarray, x: np.ndarray,
-                    n_rows: int) -> np.ndarray:
-    """(B * C) @ x with B[j, i] = b[i + j] and C[j, i] = c[3 i + j], for x
-    a vector or a matrix of columns.
+                    out: np.ndarray) -> np.ndarray:
+    """(B * C) @ x into out, with B[j, i] = b[i + j] and C[j, i] = c[3 i + j]
+    for the rows 0 <= j < len(out), x a vector or a matrix of columns.
 
     B and C are zero-copy stride views; their elementwise product is
     formed one row block at a time, once for all columns of x, so the
     dense matrix never exists.
     """
-    width = x.shape[0]
+    width, n_rows = x.shape[0], out.shape[0]
     bm = sliding_window_view(b, width)[:n_rows]
     step = c.strides[0]
     cm = as_strided(c, shape=(n_rows, width), strides=(step, 3 * step),
                     writeable=False)
-    out = np.empty((n_rows,) + x.shape[1:], dtype=np.result_type(b, c, x))
     for j0, j1 in _row_blocks(n_rows, width):
         out[j0:j1] = (bm[j0:j1] * cm[j0:j1]) @ x
     return out
@@ -668,6 +667,8 @@ class MellinKernel:
     B * C is formed once for all of them.  abs_rows[j] =
     sum_i |a_i| |b_{i+j}| |c_{3i+j}| bounds the terms of inner_D[j] for
     every D and so sets the scale of its roundoff; abs_peak = max abs_rows.
+    A self-dual triple has conjugate-symmetric a, b and c, and so
+    inner_D[-k2] = conj(inner_D[k2]) for every D.
     """
 
     params: LanglandsParams
@@ -678,6 +679,7 @@ class MellinKernel:
     log_scale: float
     abs_rows: np.ndarray
     abs_peak: float
+    self_dual: bool
 
     @property
     def max_columns(self) -> int:
@@ -697,10 +699,12 @@ class MellinKernel:
     @functools.cached_property
     def outer_phase_h(self) -> tuple[np.ndarray, np.ndarray]:
         """(r h, k_a h) of the outer phases: the steps 0 <= r < _PHASE_STEP
-        and the anchors k_a = -N2 + q _PHASE_STEP, one per _PHASE_STEP k2."""
-        n_anchors = -(-self.abs_rows.size // _PHASE_STEP)
+        and the anchors k_a = k0 + q _PHASE_STEP, one per _PHASE_STEP k2 from
+        k0 = -N2, or from k0 = 0 for a self-dual kernel's folded sums."""
+        k0 = 0 if self.self_dual else -self.grid.N2
+        n_anchors = -(-(self.grid.N2 + 1 - k0) // _PHASE_STEP)
         return (np.arange(_PHASE_STEP) * self.grid.h,
-                (np.arange(n_anchors) * _PHASE_STEP - self.grid.N2) * self.grid.h)
+                (np.arange(n_anchors) * _PHASE_STEP + k0) * self.grid.h)
 
     def prefactor_log(self, log_pi3d, log_py2):
         """log of the outer sums' y2 prefactor at log(pi^3 D) and
@@ -714,15 +718,22 @@ class MellinKernel:
         (2 N2 + 1, len(Ds)) array, all entries at the common scale
         exp(log_scale).  The columns are formed max_columns at a time, one
         kernel product each; a column's last bits may depend on the other
-        D formed with it and on the BLAS thread count."""
+        D formed with it and on the BLAS thread count.  A self-dual
+        kernel's products form the rows k2 >= 0 only: the row k2 = 0 is
+        made real and the rows k2 < 0 are the conjugates of the rows -k2."""
+        n2 = self.grid.N2
+        first = n2 if self.self_dual else 0  # the first row a product forms
         k1h = np.arange(-self.grid.N1, self.grid.N1 + 1) * self.grid.h
         log_pi3d = [3.0 * math.log(math.pi) + math.log(D) for D in Ds]
         step = self.max_columns
-        parts = []
-        for k0 in range(0, max(len(log_pi3d), 1), step):
+        out = np.empty((2 * n2 + 1, len(log_pi3d)), dtype=np.complex128)
+        for k0 in range(0, len(log_pi3d), step):
             a_d = self.a[:, None] * np.exp(-1j * np.outer(k1h, log_pi3d[k0:k0 + step]))
-            parts.append(_kernel_product(self.b, self.c, a_d, self.abs_rows.size))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            _kernel_product(self.b[first:], self.c[first:], a_d, out[first:, k0:k0 + step])
+        if first:
+            out[n2] = out[n2].real
+            np.conjugate(out[:n2:-1], out=out[:n2])
+        return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -745,11 +756,11 @@ def mellin_kernel(p: LanglandsParams, grid: MellinGrid2D) -> MellinKernel:
     lc = -_gamma_product_log((s1 + s2) / 2.0 + 1j * (v * h) / 2.0)
     peaks = [float(np.max(x.real)) for x in (la, lb, lc)]
     a, b, c = (np.exp(x - s) for x, s in zip((la, lb, lc), peaks))
-    abs_rows = _kernel_product(np.abs(b), np.abs(c), np.abs(a), 2 * n2 + 1)
+    abs_rows = _kernel_product(np.abs(b), np.abs(c), np.abs(a), np.empty(2 * n2 + 1))
     for arr in (a, b, c, abs_rows):
         arr.setflags(write=False)
-    return MellinKernel(params=p, grid=grid, a=a, b=b, c=c, log_scale=sum(peaks),
-                        abs_rows=abs_rows, abs_peak=float(np.max(abs_rows)))
+    return MellinKernel(params=p, grid=grid, a=a, b=b, c=c, log_scale=sum(peaks), abs_rows=abs_rows,
+                        abs_peak=float(np.max(abs_rows)), self_dual=p.is_self_dual())
 
 
 @dataclass(frozen=True, eq=False)
@@ -761,7 +772,8 @@ class FixedDCache:
     and inner_peak is max |inner| at that scale.  y2_range is set exactly
     when the cache was validated, and validation_residual with it.
     Immutable; w_mellin_fixed_d evaluates only the outer k2-sums, O(N2)
-    work per y2; inner is a read-only view of its padded layout, inner.base.
+    work per y2; inner is a read-only view of its padded layout, inner.base,
+    padded in front for a self-dual kernel so that k2 = 0 starts a block.
     """
 
     kernel: MellinKernel
@@ -772,10 +784,12 @@ class FixedDCache:
     validation_residual: float | None = None
 
     def __post_init__(self):
-        layout = np.zeros(-(-self.inner.size // _PHASE_STEP) * _PHASE_STEP, dtype=np.complex128)
-        layout[:self.inner.size] = self.inner
+        front = -self.kernel.grid.N2 % _PHASE_STEP if self.kernel.self_dual else 0
+        n = front + self.inner.size
+        layout = np.zeros(-(-n // _PHASE_STEP) * _PHASE_STEP, dtype=np.complex128)
+        layout[front:n] = self.inner
         layout.setflags(write=False)
-        object.__setattr__(self, "inner", layout[:self.inner.size])
+        object.__setattr__(self, "inner", layout[front:n])
 
     @property
     def grid(self) -> MellinGrid2D:
@@ -789,14 +803,15 @@ class FixedDCache:
         * every inner sum is off by at most (2 N1 + 1) u kernel.abs_peak,
           the recursive-summation bound (Higham, Accuracy and Stability
           of Numerical Algorithms, ch. 4); at large D the inner sums
-          cancel far below kernel.abs_peak and this term dominates;
+          cancel far below kernel.abs_peak and this term dominates; it
+          counts twice in a self-dual kernel's folded sum (rows k2, -k2);
         * the outer sum adds ~u relative noise per entry, (2 N2 + 1) u
           inner_peak in all.
 
         u is _ROUNDOFF, which also covers the rounding of the products."""
         k = self.kernel
-        return k.log_scale + math.log(_ROUNDOFF * (
-            (2 * k.grid.N1 + 1) * k.abs_peak + (2 * k.grid.N2 + 1) * self.inner_peak))
+        return k.log_scale + math.log(_ROUNDOFF * ((1 + k.self_dual) * (2 * k.grid.N1 + 1) * k.abs_peak
+                                                   + (2 * k.grid.N2 + 1) * self.inner_peak))
 
 
 def build_fixed_d_cache(p: LanglandsParams, D: float,
@@ -869,7 +884,8 @@ def w_mellin_fixed_d(cache, y2):
     its cache and y2, not on the rest of the call, the row blocks or the
     BLAS threads.  Factored phases move the sums by at most 9.3e-14 of
     max |inner| at the lift's grid, below the floor's (2 N2 + 1) u max
-    |inner| term (2.5e-13 of it).
+    |inner| term (2.5e-13 of it).  A self-dual kernel's sums fold to the
+    exactly real 2 Re sum_{k2 >= 0} w_k2 inner[k2] e^{-i theta k2 h}, w_0 = 1/2.
     """
     one = isinstance(cache, FixedDCache)
     caches = [cache] if one else list(cache)
@@ -893,10 +909,11 @@ def w_mellin_fixed_d(cache, y2):
         raise AccuracyRangeError(f"y2={y2s[outside][0]:g} outside the validated range "
                                  f"[{c.y2_range[0]:g}, {c.y2_range[1]:g}] of the cache at D={c.D:g}")
     # e^{-i theta k2 h} = e^{-i theta k_a h} e^{-i theta r h} with anchors
-    # k_a = -N2 + q _PHASE_STEP and steps 0 <= r < _PHASE_STEP, against the
-    # padded inner sums laid out as layout[q, r] = inner[q _PHASE_STEP + r]
+    # k_a = k0 + q _PHASE_STEP and steps 0 <= r < _PHASE_STEP, against the
+    # padded inner sums laid out as rows[q, r] = inner[k0 + N2 + q _PHASE_STEP + r]
     log_py2 = np.log(math.pi * y2s)
     step_h, anchor_h = kernel.outer_phase_h
+    tail = -anchor_h.size * _PHASE_STEP  # the layout from the first anchor on
     bounds = list(itertools.accumulate([0] + sizes))
     totals = np.empty(y2s.size, dtype=np.complex128)
     for r0, r1 in _row_blocks(y2s.size, anchor_h.size + _PHASE_STEP):
@@ -906,8 +923,11 @@ def w_mellin_fixed_d(cache, y2):
         cuts = [min(max(b, r0), r1) - r0 for b in bounds]
         for c, a, b in zip(caches, cuts, cuts[1:]):
             # one mat-vec per row: a row's bits never depend on the rows beside it
-            partial[a:b] = c.inner.base.reshape(-1, _PHASE_STEP) @ steps[a:b]
+            partial[a:b] = c.inner.base[tail:].reshape(-1, _PHASE_STEP) @ steps[a:b]
         totals[r0:r1] = np.einsum("yq,yq->y", partial[:, :, 0], np.exp(-1j * (theta * anchor_h)))
+    if kernel.self_dual:  # w_0 = 1/2: twice the real part less the real k2 = 0 term
+        middle = np.repeat([c.inner[kernel.grid.N2].real for c in caches], sizes)
+        totals = 2.0 * totals.real - middle + 0j
     prefactor = kernel.prefactor_log(log_pi3d, log_py2)
     scales = kernel.log_scale + kernel.params.scale_shift + prefactor
     floors = noise + prefactor + kernel.params.scale_shift

@@ -209,12 +209,15 @@ def test_coefficient_demand_walk_is_pinned():
     exactly as recorded when the fixed-D columns were still formed one D
     at a time: any contribution decision that flips moves one of these.
     Of its 145 D, 43 are ruled out by their column's bound, and 102 get a
-    cache."""
+    cache.  Its waves form at most 170 kernel columns (226 with waves of
+    16, 32 and 64 m2 at every m1)."""
     stats = coefficient_demand(LIFT, H3Point(0.0, 0.0, 0.0, 1.0, 1.0), 1e-12)
     got = (stats.cutoff, stats.max_contributing_m2, stats.max_m1, stats.n_caches,
-           stats.n_ruled_out)
-    report("coefficient-demand walk", got == (9.313225746154785, 100, 7, 102, 43),
-           f"cutoff, m2, m1, caches, ruled out = {got}")
+           stats.n_ruled_out, stats.n_terms)
+    report("coefficient-demand walk", got == (9.313225746154785, 100, 7, 102, 43, 8638),
+           f"cutoff, m2, m1, caches, ruled out, terms = {got}")
+    report("coefficient-demand columns", 145 <= stats.n_columns <= 170,
+           f"kernel columns formed = {stats.n_columns}")
 
 
 @pytest.mark.slow

@@ -348,6 +348,10 @@ def test_maass_eval_and_periodicity(tmp_path, capsys):
     assert "max contributing m2" in out1
     assert "distinct D caches" in out1
     assert "D ruled out (this eval)" in out1
+    # a fresh form forms the columns of every D it builds or rules out
+    rows = dict(line.rsplit(None, 4)[:2] for line in out1.splitlines() if "[count]" in line)
+    assert float(rows["kernel columns formed (this eval)"]) >= (
+        float(rows["D caches built (this eval)"]) + float(rows["D ruled out (this eval)"]) > 0)
 
 
 def test_maass_eval_missing_coefficient(tmp_path, capsys):

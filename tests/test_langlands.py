@@ -32,6 +32,17 @@ def test_from_nu_substitution_oracle():
     assert abs(p.gamma - (-2j * t)) < 1e-12
 
 
+@pytest.mark.parametrize("ra, rb, self_dual", [
+    (-2.0 * 9.533695, 2.0 * 9.533695, True),   # the lift (-2r, 2r, 0)
+    (2.0 * 9.533695, 0.0, True),               # the same multiset, permuted
+    (0.0, -5.25, True),
+    (-3.7, 1.2, False),                        # GEN (-3.7, 1.2, 2.5)
+    (-2.0, 2.0 + 1e-12, False),
+])
+def test_is_self_dual(ra, rb, self_dual):
+    assert LanglandsParams(ra, rb).is_self_dual() is self_dual
+
+
 def test_from_nu_rejects_nontempered():
     with pytest.raises(NonTemperedError):
         from_nu(0.5, 1.0 / 3.0)

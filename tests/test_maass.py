@@ -440,9 +440,10 @@ def test_array_terms_match_per_term_values(monkeypatch, params, word):
 
     monkeypatch.setattr(maass, "w_mellin_fixed_d", per_term)
     ref, ref_stats = eval_maass_report(form, z)
-    assert stats.n_caches_built > 0 and ref_stats.n_caches_built == ref_stats.n_ruled_out == 0
+    assert stats.n_caches_built > 0
+    assert ref_stats.n_caches_built == ref_stats.n_ruled_out == ref_stats.n_columns == 0
     assert replace(ref_stats, n_caches_built=stats.n_caches_built,
-                   n_ruled_out=stats.n_ruled_out) == stats
+                   n_ruled_out=stats.n_ruled_out, n_columns=stats.n_columns) == stats
     assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
@@ -495,9 +496,9 @@ def test_kernel_products_per_evaluation(monkeypatch):
     products = []
     product = whittaker._kernel_product
 
-    def counted(b, c, x, n_rows):
+    def counted(b, c, x, out):
         products.append(x.shape[1:])
-        return product(b, c, x, n_rows)
+        return product(b, c, x, out)
 
     z = H3Point(0.0, 0.0, 0.0, 1.0, 1.0)
     mellin_kernel(GENERIC, default_mellin_grid(GENERIC, 1e-8))
@@ -513,6 +514,28 @@ def test_kernel_products_per_evaluation(monkeypatch):
                                  count_only=True)
     assert moved.n_caches_built == 0
     assert products == []
+
+
+def test_waves_follow_the_walks_reach(monkeypatch):
+    """Each m1's waves reach as far as the previous m1's largest
+    contributing D suggests.  GEN's coefficient demand at E2's point forms
+    no more products than waves of 16, 32 and 64 m2 at every m1 did (3),
+    and beyond the D it reaches, built or ruled out, at most the slack of
+    its first wave, planned while the form knew no reach."""
+    widths = []
+    product = whittaker._kernel_product
+
+    def counted(b, c, x, out):
+        widths.append(x.shape[1])
+        return product(b, c, x, out)
+
+    mellin_kernel(GENERIC, default_mellin_grid(GENERIC, 1e-10))
+    monkeypatch.setattr(whittaker, "_kernel_product", counted)
+    stats = coefficient_demand(GENERIC, E2_POINT, 1e-8)
+    reached = stats.n_caches_built + stats.n_ruled_out
+    assert stats.n_columns == sum(widths)
+    assert 0 < len(widths) <= 3
+    assert reached <= stats.n_columns < reached + 16
 
 
 def test_walk_enumerates_each_pair_once(monkeypatch):

@@ -1,7 +1,7 @@
 import cmath
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sl3maass.scaled import ScaledComplex, scaled_sum
 
@@ -13,6 +13,12 @@ finite_complex = st.builds(
 ).filter(lambda z: abs(z) > 1e-100)
 
 log_scales = st.floats(min_value=-5e4, max_value=5e4, allow_nan=False)
+
+# 0 or a magnitude in [2^-500, 2^500], either sign: both parts stay normal
+# floats when scaled by the 2^-k of any such value
+wide_part = st.just(0.0) | st.builds(
+    lambda sign, e: sign * 2.0 ** e, st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=-500.0, max_value=500.0))
 
 
 def test_zero_normalization():
@@ -26,7 +32,7 @@ def test_zero_normalization():
 @given(finite_complex, log_scales)
 def test_mantissa_normalized(m, s):
     v = ScaledComplex(m, s)
-    assert 1.0 / math.e <= abs(v.mantissa) <= math.e
+    assert 0.5 <= abs(v.mantissa) < 1.0
     # represented value is preserved: compare logs
     assert math.isclose(v.log_abs(), math.log(abs(m)) + s, rel_tol=0, abs_tol=1e-9)
 
@@ -39,7 +45,15 @@ def test_product_matches_complex(a, b):
     assert cmath.isclose(got, a * b, rel_tol=1e-14)
 
 
+@given(st.builds(complex, wide_part, wide_part))
+def test_from_complex_round_trip_is_exact(a):
+    # normalization scales by a power of two, and a scale k ln 2 is read
+    # back as exactly 2^k
+    assert ScaledComplex.from_complex(a).to_complex() == a
+
+
 @given(finite_complex, finite_complex)
+@example(99984882j, -99998721j)  # cancels to 1.4e-4 of |a|
 def test_sum_matches_complex(a, b):
     got = (ScaledComplex.from_complex(a) + ScaledComplex.from_complex(b))
     want = a + b
