@@ -18,7 +18,7 @@ from .langlands import LanglandsParams
 from .maass import H3Point, eval_maass_report, word_matrix, iwasawa_act
 from .coeffio import load_coefficient_file, write_coefficient_file
 from .scaled import ScaledComplex
-from .whittaker import (SeriesBudget, WhittakerArgs, build_fixed_d_cache,
+from .whittaker import (WhittakerArgs, build_fixed_d_cache,
                         choose_algorithm, default_mellin_grid,
                         default_stade_grid, w_mellin_fixed_d,
                         w_series_origin, w_series_small, w_stade_report)
@@ -138,14 +138,14 @@ def _stade(p, a, ns):
     return v, math.exp(err_log - v.log_abs()), {"h": used.h, "nodes": 2 * used.N + 1}
 
 
-_SERIES_BUDGETS = (SeriesBudget(nmax=60, target_eps=1e-12),
-                   SeriesBudget(nmax=80, target_eps=1e-15))
-
-
 def _series(fn):
+    """A series row at w_eval's budget, its error |v - S| + S's stated error
+    relative to |v|, S = w_stade_report on its default grid whatever the
+    flags: a true statement by the triangle inequality."""
     def evaluate(p, a, ns):
-        coarse, fine = (fn(p, a, b) for b in _SERIES_BUDGETS)
-        return fine, fine.rel_diff(coarse) if not fine.is_zero else 0.0, {}
+        v = fn(p, a)
+        s, err_log, _ = w_stade_report(p, a)
+        return v, math.exp((v - s).log_abs() - v.log_abs()) + math.exp(err_log - v.log_abs()), {}
     return evaluate
 
 

@@ -322,16 +322,6 @@ def _inverse_mod(d: int, c: int) -> int:
     return pow(d % c, -1, c)
 
 
-def _ruled_out(kernel, D: float, column: np.ndarray, y2_range: tuple[float, float],
-               log_eps: float) -> bool:
-    """Whether eval_maass_report's bound on log|W| over y2_range, plus a
-    margin of 1e-6 far above the ~1e-13 rounding of the sums, is below log_eps."""
-    log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
-    bound = (kernel.log_scale + kernel.params.scale_shift + np.log(np.abs(column).sum())
-             + max(kernel.prefactor_log(log_pi3d, math.log(math.pi * y)) for y in y2_range))
-    return bool(bound + 1e-6 < log_eps)
-
-
 # ---------------------------------------------------------------------------
 # the form and its evaluation
 # ---------------------------------------------------------------------------
@@ -423,17 +413,14 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     the benchmark's stored form-orbit references, so the rule stays until
     those references change.
 
-    A D without a cache is first bounded from its column (at scale
-    exp(kernel.log_scale)): every outer-sum phase has modulus 1 and the y2
-    prefactor is linear in log y2, so on the validation range [0.99 D/C^2,
-    1.01 C], which holds the walk's y2, log|W| <= log_scale + scale_shift +
-    max(prefactor at the two ends) + log sum |column|.  A D whose bound lies
-    below the goal can never contribute: the form marks it ruled out, and no
+    A D without a cache is first bounded from its column
+    (MellinKernel.column_bound) on the validation range [0.99 D/C^2,
+    1.01 C], which holds the walk's y2.  A D whose bound lies below the
+    goal can never contribute: the form marks it ruled out, and no
     evaluation builds, validates, queries or forms a column for it again.
-    With count_only the coefficient table is
-    never touched, caches get no y2_range and so are not validated, and
-    the returned value is meaningless; only the statistics are valid,
-    n_terms among them.
+    With count_only the coefficient table is never touched, caches get no
+    y2_range and so are not validated, and the returned value is
+    meaningless; only the statistics are valid, n_terms among them.
     """
     if backend not in ("mellin", "stade"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -527,7 +514,8 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                             n_columns += len(Ds)
                         y2_range = (D / C ** 2 * 0.99, C * 1.01)
                         column = columns.pop(m2)
-                        if _ruled_out(kernel, D, column, y2_range, log_eps):
+                        # a margin of 1e-6, far above the bound's rounding
+                        if kernel.column_bound(D, column, y2_range) + 1e-6 < log_eps:
                             caches[key] = None
                             n_ruled_out += 1
                         else:

@@ -713,6 +713,18 @@ class MellinKernel:
         return (0.5 * (1.0 - g.sigma1) * log_pi3d + 0.5 * (1 - 2 * g.sigma2 + g.sigma1) * log_py2
                 + math.log(g.h * g.h / (2.0 * math.pi ** 2)))
 
+    @functools.cached_property
+    def _value_scale(self) -> float:  # W = outer sum * prefactor * e^_value_scale
+        return self.log_scale + self.params.scale_shift
+
+    def column_bound(self, D: float, column: np.ndarray, y2_range: tuple[float, float]) -> float:
+        """A bound on log|W| over y2_range from D's column of inner sums:
+        as every outer-sum phase has modulus 1, log sum |column| plus the
+        prefactor, largest at an end of the range, plus _value_scale."""
+        log_pi3d = 3.0 * math.log(math.pi) + math.log(D)
+        return float(self._value_scale + np.log(np.abs(column).sum())
+                     + max(self.prefactor_log(log_pi3d, math.log(math.pi * y)) for y in y2_range))
+
     def inner(self, Ds: Sequence[float]) -> np.ndarray:
         """inner_D for every D of Ds, as the columns of a
         (2 N2 + 1, len(Ds)) array, all entries at the common scale
@@ -855,9 +867,10 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     resid = 0.0
     # the distinct ends without np.unique, which imports numpy.ma (~15 ms)
     ends = np.array([lo] if lo == hi else [lo, hi])
-    for y2, w in zip(ends.tolist(), w_mellin_fixed_d(cache, ends)[0]):
+    values = w_mellin_fixed_d(cache, ends)[0]
+    for i, y2 in enumerate(ends.tolist()):
         ref = w_eval(p, WhittakerArgs(math.sqrt(D / y2), y2))
-        diff = (w - ref).log_abs()
+        diff = (values.item(i) - ref).log_abs()
         resid = max(resid, math.exp(diff - max(ref.log_abs(), floor_log)))
     if resid > 1e-2:
         log.warning("fixed-D cache validation residual %.2e at D=%g", resid, D)
@@ -867,16 +880,16 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
 def w_mellin_fixed_d(cache, y2):
     """W(y1, y2) with y1 = sqrt(D / y2), from the cached inner sums.
 
-    A scalar y2 is a point query: it gives one ScaledComplex and raises
-    CancellationError when the outer sum loses the guard ratio against the
-    inner sums or lies within e^2 of its roundoff floor.  A 1-D array is a
-    batch: it gives (values, floor_logs), a list of ScaledComplex and the
-    array of their log roundoff floors in the shared scaling convention,
-    and never raises CancellationError; the caller drops what it cannot
-    resolve.  A sequence of caches on one kernel, one 1-D y2 array each,
-    is a batch over all of them, its values one ScaledArray.  All raise
-    ValueError for a y2 that is not positive and finite, and
-    AccuracyRangeError naming the D for a y2 outside its cache's y2_range.
+    An array call, a 1-D y2 on one cache or one 1-D y2 per cache of a
+    sequence on one kernel, gives (values, floor_logs): one ScaledArray in
+    the caches' order and the log roundoff floors in the shared scaling
+    convention; it never raises CancellationError, and the caller drops
+    what it cannot resolve.  A scalar y2 on one cache is the one-row array
+    call: it gives that row's ScaledComplex and raises CancellationError
+    when the outer sum loses the guard ratio against the inner sums or
+    lies below its floor + 2, the rule by which the Maass walk drops a
+    term.  All raise ValueError for a y2 that is not positive and finite,
+    and AccuracyRangeError naming the D for a y2 outside its y2_range.
     The outer sums' phases are factored at anchors every _PHASE_STEP = 32
     entries of k2: 32 + (2 N2 + 1) / 32 phases per y2, then one (anchors
     x 32) mat-vec against its cache's padded inner sums and a dot with the
@@ -889,6 +902,7 @@ def w_mellin_fixed_d(cache, y2):
     """
     one = isinstance(cache, FixedDCache)
     caches = [cache] if one else list(cache)
+    point = one and np.ndim(y2) == 0
     arrays = ([np.atleast_1d(np.asarray(y2, dtype=float))] if one
               else [np.asarray(ys, dtype=float) for ys in y2])
     if (not caches or len(arrays) != len(caches) or any(ys.ndim != 1 for ys in arrays)
@@ -896,13 +910,13 @@ def w_mellin_fixed_d(cache, y2):
         raise ValueError("y2 must be a scalar or a 1-D array, one per cache of one kernel")
     kernel = caches[0].kernel
     sizes = [ys.size for ys in arrays]
-    y2s = arrays[0] if one else np.concatenate(arrays)
+    y2s = np.concatenate(arrays)
     if y2s.size and not (y2s.min() > 0.0 and y2s.max() < math.inf):
         raise ValueError("y2 must be positive and finite, got "
                          f"{y2s[~((y2s > 0.0) & np.isfinite(y2s))][0]}")
     per_cache = [(*(c.y2_range or (0.0, math.inf)), 3.0 * math.log(math.pi) + math.log(c.D),
                   c.noise_log) for c in caches]
-    lo, hi, log_pi3d, noise = per_cache[0] if one else np.repeat(np.array(per_cache), sizes, 0).T
+    lo, hi, log_pi3d, noise = np.repeat(np.array(per_cache), sizes, 0).T
     outside = (y2s < lo * (1 - 1e-12)) | (y2s > hi * (1 + 1e-12))
     if outside.any():
         c = caches[int(np.searchsorted(np.cumsum(sizes), np.argmax(outside), side="right"))]
@@ -929,23 +943,19 @@ def w_mellin_fixed_d(cache, y2):
         middle = np.repeat([c.inner[kernel.grid.N2].real for c in caches], sizes)
         totals = 2.0 * totals.real - middle + 0j
     prefactor = kernel.prefactor_log(log_pi3d, log_py2)
-    scales = kernel.log_scale + kernel.params.scale_shift + prefactor
+    values = ScaledArray(totals, kernel._value_scale + prefactor)
     floors = noise + prefactor + kernel.params.scale_shift
-    if not one:
-        return ScaledArray(totals, scales), floors
-    values = [ScaledComplex(total, scale) for total, scale in zip(totals.tolist(), scales.tolist())]
-    if np.ndim(y2):
+    if not point:
         return values, floors
     # the floor test also catches inner sums that cancelled to noise,
     # where max |inner| is noise itself and the ratio test passes
-    mag = abs(totals[0])
-    if (mag < math.exp(cache.noise_log - kernel.log_scale + 2.0)
-            or cache.inner_peak > CANCELLATION_GUARD_RATIO * mag):
+    if (values.log_abs()[0] < floors[0] + 2.0
+            or cache.inner_peak > CANCELLATION_GUARD_RATIO * abs(totals[0])):
         raise CancellationError(
             f"outer sum at y2={y2s[0]:g} exceeds the cancellation guard "
             "or lies within e^2 of its roundoff floor; "
             "increase working precision or use another algorithm")
-    return values[0]
+    return values.item(0)
 
 
 # ---------------------------------------------------------------------------

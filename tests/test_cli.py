@@ -1,3 +1,4 @@
+import csv
 import math
 import shlex
 import subprocess
@@ -14,7 +15,7 @@ from sl3maass.coeffio import (CoefficientFileError, load_coefficient_file,
                               write_coefficient_file)
 from sl3maass.langlands import LanglandsParams
 from sl3maass.maass import expand_coefficients
-from sl3maass.whittaker import (WhittakerArgs, default_stade_grid, w_series_origin,
+from sl3maass.whittaker import (WhittakerArgs, default_stade_grid, w_eval, w_series_origin,
                                 w_stade, w_stade_report)
 
 PARAMS = ["--alpha-im", "-1.3", "--beta-im", "2.1"]
@@ -98,6 +99,45 @@ def test_whittaker_smallarg_runs_at_the_smaller_argument(y1, y2, capsys):
     for label in ("scaled mantissa", "log scale", "unscaled value"):
         (v, err_v), (w, err_w) = rows[0][label], rows[1][label]
         assert (v, err_v) == (w.conjugate(), err_w), label
+
+
+@pytest.mark.parametrize("algo", ["smallarg", "origin"])
+def test_series_rows_state_a_true_error(algo, tmp_path, capsys):
+    # at GEN (0.989, 1.257) the series cancel: smallarg printed err 2e-16
+    # there, and origin 3.4e-6, for values 6.1e-10 and 1.9e-5 from w_stade.
+    # In both argument orders the stated error, read at full precision from
+    # the CSV file, covers the distance to a w_stade at a quarter step
+    p = LanglandsParams(-3.7, 1.2)
+    for y1, y2 in ((0.989, 1.257), (1.257, 0.989)):
+        path = tmp_path / f"{y1}.csv"
+        rc = main(["whittaker", *GEN_PARAMS, "--y1", str(y1), "--y2", str(y2),
+                   "--algo", algo, "--csv", str(path)])
+        assert rc == 0
+        capsys.readouterr()
+        with open(path, newline="") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["label"] == "unscaled value")
+        value, err = complex(float(row["value_re"]), float(row["value_im"])), float(row["error"])
+        a = WhittakerArgs(y1, y2)
+        grid = default_stade_grid(p, a)
+        ref = w_stade(p, a, replace(grid, h=grid.h / 4.0)).to_complex(extra_log=-p.scale_shift)
+        assert abs(value - ref) <= err * abs(value), (y1, y2)
+
+
+@pytest.mark.parametrize("params, p", [(GEN_PARAMS, LanglandsParams(-3.7, 1.2)),
+                                       (LIFT_PARAMS, LanglandsParams(-19.06739, 19.06739))],
+                         ids=["GEN", "LIFT"])
+def test_whittaker_auto_prints_w_eval_bit_for_bit(params, p, capsys):
+    # a series point, its mirror and an integral point
+    for y1, y2, algo in ((0.3, 0.8, "smallarg"), (0.8, 0.3, "smallarg"), (1.5, 2.0, "stade")):
+        rc = main(["whittaker", *params, "--y1", str(y1), "--y2", str(y2),
+                   "--algo", "auto", "--digits", "17"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"[{algo}]" in out
+        line = next(l for l in out.splitlines() if l.startswith("scaled value = "))
+        mantissa, scale = line.removeprefix("scaled value = ").removesuffix(")").split("*exp(")
+        w = w_eval(p, WhittakerArgs(y1, y2))
+        assert (complex(mantissa), float(scale)) == (w.mantissa, w.log_scale), (y1, y2)
 
 
 def test_whittaker_stade_origin_agree(capsys):

@@ -666,19 +666,20 @@ def test_ruled_out_d_never_contribute(monkeypatch, name):
     walk that rules out nothing.  Each ruled-out column, wrapped in an
     unvalidated cache, stays below the goal over its whole y2 range."""
     params, eps, points, count_only = BOUND_WALKS[name]
-    ruled, rule = [], maass._ruled_out
+    bounded, column_bound = [], whittaker.MellinKernel.column_bound
 
-    def recorded(kernel, D, column, y2_range, log_eps):
-        out = rule(kernel, D, column, y2_range, log_eps)
-        if out:
-            ruled.append((D, column.copy(), y2_range))
-        return out
+    def recorded(kernel, D, column, y2_range):
+        bound = column_bound(kernel, D, column, y2_range)
+        bounded.append((D, column.copy(), y2_range, bound))
+        return bound
 
-    monkeypatch.setattr(maass, "_ruled_out", recorded)
+    monkeypatch.setattr(whittaker.MellinKernel, "column_bound", recorded)
     walks, form = _walk(params, eps, points, count_only)
     log_eps = math.log(eps) + form.peak_log
+    ruled = [(D, column, y2_range) for D, column, y2_range, bound in bounded
+             if bound + 1e-6 < log_eps]
     keys = {maass._cache_key(D) for D, _, _ in ruled}
-    assert keys and all(form.cache_map[k] is None for k in keys)
+    assert keys and keys == {k for k, cache in form.cache_map.items() if cache is None}
 
     hit, query = set(), maass.w_mellin_fixed_d
 
@@ -689,7 +690,7 @@ def test_ruled_out_d_never_contribute(monkeypatch, name):
         hit.update(maass._cache_key(caches[r].D) for r in rows[good])
         return values, floors
 
-    monkeypatch.setattr(maass, "_ruled_out", lambda *args: False)
+    monkeypatch.setattr(whittaker.MellinKernel, "column_bound", lambda *args: math.inf)
     monkeypatch.setattr(maass, "w_mellin_fixed_d", contributing)
     ref_walks, ref_form = _walk(params, eps, points, count_only)
     assert None not in ref_form.cache_map.values()
@@ -704,7 +705,7 @@ def test_ruled_out_d_never_contribute(monkeypatch, name):
     for D, column, (lo, hi) in ruled:
         cache = whittaker.build_fixed_d_cache(params, D, grid=grid, inner=column)
         values, _ = whittaker.w_mellin_fixed_d(cache, np.geomspace(lo, hi, 50))
-        assert max(v.log_abs() for v in values) < log_eps, D
+        assert max(values.item(k).log_abs() for k in range(len(values))) < log_eps, D
 
 
 @pytest.mark.parametrize("params, z, eps", [

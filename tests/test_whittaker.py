@@ -832,6 +832,11 @@ def test_cache_validation_and_range():
         w_mellin_fixed_d(cache, 0.01)
 
 
+def items(values):
+    """The elements of a batch's ScaledArray as ScaledComplex values."""
+    return [values.item(k) for k in range(len(values))]
+
+
 def _spy(monkeypatch, name):
     """Count the calls of whittaker.<name> made through the module."""
     calls = []
@@ -902,7 +907,7 @@ def test_cache_validates_coinciding_ends_once(monkeypatch):
     # the batch's last bits
     plain = build_fixed_d_cache(SMALL, 0.4)
     y2 = 0.6
-    (w, _), _ = w_mellin_fixed_d(plain, np.array([y2, y2]))
+    w = w_mellin_fixed_d(plain, np.array([y2, y2]))[0].item(0)
     ref = w_eval(SMALL, WhittakerArgs(math.sqrt(0.4 / y2), y2))
     expected = math.exp((w - ref).log_abs() - max(ref.log_abs(), math.log(1e-12)))
     evals = _spy(monkeypatch, "w_eval")
@@ -960,7 +965,7 @@ def half_step_excess(p, grid, D, predicted_log):
         w_mellin_fixed_d(build_fixed_d_cache(p, D, grid=g), rule_points(D))
         for g in (grid, half))
     tol = np.logaddexp(np.logaddexp(floors, ref_floors), predicted_log)
-    dev = np.array([(w - r).log_abs() for w, r in zip(got, ref)])
+    dev = np.array([(w - r).log_abs() for w, r in zip(items(got), items(ref))])
     return float(np.max(dev - tol))
 
 
@@ -1113,10 +1118,10 @@ def test_batched_outer_sums_match_scalar_calls(monkeypatch, p):
     assert len(whittaker._row_blocks(ys.size, width)) == 3
     batch, floors = w_mellin_fixed_d(cache, ys)
     assert len(batch) == ys.size
-    for y, w, floor in zip(ys, batch, floors):
+    for y, w, floor in zip(ys, items(batch), floors):
         one, (one_floor,) = w_mellin_fixed_d(cache, np.array([y]))
-        assert isinstance(one[0], ScaledComplex)
-        assert repr(w) == repr(one[0])
+        assert isinstance(one, ScaledArray) and len(one) == 1
+        assert repr(w) == repr(one.item(0))
         assert one_floor == floor
 
 
@@ -1136,7 +1141,7 @@ def test_multi_cache_batch_equals_per_cache_batches(monkeypatch, p, block_rows):
         values, floors = w_mellin_fixed_d(caches[order], ys[order])
         assert isinstance(values, ScaledArray) and len(values) == floors.size == 134
         got = [repr(values.item(k)) for k in range(len(values))]
-        want = [repr(v) for one, _ in singles[order] for v in one]
+        want = [repr(v) for one, _ in singles[order] for v in items(one)]
         assert got == want
         assert floors.tolist() == [f for _, fl in singles[order] for f in fl.tolist()]
 
@@ -1152,12 +1157,12 @@ def test_outer_sum_bits_depend_only_on_cache_and_y2(monkeypatch, p, block_rows):
     caches = [build_fixed_d_cache(p, D, grid=grid) for D in WAVE_DS]
     ys = np.geomspace(0.05, 20.0, 130)
     alone = [[w_mellin_fixed_d(cache, ys[j:j + 1]) for j in range(ys.size)] for cache in caches]
-    alone = [[(repr(values[0]), floors[0]) for values, floors in calls] for calls in alone]
+    alone = [[(repr(values.item(0)), floors[0]) for values, floors in calls] for calls in alone]
     if block_rows:
         patch_block_rows(monkeypatch, grid, block_rows)
     for cache, want in zip(caches, alone):
         values, floors = w_mellin_fixed_d(cache, ys)
-        assert list(zip(map(repr, values), floors.tolist())) == want
+        assert list(zip(map(repr, items(values)), floors.tolist())) == want
     for order in (slice(None), slice(None, None, -1)):
         values, floors = w_mellin_fixed_d(caches[order], [ys] * len(caches))
         got = [(repr(values.item(k)), floors[k]) for k in range(len(values))]
@@ -1252,7 +1257,7 @@ def test_noise_floor_bounds_batched_error(D, cancels):
     got, floors = w_mellin_fixed_d(cache, ys)
     k2h = np.arange(-grid.N2, grid.N2 + 1) * grid.h
     resolved = 0
-    for y, w, floor in zip(ys, got, floors):
+    for y, w, floor in zip(ys, items(got), floors):
         t = ref_inner * np.exp(-1j * k2h * math.log(math.pi * y))
         total = complex(math.fsum(t.real), math.fsum(t.imag))
         ref = (ScaledComplex(total, cache.kernel.log_scale)
@@ -1286,19 +1291,19 @@ def test_batch_returns_floors_and_point_query_keeps_guard():
     noisy = build_fixed_d_cache(GENERIC, 40.0)
     values, floors = w_mellin_fixed_d(noisy, ys)
     assert len(values) == floors.shape[0] == ys.size
-    for y, w, floor in zip(ys, values, floors):
+    for y, w, floor in zip(ys, items(values), floors):
         assert w.log_abs() < floor + 2.0
         with pytest.raises(CancellationError):
             w_mellin_fixed_d(noisy, float(y))
     cache = build_fixed_d_cache(GENERIC, 3.7)
-    (one,), _ = w_mellin_fixed_d(cache, np.array([1.0]))
+    (one,) = items(w_mellin_fixed_d(cache, np.array([1.0]))[0])
     assert repr(w_mellin_fixed_d(cache, 1.0)) == repr(one)
 
 
 def test_array_query_validation():
     cache = build_fixed_d_cache(SMALL, 0.4, y2_range=(0.2, 1.5))
     values, floors = w_mellin_fixed_d(cache, np.array([]))
-    assert values == [] and floors.size == 0
+    assert isinstance(values, ScaledArray) and len(values) == floors.size == 0
     with pytest.raises(ValueError):
         w_mellin_fixed_d(cache, np.ones((2, 2)))
     with pytest.raises(ValueError):
