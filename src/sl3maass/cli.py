@@ -49,7 +49,7 @@ class RunReport:
         for r in self.rows:
             v = r["value"]
             out.append(f"{r['label']:<{width}} {v.real:+.{digits}g} {v.imag:+.{digits}g}j"
-                       f"   err~{r['error']:.2e}   [{r['algorithm']}]")
+                       f"   err~{_ceil_3(r['error'])}   [{r['algorithm']}]")
         return "\n".join(out)
 
     def write_csv(self, path):
@@ -59,6 +59,12 @@ class RunReport:
             for r in self.rows:
                 w.writerow([r["label"], repr(r["value"].real), repr(r["value"].imag),
                             repr(r["error"]), r["algorithm"]])
+
+
+def _ceil_3(err: float) -> str:
+    """err to three digits, rounded up: never printed below its statement."""
+    v = float(f"{err:.2e}")
+    return f"{v if v >= err else v + 10.0 ** (math.floor(math.log10(v)) - 2):.2e}"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -434,6 +434,71 @@ def bessel_k_pair_scaled(mu, x):
     return _bessel_backend_a(mu, x, (False, True))
 
 
+# _KTable's first-kind Chebyshev nodes, barycentric weights (Berrut & Trefethen 2004)
+_PANEL_THETA = math.pi * (np.arange(25) + 0.5) / 25.0
+_PANEL_NODES, _PANEL_WEIGHTS = np.cos(_PANEL_THETA), np.sin(_PANEL_THETA) * (-1.0) ** np.arange(25)
+
+
+class _KTable:
+    """K_{im}(x) for w_stade: degree-24 interpolants in t = log x on panels
+    [j w, (j+1) w], w = min(1/4, 5/m), through bessel_k_scaled at their
+    Chebyshev points.  K(e^t) e^(e^t) is analytic for |Im t| < pi/2 and turns
+    <= m radians per unit t, so the interpolant keeps its samples' error
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+    Panel j holds K e^x / exp(g_j), g_j the linear fit of env + x in
+    [-pi m/2, 0] (env: _bessel_contour's log scale), so the log scale is
+    exactly -x and exp(g_j) rounds at u m, not u x.  A call builds the
+    panels it reaches, extending one contiguous range; a value depends on
+    (m, x) alone."""
+
+    def __init__(self, m: float):
+        self.m, self.width, self.first = m, 5.0 / max(m, 20.0), 0
+        # per panel: samples times exp(g_j's mean), g_j's half-rise, centre
+        self.rows = np.empty((0, 27))
+
+    def _build(self, panels: np.ndarray) -> np.ndarray:
+        m, s = self.m, _PANEL_NODES
+        ends = np.exp(np.concatenate([panels, panels + 1.0]) * self.width)
+        g = (ends - np.sqrt(np.maximum((ends - m) * (ends + m), 0.0))
+             - m * np.arcsin(np.minimum(m / ends, 1.0))).reshape(2, -1, 1)
+        mean, rise = 0.5 * (g[0] + g[1]), 0.5 * (g[1] - g[0])
+        centre = np.exp((panels[:, None] + 0.5) * self.width)
+        x = centre * np.exp(0.5 * self.width * s)
+        k = bessel_k_scaled(1j * m, x.ravel())
+        f = k.mantissa.reshape(x.shape) * np.exp((k.log_scale.reshape(x.shape) + x - mean) - rise * s)
+        return np.concatenate([f * np.exp(mean), rise, centre], axis=1)
+
+    def __call__(self, x: np.ndarray) -> ScaledArray:
+        """K_{im}(x) for a 1-D array of positive arguments."""
+        j = np.floor(np.log(x) / self.width)
+        lo, hi = int(j.min()), int(j.max()) + 1
+        first = self.first if len(self.rows) else lo
+        last = first + len(self.rows)
+        if lo < first or hi > last:
+            need = np.concatenate([np.arange(lo, first), np.arange(last, hi)], dtype=float)
+            # 4 panels (100 samples) per K call: temporaries no larger than a call's
+            new = np.concatenate([self._build(need[i:i + 4]) for i in range(0, len(need), 4)])
+            cut = max(first - lo, 0)
+            self.rows, self.first = np.concatenate([new[:cut], self.rows, new[cut:]]), min(lo, first)
+        rows = self.rows[j.astype(np.int64) - self.first]
+        # from x / centre: an error u |log x| in t would be m u |log x| in K
+        s = np.log(x / rows[:, 26]) * (2.0 / self.width)
+        d = s[:, None] - _PANEL_NODES
+        if not d.all():
+            d[d == 0.0] = 1e-300  # an argument on a node reads its sample
+        q = _PANEL_WEIGHTS / d
+        p = np.einsum("ij,ij->i", q, rows[:, :25]) / q.sum(axis=1)
+        return ScaledArray(p * np.exp(rows[:, 25] * s), -x)
+
+
+@functools.lru_cache(maxsize=8)
+def _bessel_k_table(m: float):
+    """K_{im} of an argument array for every w_stade call at order m: the
+    order's _KTable, or past m = 50 bessel_k_scaled itself (a table at
+    m = 100 over x in [0.06, 1e4] took 11000 contour samples and 130 MB)."""
+    return _KTable(m) if m <= 50.0 else functools.partial(bessel_k_scaled, 1j * m)
+
+
 def _scaled_to_float(sc: ScaledComplex, mu, x: float) -> float:
     la = sc.log_abs()
     if la < -744.0:

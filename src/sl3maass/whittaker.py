@@ -46,8 +46,8 @@ from .langlands import LanglandsParams, permutations
 from .quadrature import (MellinGrid2D, QuadratureGrid, strip_error_log, strip_step,
                          trapezoid_line)
 from .scaled import ScaledArray, ScaledComplex, scaled_sum
-from .specfun import (GammaRatioSpec, bessel_k_pair_scaled, bessel_k_scaled,
-                      gamma_ratio, _log_gamma_array, _pole_distance)
+from .specfun import (GammaRatioSpec, bessel_k_pair_scaled, gamma_ratio,
+                      _bessel_k_table, _log_gamma_array, _pole_distance)
 
 __all__ = [
     "WhittakerArgs",
@@ -140,7 +140,7 @@ def _k_log_magnitude(m: float, x: float) -> float:
 
 
 # w_stade's discretization error and dropped tails, relative to int |f| and
-# to the peak; _STADE_NOISE is a K sample's error (tests/test_specfun.py)
+# to the peak; _STADE_NOISE bounds a K value's error (test_k_table_against_mpmath)
 _STADE_EPS = 1e-16
 _STADE_NOISE = 5e-14
 
@@ -178,7 +178,7 @@ def w_stade(p: LanglandsParams, a: WhittakerArgs,
 
     mu = (alpha-beta)/2, by trapezoid_line on grid (default:
     default_stade_grid(p, a)) recentred at u0 = log(y2) - log(y1), all
-    nodes in one array K call.  The swap negates u0 and the imaginary
+    nodes in one call of the order's K table.  The swap negates u0 and the imaginary
     part of the prefactor's log exactly, so w_stade(p, a.swapped) is the
     bitwise conjugate of w_stade(p, a).  The estimated log|f| is concave in u, so
     each side stops _STADE_EPS below the peak, fixed before sampling;
@@ -200,8 +200,7 @@ def w_stade_report(p: LanglandsParams, a: WhittakerArgs,
     if grid is None:
         grid = default_stade_grid(p, a)
     alpha, beta, g = p.triple
-    mu = (alpha - beta) / 2.0
-    m = abs(mu.imag)
+    m = abs(((alpha - beta) / 2.0).imag)
     y1, y2 = a.y1, a.y2
     u0 = math.log(y2) - math.log(y1)
 
@@ -216,8 +215,8 @@ def w_stade_report(p: LanglandsParams, a: WhittakerArgs,
         grow = np.exp(0.5 * np.abs(u))
         x1 = TWO_PI * y1 * np.where(u >= 0.0, grow, 1.0) * root
         x2 = TWO_PI * y2 * np.where(u >= 0.0, 1.0, grow) * root
-        # both factors from one K call: array calls equal scalar calls
-        k = bessel_k_scaled(mu, np.concatenate([x1, x2]))
+        # both factors from one call of the order's K table (values by x alone)
+        k = _bessel_k_table(m)(np.concatenate([x1, x2]))
         k1, k2 = map(ScaledArray, k.mantissa.reshape(2, -1), k.log_scale.reshape(2, -1))
         out = k1 * k2 * ScaledArray.from_log(-0.75j * p.r_gamma * u)
         la = out.log_abs()

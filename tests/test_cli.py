@@ -123,6 +123,27 @@ def test_series_rows_state_a_true_error(algo, tmp_path, capsys):
         assert abs(value - ref) <= err * abs(value), (y1, y2)
 
 
+def test_printed_error_is_rounded_up(tmp_path, capsys):
+    # at GEN (0.989, 1.257) smallarg states 6.07318e-10 and printed it to
+    # nearest as err~6.07e-10, below the 6.0723e-10 its value lies from
+    # w_stade: the console's three digits now round every err up
+    path = tmp_path / "rows.csv"
+    rc = main(["whittaker", *GEN_PARAMS, "--y1", "0.989", "--y2", "1.257",
+               "--algo", "smallarg", "--csv", str(path)])
+    assert rc == 0
+    printed = printed_rows(capsys.readouterr().out)
+    with open(path, newline="") as fh:
+        stated = {r["label"]: float(r["error"]) for r in csv.DictReader(fh)}
+    assert printed and printed.keys() == stated.keys()
+    for label, (_, err) in printed.items():
+        assert stated[label] <= err <= stated[label] * (1.0 + 2e-2), label
+    p, a = LanglandsParams(-3.7, 1.2), WhittakerArgs(0.989, 1.257)
+    grid = default_stade_grid(p, a)
+    ref = w_stade(p, a, replace(grid, h=grid.h / 4.0)).to_complex(extra_log=-p.scale_shift)
+    value, err = printed["unscaled value"]
+    assert abs(value - ref) <= err * abs(value)
+
+
 @pytest.mark.parametrize("params, p", [(GEN_PARAMS, LanglandsParams(-3.7, 1.2)),
                                        (LIFT_PARAMS, LanglandsParams(-19.06739, 19.06739))],
                          ids=["GEN", "LIFT"])

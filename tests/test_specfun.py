@@ -492,3 +492,80 @@ def test_bessel_array_rejects_any_bad_element(bad):
         with pytest.raises(DomainError):
             fn(1j * LIFT_M, bad)
 
+
+
+# ---------------------------------------------------------------------------
+# w_stade's per-order K table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [LIFT_M, 9.53, GEN_M, 0.65, 40.0])
+def test_k_table_against_mpmath(m):
+    """The table's K against mpmath on 121 geometric arguments over
+    [0.01, 1e4], relative to the envelope (as in
+    test_bessel_contour_against_mpmath), next to its source's, the direct
+    rule.  The table interpolates the direct rule's samples, so it carries
+    their noise, spread over a panel: the worst of two noises of one size
+    is a draw of the grid, and the comparison is by root mean square.  The
+    worst stays below w_stade's _STADE_NOISE wherever the direct rule's
+    does; at m = 40 the direct rule's real-axis samples just past its
+    switch (x ~ 56) cancel by ~e^15, and both are ~1e-11 off there."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    from sl3maass.whittaker import _STADE_NOISE
+    xs = np.geomspace(0.01, 1e4, 121)
+    errors = []
+    for v in (specfun._KTable(m)(xs), bessel_k_scaled(1j * m, xs)):
+        errors.append(np.array([
+            float(abs(mp.mpf(v.mantissa[i]) * mp.exp(v.log_scale[i]) - mp.re(mp.besselk(1j * m, x)))
+                  / mp.exp(-math.sqrt(max(x * x - m * m, 0.0)) - m * math.asin(min(m / x, 1.0))))
+            for i, x in enumerate(xs.tolist())]))
+    table, direct = errors
+    assert math.sqrt(np.mean(table ** 2)) <= math.sqrt(np.mean(direct ** 2)) + 5e-15
+    assert table.max() < max(_STADE_NOISE, direct.max())
+
+
+@pytest.mark.parametrize("m", [LIFT_M, GEN_M])
+def test_k_table_bits_depend_on_m_and_x_alone(m):
+    """Panels built one by one, all at once or in reverse order hold the
+    same bits, and give the same values; an array call equals the scalar
+    calls, and an argument on a node reads the node's sample."""
+    rng = np.random.default_rng(11)
+    xs = np.sort(np.exp(rng.uniform(math.log(0.05), math.log(300.0), 40)))
+    ascending, at_once, descending = (specfun._KTable(m) for _ in range(3))
+    for x in xs:
+        ascending(np.array([x]))
+    for x in xs[::-1]:
+        descending(np.array([x]))
+    batch = at_once(xs)
+    for table in (ascending, descending):
+        assert table.first == at_once.first
+        assert table.rows.tobytes() == at_once.rows.tobytes()
+    assert (batch.log_scale == -xs).all()
+    for i, x in enumerate(xs.tolist()):
+        for table in (ascending, at_once, descending):
+            assert table(np.array([x])).item(0) == batch.item(i), x
+
+
+def test_k_table_argument_on_a_node_reads_its_sample(monkeypatch):
+    """An argument whose panel coordinate equals a node exactly would
+    divide by zero in the barycentric formula; it reads the node's
+    sample.  The middle node is moved from cos(pi/2) = 6e-17 to 0, which
+    a panel's centre hits."""
+    table = specfun._KTable(LIFT_M)
+    table(np.array([1.0]))
+    nodes = specfun._PANEL_NODES.copy()
+    nodes[12] = 0.0
+    monkeypatch.setattr(specfun, "_PANEL_NODES", nodes)
+    centre = table.rows[0, 26]
+    k = table(np.array([centre]))
+    assert abs(k.mantissa[0] - table.rows[0, 12]) <= 4e-16 * abs(table.rows[0, 12])
+    assert k.log_scale[0] == -centre
+    assert k.item(0).rel_diff(bessel_k_scaled(1j * LIFT_M, centre)) < 1e-14
+
+
+def test_k_table_of_large_orders_is_the_direct_rule():
+    xs = np.geomspace(0.1, 200.0, 9)
+    for m in (60.0, 150.0):
+        got, ref = specfun._bessel_k_table(m)(xs), bessel_k_scaled(1j * m, xs)
+        assert got.mantissa.tobytes() == ref.mantissa.tobytes()
+        assert got.log_scale.tobytes() == ref.log_scale.tobytes()

@@ -310,14 +310,18 @@ def stade_node_arrays(monkeypatch) -> list:
 
 def test_stade_bessel_calls_per_block(monkeypatch):
     # the node range is fixed before sampling, so the integrand is called
-    # once on all nodes, with one array K call for both Bessel factors
+    # once on all nodes, with one call of the order's K table for both
+    # Bessel factors
     k_calls = []
+    table = whittaker._bessel_k_table
 
-    def counting_k(mu, x):
-        k_calls.append(np.size(x))
-        return bessel_k_scaled(mu, x)
+    def counting_table(m):
+        def counting_k(x):
+            k_calls.append(np.size(x))
+            return table(m)(x)
+        return counting_k
 
-    monkeypatch.setattr(whittaker, "bessel_k_scaled", counting_k)
+    monkeypatch.setattr(whittaker, "_bessel_k_table", counting_table)
     nodes = stade_node_arrays(monkeypatch)
     w_stade(LIFT, WhittakerArgs(0.6, 1.0))
     assert len(nodes) == 1
@@ -392,7 +396,7 @@ def test_stade_huge_equal_arguments(y):
 def test_series_work_per_call(monkeypatch, cold_memos):
     # one P/Q table build and one K/K' pair call per distinct order |mu| per
     # series evaluation at a new y2 (LIFT's three orders are r, r and 2r),
-    # no single K call, no log-gamma once the plan is memoized, and the
+    # no call of the K table, no log-gamma once the plan is memoized, and the
     # n-series summed as arrays: the ScaledComplex values made per call do
     # not grow with the number of terms
     tables, pair_calls, single_calls, log_gammas, scaled = [], [], [], [], []
@@ -426,7 +430,7 @@ def test_series_work_per_call(monkeypatch, cold_memos):
     monkeypatch.setattr(whittaker, "build_pq_table", counting_table)
     monkeypatch.setattr(whittaker, "bessel_k_pair_scaled",
                         counting(pair_calls, whittaker.bessel_k_pair_scaled))
-    monkeypatch.setattr(whittaker, "bessel_k_scaled", counting(single_calls, bessel_k_scaled))
+    monkeypatch.setattr(whittaker, "_bessel_k_table", counting(single_calls, whittaker._bessel_k_table))
     monkeypatch.setattr(whittaker, "_log_gamma_array", counting(log_gammas, _log_gamma_array))
     monkeypatch.setattr(ScaledComplex, "__post_init__", counting_post_init)
     made = []
