@@ -442,19 +442,19 @@ _PANEL_NODES, _PANEL_WEIGHTS = np.cos(_PANEL_THETA), np.sin(_PANEL_THETA) * (-1.
 class _KTable:
     """K_{im}(x) for w_stade: degree-24 interpolants in t = log x on panels
     [j w, (j+1) w], w = min(1/4, 5/m), through bessel_k_scaled at their
-    Chebyshev points.  K(e^t) e^(e^t) is analytic for |Im t| < pi/2 and turns
-    <= m radians per unit t, so the interpolant keeps its samples' error
-    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
-    Panel j holds K e^x / exp(g_j), g_j the linear fit of env + x in
-    [-pi m/2, 0] (env: _bessel_contour's log scale), so the log scale is
-    exactly -x and exp(g_j) rounds at u m, not u x.  A call builds the
-    panels it reaches, extending one contiguous range; a value depends on
-    (m, x) alone."""
+    Chebyshev points, which keep their samples' error: K(e^t) e^(e^t) is
+    analytic for |Im t| < pi/2 and turns <= m radians per unit t (Trefethen,
+    ATAP, ch. 8).  Panel j holds K e^x / exp(g_j - c_j): g_j the linear fit
+    of env + x in [-pi m/2, 0] (env: _bessel_contour's log scale), c_j its
+    mean rounded up to a multiple of 256 (0 below m = 162).  A value's log
+    scale is c_j - x, its rounding carried into the mantissa (TwoSum), and
+    exp(g_j - c_j) > e^-256, so a product of two K stays normal.  Panels are
+    built as reached, in one contiguous range; a value depends on (m, x) alone."""
 
     def __init__(self, m: float):
         self.m, self.width, self.first = m, 5.0 / max(m, 20.0), 0
-        # per panel: samples times exp(g_j's mean), g_j's half-rise, centre
-        self.rows = np.empty((0, 27))
+        # per panel: samples times exp(g_j's mean - c_j), g_j's half-rise, centre, c_j
+        self.rows = np.empty((0, 28))
 
     def _build(self, panels: np.ndarray) -> np.ndarray:
         m, s = self.m, _PANEL_NODES
@@ -466,7 +466,8 @@ class _KTable:
         x = centre * np.exp(0.5 * self.width * s)
         k = bessel_k_scaled(1j * m, x.ravel())
         f = k.mantissa.reshape(x.shape) * np.exp((k.log_scale.reshape(x.shape) + x - mean) - rise * s)
-        return np.concatenate([f * np.exp(mean), rise, centre], axis=1)
+        shift = 256.0 * np.ceil(mean / 256.0)
+        return np.concatenate([f * np.exp(mean - shift), rise, centre, shift], axis=1)
 
     def __call__(self, x: np.ndarray) -> ScaledArray:
         """K_{im}(x) for a 1-D array of positive arguments."""
@@ -488,15 +489,14 @@ class _KTable:
             d[d == 0.0] = 1e-300  # an argument on a node reads its sample
         q = _PANEL_WEIGHTS / d
         p = np.einsum("ij,ij->i", q, rows[:, :25]) / q.sum(axis=1)
-        return ScaledArray(p * np.exp(rows[:, 25] * s), -x)
+        scale = rows[:, 27] - x
+        back = scale - rows[:, 27]
+        lost = (rows[:, 27] - (scale - back)) - (x + back)  # TwoSum: c_j - x == scale + lost
+        return ScaledArray(p * np.exp(rows[:, 25] * s + lost), scale)
 
 
-@functools.lru_cache(maxsize=8)
-def _bessel_k_table(m: float):
-    """K_{im} of an argument array for every w_stade call at order m: the
-    order's _KTable, or past m = 50 bessel_k_scaled itself (a table at
-    m = 100 over x in [0.06, 1e4] took 11000 contour samples and 130 MB)."""
-    return _KTable(m) if m <= 50.0 else functools.partial(bessel_k_scaled, 1j * m)
+# the _KTable of order m, shared by every w_stade call at that order
+_bessel_k_table = functools.lru_cache(maxsize=8)(_KTable)
 
 
 def _scaled_to_float(sc: ScaledComplex, mu, x: float) -> float:

@@ -139,8 +139,8 @@ def _k_log_magnitude(m: float, x: float) -> float:
     return -0.5 * math.pi * m
 
 
-# w_stade's discretization error and dropped tails, relative to int |f| and
-# to the peak; _STADE_NOISE bounds a K value's error (test_k_table_against_mpmath)
+# w_stade's discretization error and dropped tails, relative to int |f| and to the peak;
+# _STADE_NOISE, two K factors' error (one's: <= 3.1e-14 to m = 20, test_k_table_against_mpmath)
 _STADE_EPS = 1e-16
 _STADE_NOISE = 5e-14
 
