@@ -5,16 +5,16 @@ The K-Bessel function has two independent backends:
 
 * backend A integrates ``K_mu(x) = (1/2) int_R exp(-x cosh t + i|mu| t) dt``
   (real for imaginary order) with the trapezoid rule on the real axis,
-  or, when the order is large compared to the argument, with
-  Gauss-Legendre sums along the steepest-descent contours through the
-  saddles of the integrand: their samples do not oscillate, and the
-  exp(-pi|mu|/2) amplitude comes out as an explicit scale instead of
-  being lost to cancellation between O(1) samples.
+  or, where its samples would cancel by more than e^8 against K's
+  envelope, with Gauss-Legendre sums along the steepest-descent contours
+  through the saddles of the integrand: their samples do not oscillate,
+  and the exp(-pi|mu|/2) amplitude comes out as an explicit scale instead
+  of being lost to cancellation between O(1) samples.
   ``bessel_k_scaled`` and ``bessel_k_prime_scaled`` (or both at once,
-  ``bessel_k_pair_scaled``) take one order and a
-  scalar or a 1-D array of arguments: every argument gets its own
-  truncation and rule key (the contour, or the axis and its step), the
-  samples of one key form one (arguments x nodes) array, and each
+  ``bessel_k_pair_scaled``) take one order and a scalar or a 1-D array of
+  arguments: every argument gets its own truncation and rule key (the
+  contour, or the axis and its step), the samples of one key form
+  (arguments x nodes) arrays of at most _LINE_ARGS arguments, and each
   argument's samples are reduced on their own, within an ulp of their
   exact sum (see _bessel_line, _bessel_contour, _row_sums and the README).
 
@@ -191,9 +191,10 @@ def _as_order(mu) -> BesselOrder:
     return BesselOrder(complex(mu))
 
 
-# Ratio log(max integrand / result) above which the real axis loses too
-# many digits and the steepest-descent contour takes over.
+# log of the real axis's cancellation, -(env + x): its samples reach e^-x and K's
+# envelope is e^env (_k_envelope).  Above it the steepest-descent contour takes over.
 _SHIFT_THRESHOLD = 8.0
+_LINE_ARGS = 100  # most arguments of one _bessel_line call: bounds its arrays
 # log(1/eps) style truncation depth for the integrand tails.
 _TAIL_LOG = 46.0
 # (power, nodes) of the Gauss-Legendre rule on a steepest-descent branch
@@ -244,6 +245,11 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(0.5 - 0.5 * x, 1.0 / ((1.0 - x * x) * dp * dp))
 
 
+def _k_envelope(m: float, x: np.ndarray) -> np.ndarray:
+    """log of K_{im}(x)'s envelope: -pi m/2 for x <= m, -sqrt(x^2 - m^2) - m asin(m/x) beyond."""
+    return -m * np.arcsin(np.minimum(m / x, 1.0)) - np.sqrt(np.maximum((x - m) * (x + m), 0.0))
+
+
 def _bessel_contour(m: float, x: np.ndarray,
                     derivatives: tuple[bool, ...]) -> tuple[list[np.ndarray], np.ndarray]:
     """K_{im}(x) and/or K' (a mantissa array per entry of derivatives,
@@ -255,14 +261,16 @@ def _bessel_contour(m: float, x: np.ndarray,
     t = mu + s + i v, s >= 0, sin v = (A + m s) / (A cosh s + c sinh s),
     keeps Im f = psi, and Re f = -(c cosh s + A sinh s) cos v - m v falls
     from its value at the saddle (i asin(m/x) for x >= m, mu + i pi/2 for
-    x < m), the log scale.  For x < m the segment from i pi/2 to the
-    saddle adds int_0^mu cos(m s - x sinh s) ds (K; sinh s sin(...) for
-    K') at the scale exp(-pi m/2); its phase rises from 0 to psi.  The
+    x < m), the log scale env (_k_envelope).  It is used where env + x <
+    -8: below pi m/2 - 8, and past x = m below x* (24.21 at m = 19.07, 101.4
+    at m = 40).  For x < m the segment from i pi/2 to the saddle adds
+    int_0^mu cos(m s - x sinh s) ds (K; sinh s sin(...) for K') at the
+    scale exp(-pi m/2); its phase rises from 0 to psi.  The
     branch's dt/ds = 1 + i v' and K''s factor -cosh t are algebraic in
     cos v, sin v, cosh s and sinh s: no branch sample takes a cosine.
 
     * The branch ends at L = log(2 _TAIL_LOG/m + pi), the largest over the
-      contour's arguments of the s where (c + A) e^s / 2 reaches
+      contour's arguments (at x = m) of the s where (c + A) e^s / 2 reaches
       _TAIL_LOG - log scale: the samples there are below e^-43 of the
       saddle's (checked for 4 <= m <= 400), and all arguments share the
       nodes (_branch_grid).  It takes n nodes in xi, s = L xi^p, with
@@ -281,7 +289,7 @@ def _bessel_contour(m: float, x: np.ndarray,
     c = np.maximum(m, x)[:, None]
     mu = np.arcsinh(a / x[:, None])
     psi = m * mu - a
-    log_scale = -np.sqrt(np.maximum((x - m) * (x + m), 0.0)) - m * np.arcsin(np.minimum(m / x, 1.0))
+    log_scale = _k_envelope(m, x)
     k = np.where(x < m, np.ceil((0.5 * psi[:, 0] + 14.0) / 8.0), 0.0).astype(np.int64)
     # row j: the 8j-node segment rule, padded with zero weights
     rules = np.zeros((2, k.max() + 1, 8 * k.max()))
@@ -388,18 +396,18 @@ def _bessel_backend_a(mu, x, derivatives: tuple[bool, ...]):
     h = 1.0 / max(64.0, 4.0 * m)
     x_resolved = 2.0 * math.pi ** 2 / (_TAIL_LOG * h * h)
     keys = np.maximum(0.0, np.ceil(0.5 * np.log2(flat / x_resolved)))
-    if m > 4.0:
-        keys[0.5 * math.pi * m - flat > _SHIFT_THRESHOLD] = -1.0
-    if keys.min() == keys.max():
-        # one rule for every argument, as in every scalar call: no scatter
+    keys[_k_envelope(m, flat) + flat < -_SHIFT_THRESHOLD] = -1.0
+    if keys.min() == keys.max() and len(flat) <= _LINE_ARGS:
+        # one call for every argument, as in every scalar call: no scatter
         mantissas, log_scale = _bessel_line(m, flat, derivatives, int(keys[0]), h)
     else:
         mantissas = np.empty((len(derivatives),) + flat.shape)
         log_scale = np.empty(flat.shape)
         for key in sorted(set(keys.tolist())):
-            rows = keys == key
-            mantissas[:, rows], log_scale[rows] = _bessel_line(m, flat[rows], derivatives,
-                                                               int(key), h)
+            rows = np.flatnonzero(keys == key)
+            for part in (rows[i:i + _LINE_ARGS] for i in range(0, len(rows), _LINE_ARGS)):
+                mantissas[:, part], log_scale[part] = _bessel_line(m, flat[part], derivatives,
+                                                                   int(key), h)
     if not xs.ndim:
         return tuple(ScaledComplex(complex(v[0]), float(log_scale[0])) for v in mantissas)
     return tuple(ScaledArray(v, log_scale) for v in mantissas)
@@ -445,11 +453,11 @@ class _KTable:
     Chebyshev points, which keep their samples' error: K(e^t) e^(e^t) is
     analytic for |Im t| < pi/2 and turns <= m radians per unit t (Trefethen,
     ATAP, ch. 8).  Panel j holds K e^x / exp(g_j - c_j): g_j the linear fit
-    of env + x in [-pi m/2, 0] (env: _bessel_contour's log scale), c_j its
-    mean rounded up to a multiple of 256 (0 below m = 162).  A value's log
-    scale is c_j - x, its rounding carried into the mantissa (TwoSum), and
-    exp(g_j - c_j) > e^-256, so a product of two K stays normal.  Panels are
-    built as reached, in one contiguous range; a value depends on (m, x) alone."""
+    of env + x in [-pi m/2, 0] (env: _k_envelope), c_j its mean rounded up
+    to a multiple of 256 (0 below m = 162).  A value's log scale is c_j - x,
+    its rounding carried into the mantissa (TwoSum), and exp(g_j - c_j) >
+    e^-256, so a product of two K stays normal.  Panels are built as reached,
+    in one contiguous range, by one bessel_k_scaled call; a value depends on (m, x) alone."""
 
     def __init__(self, m: float):
         self.m, self.width, self.first = m, 5.0 / max(m, 20.0), 0
@@ -459,8 +467,7 @@ class _KTable:
     def _build(self, panels: np.ndarray) -> np.ndarray:
         m, s = self.m, _PANEL_NODES
         ends = np.exp(np.concatenate([panels, panels + 1.0]) * self.width)
-        g = (ends - np.sqrt(np.maximum((ends - m) * (ends + m), 0.0))
-             - m * np.arcsin(np.minimum(m / ends, 1.0))).reshape(2, -1, 1)
+        g = (ends + _k_envelope(m, ends)).reshape(2, -1, 1)
         mean, rise = 0.5 * (g[0] + g[1]), 0.5 * (g[1] - g[0])
         centre = np.exp((panels[:, None] + 0.5) * self.width)
         x = centre * np.exp(0.5 * self.width * s)
@@ -476,9 +483,8 @@ class _KTable:
         first = self.first if len(self.rows) else lo
         last = first + len(self.rows)
         if lo < first or hi > last:
-            need = np.concatenate([np.arange(lo, first), np.arange(last, hi)], dtype=float)
-            # 4 panels (100 samples) per K call: temporaries no larger than a call's
-            new = np.concatenate([self._build(need[i:i + 4]) for i in range(0, len(need), 4)])
+            new = self._build(np.concatenate([np.arange(lo, first), np.arange(last, hi)],
+                                             dtype=float))
             cut = max(first - lo, 0)
             self.rows, self.first = np.concatenate([new[:cut], self.rows, new[cut:]]), min(lo, first)
         rows = self.rows[j.astype(np.int64) - self.first]

@@ -134,15 +134,14 @@ def _require_nondegenerate(p: LanglandsParams):
 def _k_log_magnitude(m: float, x: float) -> float:
     """Cheap log|K_{im}(x)| estimate from the saddle of the cosh integral."""
     if x >= m:
-        r = math.sqrt(x * x - m * m)
-        return -r - (m * math.asin(m / x) if m > 0 else 0.0)
+        return -math.sqrt(x * x - m * m) - m * math.asin(m / x)
     return -0.5 * math.pi * m
 
 
 # w_stade's discretization error and dropped tails, relative to int |f| and to the peak;
-# _STADE_NOISE, two K factors' error (one's: <= 3.1e-14 to m = 20, test_k_table_against_mpmath)
+# _STADE_NOISE, two K factors' error (one's: < _STADE_NOISE / 2, test_k_table_against_mpmath)
 _STADE_EPS = 1e-16
-_STADE_NOISE = 5e-14
+_STADE_NOISE = 1e-13
 
 
 def _stade_strip(p: LanglandsParams, a: WhittakerArgs) -> tuple[float, float]:

@@ -56,8 +56,8 @@ def test_whittaker_auto_routes_smallarg(capsys):
 def test_whittaker_stade_reports_its_step_rule(capsys, monkeypatch):
     # the printed value is one w_stade_report call on the default grid: its
     # step and node count are reported, the err column is its stated error
-    # relative to |W|, and that error covers the value's distance from an
-    # eighth of the default step
+    # relative to |W| rounded up at the third digit, and that error covers
+    # the value's distance from an eighth of the default step
     nodes = []
     rule = whittaker.trapezoid_line
 
@@ -80,7 +80,7 @@ def test_whittaker_stade_reports_its_step_rule(capsys, monkeypatch):
     stated = math.exp(err_log - v.log_abs())
     assert stated < 1e-12
     value, err = printed_rows(out)["unscaled value"]
-    assert f"{err:.2e}" == f"{stated:.2e}"
+    assert stated <= err < stated + 10.0 ** (math.floor(math.log10(stated)) - 2)
     ref = w_stade(p, a, replace(grid, h=grid.h / 8.0)).to_complex(extra_log=-p.scale_shift)
     assert abs(value - ref) <= err * abs(ref)
 

@@ -281,9 +281,9 @@ def test_bessel_against_mpmath():
 LIFT_M = 19.06739
 GEN_M = 2.45
 # the LIFT order switches from the steepest-descent contour to the real-axis rule
-# at x = pi m / 2 - 8 (about 21.95); these arguments sit on both sides.
-# Just past the switch the real-axis rule cancels ~e^8; with the exponent
-# x (cosh t - 1) formed as 2 x sinh(t/2)^2 it still holds ~1e-13 there
+# at x* = 24.21, where env + x = -8 (_k_envelope); these arguments sit on both
+# sides.  Just past the switch the real-axis rule cancels ~e^8; with the
+# exponent x (cosh t - 1) formed as 2 x sinh(t/2)^2 it still holds ~1e-13 there
 LIFT_XS = np.array([0.3, 1.0, 5.0, 12.0, 20.0, 21.5, 21.9,
                     22.0, 23.0, 25.0, 27.0, 29.0, 30.0, 40.0])
 GEN_XS = np.array([0.05, 0.3, 1.0, 3.7, 8.0, 20.0, 60.0])
@@ -347,11 +347,11 @@ def test_bessel_large_argument_step():
 
 # at the lift order: the steepest-descent contour, and the real axis at 0
 # to 3 step halvings
-EVERY_RULE_XS = np.array([0.3, 12.0, 21.9, 22.0, 40.0, 1500.0, 3000.0, 3e4, 1e5])
+EVERY_RULE_XS = np.array([0.3, 12.0, 21.9, 22.0, 25.0, 40.0, 1500.0, 3000.0, 3e4, 1e5])
 
 
 def test_bessel_one_call_on_every_rule(monkeypatch):
-    """At the lift order the switch is at x ~ 21.95 and the axis step
+    """At the lift order the switch is at x* ~ 24.21 and the axis step
     first halves past x ~ 2496, so one array reaches the steepest-descent
     contour and the real axis at 0 to 3 step halvings.  Each group is
     summed by one call, and every element equals its scalar call in either
@@ -368,7 +368,7 @@ def test_bessel_one_call_on_every_rule(monkeypatch):
 
     monkeypatch.setattr(specfun, "_bessel_line", spy)
     k = bessel_k_scaled(1j * LIFT_M, xs)
-    assert sorted(keys) == [(-1, [0.3, 12.0, 21.9]), (0, [22.0, 40.0, 1500.0]),
+    assert sorted(keys) == [(-1, [0.3, 12.0, 21.9, 22.0]), (0, [25.0, 40.0, 1500.0]),
                             (1, [3000.0]), (2, [3e4]), (3, [1e5])]
     kp = bessel_k_prime_scaled(1j * LIFT_M, xs)
     for fn, batch in ((bessel_k_scaled, k), (bessel_k_prime_scaled, kp)):
@@ -457,8 +457,8 @@ def test_bessel_pair_equals_single_calls(m, xs):
 
 
 @pytest.mark.parametrize("m, xs, key", [
-    (LIFT_M, np.array([0.3, 5.0, 12.0, 21.9]), -1),
-    (LIFT_M, np.array([22.0, 40.0, 1500.0]), 0),
+    (LIFT_M, np.array([0.3, 5.0, 12.0, 21.9, 22.0]), -1),
+    (LIFT_M, np.array([25.0, 40.0, 1500.0]), 0),
     (GEN_M, GEN_XS, 0),
     (GEN_M, np.array([3e4, 5e4]), 3),
 ], ids=["LIFT-contour", "LIFT-axis", "GEN-axis", "GEN-axis-3"])
@@ -481,6 +481,54 @@ def test_bessel_one_key_array_equals_scalar_calls(m, xs, key, monkeypatch):
         assert ref.mantissa.tobytes() == batch.mantissa.tobytes(), fn.__name__
         for i, x in enumerate(xs.tolist()):
             assert repr(batch.item(i)) == repr(fn(1j * m, x)), (fn.__name__, x)
+
+
+@pytest.mark.parametrize("m, x_star", [(LIFT_M, 24.21), (40.0, 101.36)], ids=["LIFT", "40"])
+def test_bessel_switch_is_where_the_axis_cancels_by_e8(m, x_star, monkeypatch):
+    """The contour takes every argument where the real axis would cancel by
+    more than e^8, -(env + x) > 8, past the turning point x = m too: up to
+    x*, 24.21 at the lift order and 101.36 at m = 40 (pi m/2 - 8 is 21.95
+    and 54.8).  x* comes from a bisection on the saddle formula in math;
+    the key flips between arguments a relative 1e-12 either side of it."""
+    def excess(x):  # -(env + x) - 8, falling in x past x = m
+        return math.sqrt(x * x - m * m) + m * math.asin(m / x) - x - 8.0
+
+    lo, hi = m, 10.0 * m
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    assert round(lo, 2) == x_star
+    keys = []
+    line = specfun._bessel_line
+
+    def spy(m, x, derivatives, key, h):
+        keys.append((key, x.tolist()))
+        return line(m, x, derivatives, key, h)
+
+    monkeypatch.setattr(specfun, "_bessel_line", spy)
+    past_old_switch, below, above = 0.5 * math.pi * m - 7.5, lo * (1.0 - 1e-12), lo * (1.0 + 1e-12)
+    bessel_k_pair_scaled(1j * m, np.array([past_old_switch, below, above]))
+    assert sorted(keys) == [(-1, [past_old_switch, below]), (0, [above])]
+
+
+def test_bessel_rule_bounds_its_calls(monkeypatch):
+    """A 1000-argument pair call at m = 100 over [0.06, 1e4] (the contour
+    below x* ~ 626, the axis above) reaches _bessel_line in calls of at most
+    100 arguments, which bounds its (arguments x nodes) arrays; the array
+    values equal the scalar calls bit for bit."""
+    m, xs = 100.0, np.geomspace(0.06, 1e4, 1000)
+    sizes = []
+    line = specfun._bessel_line
+
+    def spy(m, x, derivatives, key, h):
+        sizes.append(x.size)
+        return line(m, x, derivatives, key, h)
+
+    monkeypatch.setattr(specfun, "_bessel_line", spy)
+    k, kp = bessel_k_pair_scaled(1j * m, xs)
+    assert sum(sizes) == len(xs) and max(sizes) <= 100
+    for i in range(0, len(xs), 37):
+        assert repr((k.item(i), kp.item(i))) == repr(bessel_k_pair_scaled(1j * m, xs[i].item())), i
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
@@ -506,12 +554,11 @@ def test_k_table_against_mpmath(m):
     direct rule, on the same points.  The table interpolates the direct
     rule's samples and carries their noise: every value stays within its
     panel's worst sample + 5e-15, and the table's worst within the direct
-    rule's + 5e-15.  The 121 arguments alone miss the direct rule's worst,
-    just past its switch to the real axis (2.3e-14 at the lift order,
-    3.1e-14 at 9.53, against 8.1e-15 and 8.5e-15 on them).  Both stay below
-    w_stade's _STADE_NOISE up to m = 20; at m = 40 the direct rule's axis
-    samples past the switch (x ~ 56) cancel by ~e^15, and both are ~1e-11
-    off there."""
+    rule's + 5e-15.  The 121 arguments alone miss the direct rule's worst
+    (2.3e-14 at 9.53, x ~ 7, against 8.6e-15 on them).  At every order
+    the table's worst stays below half of w_stade's _STADE_NOISE, its
+    budget for one K factor: 3.85e-14 at m = 40, x ~ 0.01, the contour's
+    phase floor."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     from sl3maass.whittaker import _STADE_NOISE
@@ -531,8 +578,7 @@ def test_k_table_against_mpmath(m):
     panels = np.floor(np.log(xs) / table.width).astype(np.int64) - table.first
     assert (table_err[:len(xs)] <= panel_worst[panels] + 5e-15).all()
     assert table_err.max() <= direct_err.max() + 5e-15
-    if m <= 20.0:
-        assert table_err.max() < _STADE_NOISE
+    assert table_err.max() < _STADE_NOISE / 2
 
 
 @pytest.mark.parametrize("m", [LIFT_M, GEN_M])
