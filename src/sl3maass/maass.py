@@ -34,9 +34,7 @@ import numpy as np
 from .errors import (DegenerateLatticeError, DomainError,
                      MissingCoefficientError, NonConvergenceError)
 from .langlands import LanglandsParams
-from .scaled import ScaledArray
-from .whittaker import (WhittakerArgs, build_fixed_d_cache,
-                        default_mellin_grid, mellin_kernel, w_eval,
+from .whittaker import (build_fixed_d_cache, default_mellin_grid, mellin_kernel,
                         w_mellin_fixed_d, w_stade)
 
 __all__ = [
@@ -233,6 +231,7 @@ _CUTOFF_PROBES = (0.3, 0.6, 1.0, 1.6, 2.5)
 _CUTOFF_RATIO = 1.25
 _CUTOFF_START = 0.64
 _CUTOFF_STEPS = 70
+_CUTOFF_BLOCK = 4  # levels per array w_stade call of the scan, sized by measurement (README)
 
 
 def _cutoff_scan(p: LanglandsParams, eps: float) -> tuple[float, float]:
@@ -247,10 +246,15 @@ def _cutoff_scan(p: LanglandsParams, eps: float) -> tuple[float, float]:
         raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
 
     ys = [_CUTOFF_START * _CUTOFF_RATIO ** k for k in range(_CUTOFF_STEPS)]
+    levels: list[float] = []
 
-    @functools.cache
     def level(i: int) -> float:
-        return max(w_eval(p, WhittakerArgs(q, ys[i])).log_abs() for q in _CUTOFF_PROBES)
+        while len(levels) <= i:  # the next block of levels, in one w_stade call
+            block = ys[len(levels):len(levels) + _CUTOFF_BLOCK]
+            w = w_stade(p, (_CUTOFF_PROBES * len(block), np.repeat(block, len(_CUTOFF_PROBES))))
+            logs = np.reshape([w.item(j).log_abs() for j in range(len(w))], (len(block), -1))
+            levels.extend(logs.max(axis=1).tolist())
+        return levels[i]
 
     # the peak sits at small-to-moderate y; scan until clearly past it
     peak = -math.inf
@@ -487,11 +491,10 @@ def eval_maass_report(f: MaassForm, z: H3Point,
             # contributes: above the accuracy goal and e^2 above any roundoff floor
             contributes, values = [], None
             if backend == "stade":
-                ws = [w_stade(p, WhittakerArgs(math.sqrt(m1y1 * m1y1 * (m2 * y2) / y), y))
-                      for m2, jobs in chunk for _, _, y in jobs]
-                contributes = [w.log_abs() >= log_eps for w in ws]
-                values = ScaledArray(np.array([w.mantissa for w in ws], dtype=complex),
-                                     [w.log_scale for w in ws])
+                y2s = [y for _, jobs in chunk for *_, y in jobs]
+                y1s = [math.sqrt(m1y1 * m1y1 * (m2 * y2) / y) for m2, jobs in chunk for *_, y in jobs]
+                values = w_stade(p, (y1s, y2s))
+                contributes = (values.log_abs() >= log_eps).tolist()
             else:
                 pair_caches, pair_y2s = [], []
                 for i, (m2, jobs) in enumerate(chunk):

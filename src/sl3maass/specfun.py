@@ -445,6 +445,7 @@ def bessel_k_pair_scaled(mu, x):
 # _KTable's first-kind Chebyshev nodes, barycentric weights (Berrut & Trefethen 2004)
 _PANEL_THETA = math.pi * (np.arange(25) + 0.5) / 25.0
 _PANEL_NODES, _PANEL_WEIGHTS = np.cos(_PANEL_THETA), np.sin(_PANEL_THETA) * (-1.0) ** np.arange(25)
+_READ_ARGS = 2048  # most arguments one _KTable read interpolates at once: bounds its (x 25) arrays
 
 
 class _KTable:
@@ -478,6 +479,10 @@ class _KTable:
 
     def __call__(self, x: np.ndarray) -> ScaledArray:
         """K_{im}(x) for a 1-D array of positive arguments."""
+        return ScaledArray(*self.read(x))
+
+    def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """K_{im}(x) as (mantissa, log scale) arrays."""
         j = np.floor(np.log(x) / self.width)
         lo, hi = int(j.min()), int(j.max()) + 1
         first = self.first if len(self.rows) else lo
@@ -487,6 +492,9 @@ class _KTable:
                                              dtype=float))
             cut = max(first - lo, 0)
             self.rows, self.first = np.concatenate([new[:cut], self.rows, new[cut:]]), min(lo, first)
+        if x.size > _READ_ARGS:  # each argument reads its own panel, so parts keep its bits
+            parts = [self.read(x[i:i + _READ_ARGS]) for i in range(0, x.size, _READ_ARGS)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
         rows = self.rows[j.astype(np.int64) - self.first]
         # from x / centre: an error u |log x| in t would be m u |log x| in K
         s = np.log(x / rows[:, 26]) * (2.0 / self.width)
@@ -498,7 +506,7 @@ class _KTable:
         scale = rows[:, 27] - x
         back = scale - rows[:, 27]
         lost = (rows[:, 27] - (scale - back)) - (x + back)  # TwoSum: c_j - x == scale + lost
-        return ScaledArray(p * np.exp(rows[:, 25] * s + lost), scale)
+        return p * np.exp(rows[:, 25] * s + lost), scale
 
 
 # the _KTable of order m, shared by every w_stade call at that order

@@ -43,8 +43,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import (CancellationError, DegenerateParametersError,
                      NonConvergenceError, AccuracyRangeError, PoleError)
 from .langlands import LanglandsParams, permutations
-from .quadrature import (MellinGrid2D, QuadratureGrid, strip_error_log, strip_step,
-                         trapezoid_line)
+from .quadrature import MellinGrid2D, QuadratureGrid, strip_error_log, strip_step
 from .scaled import ScaledArray, ScaledComplex, scaled_sum
 from .specfun import (GammaRatioSpec, bessel_k_pair_scaled, gamma_ratio,
                       _bessel_k_table, _log_gamma_array, _pole_distance)
@@ -144,13 +143,13 @@ _STADE_EPS = 1e-16
 _STADE_NOISE = 1e-13
 
 
-def _stade_strip(p: LanglandsParams, a: WhittakerArgs) -> tuple[float, float]:
+def _stade_strip(p: LanglandsParams, y1: float, y2: float) -> tuple[float, float]:
     """(half-width a <= pi/2, log growth of int |f| at |Im u| < a) for
     w_stade's integrand: 3 |gamma| a/4 from the phase, m a/2 from K_{im},
     (3 sqrt(2) pi/8) sqrt(y1 y2) a^2 from the peak (README)."""
     m = abs(((p.triple[0] - p.triple[1]) / 2.0).imag)
     c1 = 0.75 * abs(p.r_gamma) + 0.5 * m
-    c2 = 3.0 * math.sqrt(2.0) * math.pi / 8.0 * math.sqrt(a.y1 * a.y2)
+    c2 = 3.0 * math.sqrt(2.0) * math.pi / 8.0 * math.sqrt(y1 * y2)
     half = min(0.5 * math.pi, math.sqrt(math.log(2.0 / _STADE_EPS) / c2))
     return half, c1 * half + c2 * half * half
 
@@ -164,70 +163,15 @@ def default_stade_grid(p: LanglandsParams, a: WhittakerArgs | None = None) -> Qu
     if a is None:
         return QuadratureGrid(h=min(1.0 / 16.0, math.pi / (5.0 * (1.0 + 0.75 * abs(p.r_gamma)))),
                               N=20000)
-    return QuadratureGrid(h=strip_step(*_stade_strip(p, a), _STADE_EPS)[0], N=20000)
+    return QuadratureGrid(h=strip_step(*_stade_strip(p, a.y1, a.y2), _STADE_EPS)[0], N=20000)
 
 
-def w_stade(p: LanglandsParams, a: WhittakerArgs,
-            grid: QuadratureGrid | None = None) -> ScaledComplex:
-    """W(y1,y2) from the double K-Bessel integral
-
-        4 (2 pi y1)^(1-g/2) (2 pi y2)^(1+g/2)
-          * int_R K_mu(2 pi y1 sqrt(1+e^u)) K_mu(2 pi y2 sqrt(1+e^-u))
-                  e^(-3 g u / 4) du,
-
-    mu = (alpha-beta)/2, by trapezoid_line on grid (default:
-    default_stade_grid(p, a)) recentred at u0 = log(y2) - log(y1), all
-    nodes in one call of the order's K table.  The swap negates u0 and the imaginary
-    part of the prefactor's log exactly, so w_stade(p, a.swapped) is the
-    bitwise conjugate of w_stade(p, a).  The estimated log|f| is concave in u, so
-    each side stops _STADE_EPS below the peak, fixed before sampling;
-    NonConvergenceError is raised past grid.N.  The stated error
-    (w_stade_report) is int |f| du times the prefactor times
-    (e^strip_error_log at the grid's step + _STADE_EPS + _STADE_NOISE +
-    _ROUNDOFF times the |f|-weighted mean of x1 + x2, since K's condition
-    number ~x amplifies the rounding of x).
-    """
-    return w_stade_report(p, a, grid)[0]
-
-
-def w_stade_report(p: LanglandsParams, a: WhittakerArgs,
-                   grid: QuadratureGrid | None = None) -> tuple[ScaledComplex, float, QuadratureGrid]:
-    """(w_stade's value, log of its stated absolute error in the same scaled
-    units, the grid summed with N the half-width used).  A stated error
-    above 1e-6 of |W| is logged as a warning; the usual cause is the
-    e^(-3 g u/4) phase cancelling the integral far below int |f| du."""
-    if grid is None:
-        grid = default_stade_grid(p, a)
-    alpha, beta, g = p.triple
-    m = abs(((alpha - beta) / 2.0).imag)
-    y1, y2 = a.y1, a.y2
+def _stade_half_width(m: float, y1: float, y2: float, h: float, cap: int) -> int:
+    """w_stade's half-width in steps h at (y1, y2); NonConvergenceError past cap."""
     u0 = math.log(y2) - math.log(y1)
 
-    l1_log = x_mean = -math.inf
-
-    def integrand(v: np.ndarray) -> ScaledArray:
-        nonlocal l1_log, x_mean
-        u = v + u0
-        # x1 = 2 pi y1 sqrt(1+e^u), x2 = 2 pi y2 sqrt(1+e^-u), with the
-        # growing factor e^{|u|/2} split off so nothing overflows
-        root = np.sqrt(1.0 + np.exp(-np.abs(u)))
-        grow = np.exp(0.5 * np.abs(u))
-        x1 = TWO_PI * y1 * np.where(u >= 0.0, grow, 1.0) * root
-        x2 = TWO_PI * y2 * np.where(u >= 0.0, 1.0, grow) * root
-        # both factors from one call of the order's K table (values by x alone)
-        k = _bessel_k_table(m)(np.concatenate([x1, x2]))
-        k1, k2 = map(ScaledArray, k.mantissa.reshape(2, -1), k.log_scale.reshape(2, -1))
-        out = k1 * k2 * ScaledArray.from_log(-0.75j * p.r_gamma * u)
-        la = out.log_abs()
-        peak_log = float(la.max())
-        w = np.exp(la - peak_log)
-        l1_log = peak_log + math.log(grid.h * w.sum())
-        x_mean = float(w @ (x1 + x2) / w.sum())
-        return out
-
     def log_node(v: float) -> float:
-        """Estimated log|integrand| at u0 + v; past |u| = 700 it is far
-        below any floor."""
+        """Estimated log|integrand| at u0 + v; past |u| = 700 it is below any floor."""
         u = u0 + v
         return (_k_log_magnitude(m, TWO_PI * y1 * math.sqrt(1.0 + math.exp(min(u, 700.0))))
                 + _k_log_magnitude(m, TWO_PI * y2 * math.sqrt(1.0 + math.exp(min(-u, 700.0)))))
@@ -239,29 +183,123 @@ def w_stade_report(p: LanglandsParams, a: WhittakerArgs,
     # / (2 pi sqrt(y1 y2))): the tails start within that reach
     floor = max(log_node(s) for s in (-2.0, -1.0, 0.0, 1.0, 2.0)) + math.log(_STADE_EPS)
     reach = 2.0 * (math.log(-floor / TWO_PI) - 0.5 * (math.log(y1) + math.log(y2)))
-    last = math.ceil(min(reach / grid.h + 1.0, grid.N))
+    last = math.ceil(min(reach / h + 1.0, cap))
     n = 1 + max(bisect.bisect_left(range(1, last + 1), True,
-                                   key=lambda k: log_node(side * k * grid.h) < floor)
+                                   key=lambda k: log_node(side * k * h) < floor)
                 for side in (-1.0, 1.0))
-    if n > grid.N:
+    if n > cap:
         raise NonConvergenceError(
             f"double-Bessel integrand at ({y1:g}, {y2:g}) does not fall below "
-            f"its floor within N={grid.N} steps of h={grid.h:g}")
-    grid = replace(grid, N=n)
-    total = trapezoid_line(integrand, grid)
-    ly1, ly2 = math.log(TWO_PI * y1), math.log(TWO_PI * y2)
-    pref = ScaledComplex.from_log(math.log(4.0) + (ly1 + ly2) - (g / 2.0) * (ly1 - ly2))
-    rel_err = (math.exp(strip_error_log(*_stade_strip(p, a), grid.h)) + _STADE_EPS
-               + _STADE_NOISE + _ROUNDOFF * x_mean)
-    err_log = math.log(rel_err) + l1_log + pref.log_abs() + p.scale_shift
-    value = (total * pref).scaled_by(p.scale_shift)
-    rel_log = err_log - value.log_abs()
-    if rel_log > math.log(1e-6):
-        log.warning(
-            "oscillation cancellation in the double-Bessel integral at "
-            "(%g, %g): stated error %.1e of |W|; prefer the series "
-            "algorithms here", y1, y2, math.exp(rel_log))
-    return value, err_log, grid
+            f"its floor within N={cap} steps of h={h:g}")
+    return n
+
+
+def w_stade(p: LanglandsParams, a, grid: QuadratureGrid | None = None):
+    """W(y1,y2) from the double K-Bessel integral
+
+        4 (2 pi y1)^(1-g/2) (2 pi y2)^(1+g/2)
+          * int_R K_mu(2 pi y1 sqrt(1+e^u)) K_mu(2 pi y2 sqrt(1+e^-u))
+                  e^(-3 g u / 4) du,
+
+    mu = (alpha-beta)/2, by the trapezoid rule on grid (default:
+    default_stade_grid(p, a)) recentred at u0 = log(y2) - log(y1).  A WhittakerArgs
+    a gives a ScaledComplex; 1-D (y1, y2) arrays give a ScaledArray with each
+    point's bits: all nodes take one array pass and one read of the order's K
+    table, and the reductions run per point.  The swap negates u0 and the imaginary
+    part of the prefactor's log exactly, so w_stade(p, a.swapped) is the
+    bitwise conjugate of w_stade(p, a).  The estimated log|f| is concave in u, so
+    each side stops _STADE_EPS below the peak, fixed before sampling;
+    NonConvergenceError names the first point past grid.N.  The stated error
+    (w_stade_report) is int |f| du times the prefactor times
+    (e^strip_error_log at the grid's step + _STADE_EPS + _STADE_NOISE +
+    _ROUNDOFF times the |f|-weighted mean of x1 + x2, since K's condition
+    number ~x amplifies the rounding of x).
+    """
+    return w_stade_report(p, a, grid)[0]
+
+
+def w_stade_report(p: LanglandsParams, a, grid: QuadratureGrid | None = None):
+    """(w_stade's value, log of its stated absolute error in the same scaled units,
+    the grid summed with N the half-width used); for point arrays, (ScaledArray,
+    error logs, half-widths) at grid.h or each point's default step.  A stated error
+    above 1e-6 of |W| is logged as a warning; the usual cause is the e^(-3 g u/4)
+    phase cancelling the integral far below int |f| du."""
+    one = isinstance(a, WhittakerArgs)
+    if one:
+        y1s, y2s = [a.y1], [a.y2]
+    else:
+        ys = np.asarray(a, dtype=float)
+        if ys.ndim != 2 or len(ys) != 2 or not ((ys > 0.0) & (ys < math.inf)).all():
+            raise ValueError("points must be two 1-D arrays (y1, y2), positive and finite")
+        if not ys.size:
+            return ScaledArray(np.zeros(0, complex), np.zeros(0)), np.zeros(0), np.zeros(0, int)
+        y1s, y2s = ys.tolist()
+    alpha, beta, g = p.triple
+    m = abs(((alpha - beta) / 2.0).imag)
+    strips = [_stade_strip(p, y1, y2) for y1, y2 in zip(y1s, y2s)]
+    hs = [strip_step(*s, _STADE_EPS)[0] if grid is None else grid.h for s in strips]
+    cap = (grid or default_stade_grid(p)).N
+    ns = [_stade_half_width(m, y1, y2, h, cap) for y1, y2, h in zip(y1s, y2s, hs)]
+
+    # the nodes k h, k = -n..n, of every point in one array, at u = u0 + k h
+    sizes = [2 * n + 1 for n in ns]
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    centre, h_, u0, y1_, y2_ = np.array([
+        (b + n, h, math.log(y2) - math.log(y1), TWO_PI * y1, TWO_PI * y2)
+        for b, n, h, y1, y2 in zip(bounds, ns, hs, y1s, y2s)]).repeat(sizes, axis=0).T
+    u = (np.arange(bounds[-1]) - centre) * h_ + u0
+    # x1 = 2 pi y1 sqrt(1+e^u), x2 = 2 pi y2 sqrt(1+e^-u), with the
+    # growing factor e^{|u|/2} split off so nothing overflows
+    ahead = u >= 0.0
+    root = np.sqrt(1.0 + np.exp(-np.abs(u)))
+    grow = np.exp(0.5 * np.abs(u))
+    x1 = y1_ * np.where(ahead, grow, 1.0) * root
+    x2 = y2_ * np.where(ahead, 1.0, grow) * root
+    # both factors from one read of the order's K table (values by x alone)
+    kx, sx = _bessel_k_table(m).read(np.concatenate([x1, x2]))
+    phase = -0.75j * p.r_gamma * u
+    f = kx[:u.size] * kx[u.size:] * np.exp(1j * phase.imag)
+    f_scale = sx[:u.size] + sx[u.size:] + phase.real
+    nonzero = f != 0
+    with np.errstate(divide="ignore"):  # a zero node has log -inf
+        la = np.log(np.abs(f)) + f_scale
+    # per point: the peak of log|f|, and the scale of its largest nonzero
+    # node, at which its nodes are summed exactly rounded (ScaledArray.sum)
+    peaks, tops = np.maximum.reduceat([la, np.where(nonzero, f_scale, -np.inf)], bounds[:-1], 1)
+    peak_at, top_at = np.array([peaks, tops]).repeat(sizes, axis=1)
+    w = np.exp(la - peak_at)
+    xs = x1 + x2
+    d = f_scale - top_at
+    keep = nonzero & (d >= -800.0)
+    node = f[keep] * np.exp(d[keep])
+    re, im = node.real.tolist(), node.imag.tolist()
+    cuts = [0, *itertools.accumulate(np.add.reduceat(keep, bounds[:-1], dtype=int).tolist())]
+
+    values, err_logs = [], []
+    for i, (y1, y2, h, peak, top) in enumerate(zip(y1s, y2s, hs, peaks.tolist(), tops.tolist())):
+        lo, hi, c0, c1 = bounds[i], bounds[i + 1], cuts[i], cuts[i + 1]
+        total = w[lo:hi].sum()
+        x_mean = float(w[lo:hi] @ xs[lo:hi] / total)
+        node_sum = (ScaledComplex(complex(math.fsum(re[c0:c1]), math.fsum(im[c0:c1])), top)
+                    if c1 > c0 else ScaledComplex.zero())
+        ly1, ly2 = math.log(TWO_PI * y1), math.log(TWO_PI * y2)
+        pref = ScaledComplex.from_log(math.log(4.0) + (ly1 + ly2) - (g / 2.0) * (ly1 - ly2))
+        rel_err = (math.exp(strip_error_log(*strips[i], h)) + _STADE_EPS
+                   + _STADE_NOISE + _ROUNDOFF * x_mean)
+        err_logs.append(math.log(rel_err) + (peak + math.log(h * total)) + pref.log_abs()
+                        + p.scale_shift)
+        values.append((node_sum * h * pref).scaled_by(p.scale_shift))
+        rel_log = err_logs[-1] - values[-1].log_abs()
+        if rel_log > math.log(1e-6):
+            log.warning(
+                "oscillation cancellation in the double-Bessel integral at "
+                "(%g, %g): stated error %.1e of |W|; prefer the series "
+                "algorithms here", y1, y2, math.exp(rel_log))
+    if one:
+        grid = QuadratureGrid(h=hs[0], N=ns[0]) if grid is None else replace(grid, N=ns[0])
+        return values[0], err_logs[0], grid
+    return (ScaledArray(np.array([v.mantissa for v in values], dtype=complex),
+                        np.array([v.log_scale for v in values])), np.array(err_logs), np.array(ns))
 
 
 # ---------------------------------------------------------------------------

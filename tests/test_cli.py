@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sl3maass import whittaker
+from sl3maass import specfun
 from sl3maass.cli import main
 from sl3maass.coeffio import (CoefficientFileError, load_coefficient_file,
                               write_coefficient_file)
@@ -58,14 +58,14 @@ def test_whittaker_stade_reports_its_step_rule(capsys, monkeypatch):
     # step and node count are reported, the err column is its stated error
     # relative to |W| rounded up at the third digit, and that error covers
     # the value's distance from an eighth of the default step
-    nodes = []
-    rule = whittaker.trapezoid_line
+    reads = []
+    read = specfun._KTable.read
 
-    def spy(f, grid):
-        nodes.append(2 * grid.N + 1)
-        return rule(f, grid)
+    def spy(table, x):  # both Bessel arguments of every node
+        reads.append(x.size // 2)
+        return read(table, x)
 
-    monkeypatch.setattr(whittaker, "trapezoid_line", spy)
+    monkeypatch.setattr(specfun._KTable, "read", spy)
     rc = main(["whittaker", *GEN_PARAMS, "--y1", "1.0", "--y2", "3.853", "--algo", "stade",
                "--digits", "17"])
     assert rc == 0
@@ -75,7 +75,7 @@ def test_whittaker_stade_reports_its_step_rule(capsys, monkeypatch):
     p, a = LanglandsParams(-3.7, 1.2), WhittakerArgs(1.0, 3.853)
     grid = default_stade_grid(p, a)
     assert float(settings["h"]) == grid.h
-    assert len(nodes) == 1 and int(settings["nodes"]) == nodes[0]
+    assert len(reads) == 1 and int(settings["nodes"]) == reads[0]
     v, err_log, _ = w_stade_report(p, a)
     stated = math.exp(err_log - v.log_abs())
     assert stated < 1e-12

@@ -295,6 +295,27 @@ def test_cutoff_monotone_in_eps():
     assert c_loose <= c_tight
 
 
+@pytest.mark.parametrize("p, eps", [(LIFT, 1e-12), (LIFT, 1e-8), (GENERIC, 1e-8), (GENERIC, 1e-12)],
+                         ids=["LIFT-1e-12", "LIFT-1e-8", "GEN-1e-8", "GEN-1e-12"])
+def test_cutoff_scan_matches_a_scan_of_point_calls(p, eps, caplog):
+    # the scan reads _CUTOFF_BLOCK levels per array w_stade call; a scan of
+    # one w_eval call per probe, which takes the series route at small
+    # arguments, finds the same grid point and peak, and no warning is logged
+    ys = [maass._CUTOFF_START * maass._CUTOFF_RATIO ** k for k in range(maass._CUTOFF_STEPS)]
+    levels = [max(w_eval(p, WhittakerArgs(q, y)).log_abs() for q in maass._CUTOFF_PROBES)
+              for y in ys[:40]]
+    peak = -math.inf
+    for level in levels:
+        peak = max(peak, level)
+        if level < peak - 8.0:
+            break
+    log_thr = math.log(eps) + peak
+    i = next(i for i in range(len(levels) - 2) if max(levels[i:i + 3]) < log_thr)
+    with caplog.at_level("WARNING"):
+        assert repr(maass._cutoff_scan(p, eps)) == repr((ys[i], peak))
+    assert caplog.records == []
+
+
 @pytest.mark.parametrize("eps", [1.0, 10.0, math.inf])
 def test_cutoff_requires_eps_below_one(eps):
     with pytest.raises(ValueError, match="eps"):

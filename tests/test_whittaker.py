@@ -14,13 +14,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sl3maass.errors import (AccuracyRangeError, CancellationError,
                              DegenerateParametersError, NonConvergenceError)
 from sl3maass.langlands import LanglandsParams, permutations
-from sl3maass.quadrature import (MellinGrid2D, QuadratureGrid,
-                                 inverse_mellin_line, trapezoid_line)
+from sl3maass.quadrature import MellinGrid2D, QuadratureGrid, inverse_mellin_line
 from sl3maass.scaled import ScaledArray, ScaledComplex
 from sl3maass.specfun import (GammaRatioSpec, _log_gamma_array,
                               _pole_distance, bessel_k_prime_scaled,
                               bessel_k_scaled, gamma_ratio)
-from sl3maass import whittaker
+from sl3maass import specfun, whittaker
 from sl3maass.whittaker import (SeriesBudget, WhittakerArgs,
                                 build_fixed_d_cache, build_pq_table,
                                 choose_algorithm, default_mellin_grid,
@@ -293,48 +292,36 @@ def test_whittaker_decay():
     assert v44.log_abs() - v22.log_abs() < -4.0
 
 
-def stade_node_arrays(monkeypatch) -> list:
-    """Spy on the trapezoid rule inside whittaker: the abscissas of every
-    integrand call."""
-    nodes = []
+def stade_k_reads(monkeypatch) -> list:
+    """Spy on the order's K table: the arguments of every read, x1 of all
+    nodes then x2 of all nodes."""
+    reads = []
+    read = specfun._KTable.read
 
-    def counting_rule(f, grid):
-        def block(t):
-            nodes.append(t)
-            return f(t)
-        return trapezoid_line(block, grid)
+    def counting_read(self, x):
+        reads.append(x)
+        return read(self, x)
 
-    monkeypatch.setattr(whittaker, "trapezoid_line", counting_rule)
-    return nodes
+    monkeypatch.setattr(specfun._KTable, "read", counting_read)
+    return reads
 
 
 def test_stade_bessel_calls_per_block(monkeypatch):
-    # the node range is fixed before sampling, so the integrand is called
-    # once on all nodes, with one call of the order's K table for both
+    # the node range is fixed before sampling, so all 2N + 1 nodes are
+    # sampled in one pass, with one read of the order's K table for both
     # Bessel factors
-    k_calls = []
-    table = whittaker._bessel_k_table
-
-    def counting_table(m):
-        def counting_k(x):
-            k_calls.append(np.size(x))
-            return table(m)(x)
-        return counting_k
-
-    monkeypatch.setattr(whittaker, "_bessel_k_table", counting_table)
-    nodes = stade_node_arrays(monkeypatch)
-    w_stade(LIFT, WhittakerArgs(0.6, 1.0))
-    assert len(nodes) == 1
-    assert k_calls == [2 * nodes[0].size]
+    reads = stade_k_reads(monkeypatch)
+    _, _, grid = whittaker.w_stade_report(LIFT, WhittakerArgs(0.6, 1.0))
+    assert [x.size for x in reads] == [2 * (2 * grid.N + 1)]
 
 
 def test_stade_node_range_at_large_arguments(monkeypatch):
     # the tail walk's threshold underflowed to 0 near y = 40, which
     # switched truncation off: all 40001 nodes of the default grid were
     # sampled
-    nodes = stade_node_arrays(monkeypatch)
+    reads = stade_k_reads(monkeypatch)
     w_eval(SMALL, WhittakerArgs(40.0, 40.0))
-    assert len(nodes) == 1 and nodes[0].size <= 400
+    assert len(reads) == 1 and reads[0].size <= 2 * 400
 
 
 @pytest.mark.parametrize("y", [70.0, 100.0])
@@ -344,12 +331,16 @@ def test_stade_default_step_resolves_the_peak(y, monkeypatch):
     a = WhittakerArgs(y, y)
     ref = w_stade(SMALL, a, whittaker.default_stade_grid(SMALL).halved().halved())
     assert w_stade(SMALL, a).rel_diff(ref) < 1e-12
-    # an explicit grid keeps its step, so halving it halves the step used
-    nodes = stade_node_arrays(monkeypatch)
+    # an explicit grid keeps its step, so halving it halves the step used:
+    # at y1 = y2 the centre node has u = 0 and the next u = h, where x1 grows
+    # by sqrt((e^h + 1) / 2)
+    reads = stade_k_reads(monkeypatch)
     grid = whittaker.default_stade_grid(SMALL)
-    w_stade(SMALL, a, grid)
-    w_stade(SMALL, a, grid.halved())
-    assert [t[t.size // 2 + 1] for t in nodes] == [1.0 / 16.0, 1.0 / 32.0]
+    used = [whittaker.w_stade_report(SMALL, a, g)[2] for g in (grid, grid.halved())]
+    assert [g.h for g in used] == [1.0 / 16.0, 1.0 / 32.0]
+    for x, g in zip(reads, used):
+        centre = x[g.N:g.N + 2]
+        assert math.log(2.0 * (centre[1] / centre[0]) ** 2 - 1.0) == pytest.approx(g.h, rel=1e-12)
 
 
 STEP_RULE_YS = np.geomspace(0.01, 100.0, 9)
@@ -379,9 +370,73 @@ def test_stade_step_rule_error_bound(p):
 def test_stade_step_rule_halves_the_nodes(monkeypatch):
     # GEN (1.0, 3.853) is a form-orbit validation end; at the fixed step
     # 1/16 and the 44-nat floor it sampled 123 nodes
-    nodes = stade_node_arrays(monkeypatch)
-    w_stade(GENERIC, WhittakerArgs(1.0, 3.853))
-    assert len(nodes) == 1 and nodes[0].size <= 65
+    reads = stade_k_reads(monkeypatch)
+    _, _, grid = whittaker.w_stade_report(GENERIC, WhittakerArgs(1.0, 3.853))
+    assert 2 * grid.N + 1 <= 65 and [x.size for x in reads] == [2 * (2 * grid.N + 1)]
+
+
+# w_stade_report's (value, error log, N) recorded from the implementation
+# that summed one point per call through trapezoid_line: the array pass and
+# its per-point reductions must keep every bit
+STADE_GOLDEN = [
+    (LIFT, 0.002, 0.05, "ScaledComplex(mantissa=(-0.7373508212107641+0j), log_scale=54.28780557472555)", 27.11501706991251, 74),
+    (LIFT, 0.3, 0.8, "ScaledComplex(mantissa=(0.5013781386512568+0j), log_scale=63.41829710704015)", 33.93844068487762, 34),
+    (LIFT, 1.0, 3.853, "ScaledComplex(mantissa=(0.5330934613889012+0j), log_scale=61.551441613703076)", 31.354822060817355, 21),
+    (LIFT, 6.0, 0.01, "ScaledComplex(mantissa=(0.510031800035171+0j), log_scale=47.51081005102603)", 19.279616846303924, 41),
+    (LIFT, 40.0, 40.0, "ScaledComplex(mantissa=(0.7066333554501406+0j), log_scale=-586.2421369950684)", -615.5529162143301, 13),
+    (GENERIC, 0.002, 0.05, "ScaledComplex(mantissa=(-0.773320793497811+0.2204065523103048j), log_scale=3.249929818447148)", -23.31209775581742, 56),
+    (GENERIC, 0.3, 0.8, "ScaledComplex(mantissa=(0.5014492214344383-0.076912545081579j), log_scale=7.520762882358736)", -22.038466035734636, 24),
+    (GENERIC, 1.0, 3.853, "ScaledComplex(mantissa=(0.7264053599959213-0.01085366551501174j), log_scale=-21.376978778380945)", -51.26470714289785, 18),
+    (GENERIC, 6.0, 0.01, "ScaledComplex(mantissa=(-0.6355462415990327+0.05754632528943837j), log_scale=-25.01470108636176)", -53.76480014907787, 33),
+    (GENERIC, 40.0, 40.0, "ScaledComplex(mantissa=(0.9522185455231106+0j), log_scale=-689.9591305061816)", -718.95846050152, 13),
+    (SMALL, 0.002, 0.05, "ScaledComplex(mantissa=(-0.2974055043757857-0.4347033785014061j), log_scale=4.082736886681699)", -26.0857008501241, 53),
+    (SMALL, 0.3, 0.8, "ScaledComplex(mantissa=(0.6239484627236158+0.015741077087466165j), log_scale=4.196795072072562)", -26.081504795735682, 23),
+    (SMALL, 1.0, 3.853, "ScaledComplex(mantissa=(0.5533295534101045+0.0016024886157278706j), log_scale=-25.38993001733875)", -55.79567012123444, 17),
+    (SMALL, 6.0, 0.01, "ScaledComplex(mantissa=(0.36088187264937205-0.376571941708334j), log_scale=-26.953438165641394)", -57.20908765815629, 31),
+    (SMALL, 40.0, 40.0, "ScaledComplex(mantissa=(0.971999999171977+0j), log_scale=-694.6715194865662)", -723.6621067769505, 12),
+]
+
+
+@pytest.mark.parametrize("p, y1, y2, value, err_log, n", STADE_GOLDEN)
+def test_stade_golden_bits(p, y1, y2, value, err_log, n):
+    v, e, grid = whittaker.w_stade_report(p, WhittakerArgs(y1, y2))
+    assert (repr(v), repr(e), grid.N) == (value, repr(err_log), n)
+
+
+@pytest.mark.parametrize("p", [LIFT, GENERIC, SMALL], ids=["LIFT", "GEN", "SMALL"])
+def test_stade_array_equals_point_calls(p):
+    # every point of an array call has the bits of its own call: a 9 x 9
+    # geometric grid over [0.002, 50]^2 (mirror pairs included) with (40, 40),
+    # and a one-point array
+    ys = np.geomspace(0.002, 50.0, 9)
+    y1s = np.append(np.repeat(ys, ys.size), 40.0)
+    y2s = np.append(np.tile(ys, ys.size), 40.0)
+    for points in ((y1s, y2s), ([0.6], [1.0])):
+        values, err_logs, ns = whittaker.w_stade_report(p, points)
+        assert len(values) == err_logs.size == ns.size == len(points[0])
+        assert repr(w_stade(p, points)) == repr(values)
+        for i, (y1, y2) in enumerate(zip(*points)):
+            v, e, grid = whittaker.w_stade_report(p, WhittakerArgs(y1, y2))
+            assert (repr(values.item(i)), repr(float(err_logs[i])), ns[i]) == (repr(v), repr(e), grid.N)
+    assert len(w_stade(p, ([], []))) == 0
+
+
+def test_stade_array_names_the_point_past_its_node_cap():
+    # the node ranges are fixed for all points before any is sampled; a
+    # cap that admits (40, 40) but not (0.002, 0.05) names the latter
+    grid = whittaker.default_stade_grid(GENERIC)
+    far, near = WhittakerArgs(40.0, 40.0), WhittakerArgs(0.002, 0.05)
+    cap = whittaker.w_stade_report(GENERIC, far, grid)[2].N
+    assert whittaker.w_stade_report(GENERIC, near, grid)[2].N > cap
+    with pytest.raises(NonConvergenceError, match=r"at \(0\.002, 0\.05\)"):
+        w_stade(GENERIC, ([40.0, 0.002, 40.0], [40.0, 0.05, 40.0]), replace(grid, N=cap))
+
+
+@pytest.mark.parametrize("points", [([0.5], [0.0]), ([1.0, 2.0], [1.0]), ([[1.0]], [[1.0]]),
+                                    ([math.inf], [1.0])])
+def test_stade_array_rejects_bad_points(points):
+    with pytest.raises(ValueError):
+        w_stade(GENERIC, points)
 
 
 @pytest.mark.parametrize("y", [3e7, 1e8])
