@@ -9,16 +9,15 @@ from .errors import (AccuracyRangeError, CancellationError,
                      DomainError, MissingCoefficientError, NonConvergenceError,
                      NonTemperedError, NumericsError, PoleError, UnderflowError)
 from .scaled import ScaledComplex, scaled_sum
-from .specfun import (BesselOrder, GammaRatioSpec, bessel_k, bessel_k_mellin,
-                      bessel_k_prime, bessel_k_prime_scaled, bessel_k_scaled,
-                      gamma_ratio, log_gamma, pochhammer)
+from .specfun import (BesselOrder, bessel_k, bessel_k_mellin, bessel_k_prime,
+                      bessel_k_prime_scaled, bessel_k_scaled, gamma_ratio,
+                      log_gamma)
 from .quadrature import (MellinGrid2D, QuadratureGrid, inverse_mellin_line,
                          refine_check, trapezoid_line)
 from .langlands import (EigenvaluePair, LanglandsParams, eigenvalues, from_nu,
                         permutations)
-from .whittaker import (FixedDCache, SeriesBudget, WhittakerArgs,
-                        build_fixed_d_cache, build_pq_table,
-                        choose_algorithm, default_mellin_grid,
+from .whittaker import (FixedDCache, WhittakerArgs, build_fixed_d_cache,
+                        build_pq_table, choose_algorithm, default_mellin_grid,
                         default_stade_grid, pq_build, w_eval,
                         w_mellin_fixed_d, w_series_origin, w_series_small,
                         w_stade)

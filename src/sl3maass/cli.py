@@ -145,7 +145,7 @@ def _stade(p, a, ns):
 
 
 def _series(fn):
-    """A series row at w_eval's budget, its error |v - S| + S's stated error
+    """A series row, its error |v - S| + S's stated error
     relative to |v|, S = w_stade_report on its default grid whatever the
     flags: a true statement by the triangle inequality."""
     def evaluate(p, a, ns):

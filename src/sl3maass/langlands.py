@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 _TEMPERED_TOL = 1e-9
+_DEGENERATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,12 @@ class LanglandsParams:
         r = sorted((self.r_alpha, self.r_beta, self.r_gamma))
         return r == [-x for x in reversed(r)]
 
-    def is_degenerate(self, tol: float = 1e-9) -> bool:
-        """True if any two parameters coincide within tol (series
-        algorithms then hit gamma poles)."""
-        return (abs(self.r_alpha - self.r_beta) < tol
-                or abs(self.r_beta - self.r_gamma) < tol
-                or abs(self.r_gamma - self.r_alpha) < tol)
+    def is_degenerate(self) -> bool:
+        """True if any two parameters coincide within _DEGENERATE_TOL
+        (series algorithms then hit gamma poles)."""
+        return (abs(self.r_alpha - self.r_beta) < _DEGENERATE_TOL
+                or abs(self.r_beta - self.r_gamma) < _DEGENERATE_TOL
+                or abs(self.r_gamma - self.r_alpha) < _DEGENERATE_TOL)
 
 
 @dataclass(frozen=True)

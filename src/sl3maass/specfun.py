@@ -1,5 +1,5 @@
-"""Complex log-gamma, gamma-ratio products, Pochhammer symbols, and the
-K-Bessel function of purely imaginary order.
+"""Complex log-gamma, gamma-ratio products, and the K-Bessel function of
+purely imaginary order.
 
 The K-Bessel function has two independent backends:
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,11 +38,9 @@ from .errors import DomainError, PoleError, UnderflowError
 from .scaled import ScaledArray, ScaledComplex
 
 __all__ = [
-    "GammaRatioSpec",
     "BesselOrder",
     "log_gamma",
     "gamma_ratio",
-    "pochhammer",
     "bessel_k",
     "bessel_k_prime",
     "bessel_k_scaled",
@@ -118,49 +116,26 @@ def log_gamma(s):
     return complex(_log_gamma_array(np.asarray([s]))[0])
 
 
-@dataclass(frozen=True)
-class GammaRatioSpec:
-    """Product of gamma values over a product of gamma values.
-
-    Empty lists are allowed; the empty ratio is 1.
-    """
-
-    numerators: tuple = field(default_factory=tuple)
-    denominators: tuple = field(default_factory=tuple)
-
-    def __init__(self, numerators: Sequence[complex] = (), denominators: Sequence[complex] = ()):
-        object.__setattr__(self, "numerators", tuple(complex(v) for v in numerators))
-        object.__setattr__(self, "denominators", tuple(complex(v) for v in denominators))
-
-
-def gamma_ratio(spec: GammaRatioSpec) -> ScaledComplex:
+def gamma_ratio(numerators: Sequence[complex],
+                denominators: Sequence[complex] = ()) -> ScaledComplex:
     """Evaluate Gamma(a_1)...Gamma(a_n) / (Gamma(b_1)...Gamma(b_k)) in
-    scaled form.
+    scaled form; the empty ratio is 1.
 
     A pole in a numerator raises PoleError; a pole in a denominator makes
     the ratio exactly zero.
     """
-    for b in spec.denominators:
+    numerators = [complex(a) for a in numerators]
+    denominators = [complex(b) for b in denominators]
+    for b in denominators:
         n = min(round(b.real), 0)
         if abs(b - n) < _POLE_TOL:
             return ScaledComplex.zero()
     total = 0j
-    for a in spec.numerators:
+    for a in numerators:
         total += log_gamma(a)
-    for b in spec.denominators:
+    for b in denominators:
         total -= log_gamma(b)
     return ScaledComplex.from_log(total)
-
-
-def pochhammer(x: complex, n: int) -> complex:
-    """Rising factorial x (x+1) ... (x+n-1); equals 1 for n = 0."""
-    if n < 0:
-        raise ValueError("pochhammer order must be a natural number")
-    out = 1 + 0j
-    x = complex(x)
-    for k in range(n):
-        out *= x + k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +362,8 @@ def _bessel_backend_a(mu, x, derivatives: tuple[bool, ...]):
     if xs.ndim > 1:
         raise ValueError(f"K-Bessel argument must be a scalar or 1-D array, got shape {xs.shape}")
     flat = xs.reshape(-1)
+    if not flat.size:
+        return tuple(ScaledArray(np.zeros(0), np.zeros(0)) for _ in derivatives)
     # NaN fails the first test, inf the second
     if not (flat.min() > 0.0 and flat.max() < math.inf):
         bad = flat[~((flat > 0.0) & np.isfinite(flat))]
@@ -537,28 +514,22 @@ def bessel_k_prime(mu, x: float) -> float:
     return _scaled_to_float(bessel_k_prime_scaled(mu, x), mu, x)
 
 
-def bessel_k_mellin(mu, x: float, h: float = 0.125, sigma: float | None = None) -> float:
+def bessel_k_mellin(mu, x: float) -> float:
     """K_mu(x) through the vertical-line inverse Mellin transform
     (backend B; independent of the cosh-integral backend).
 
-    The line Re s = sigma defaults to max(2, x - |mu|), which keeps the
-    largest term of the sum near the size of the result: for |mu| >= x the
-    line wants to hug the pole lines, while for x >> |mu| it moves right
-    toward the saddle of Gamma(s/2)^2 (x/2)^(-s).  The sum runs over a
-    node range fixed a priori by the decay of the gamma pair.  sigma must
-    be positive (right of the gamma poles) and h positive, both finite;
-    anything else raises ValueError.
+    The line Re s = max(2, x - |mu|), with step 1/8, keeps the largest term
+    of the sum near the size of the result: for |mu| >= x the line wants to
+    hug the pole lines, while for x >> |mu| it moves right toward the
+    saddle of Gamma(s/2)^2 (x/2)^(-s).  The sum runs over a node range
+    fixed a priori by the decay of the gamma pair.
     """
     from .quadrature import QuadratureGrid, inverse_mellin_line
 
     order = _as_order(mu)
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"K-Bessel argument must be positive, got {x}")
-    if sigma is None:
-        sigma = max(2.0, float(x) - order.t)
-    for name, v in (("h", h), ("sigma", sigma)):
-        if not (v > 0.0) or not math.isfinite(v):
-            raise ValueError(f"{name} must be positive and finite, got {v}")
+    h, sigma = 0.125, max(2.0, float(x) - order.t)
     mu_c = order.mu
 
     def transform(s: np.ndarray) -> ScaledArray:

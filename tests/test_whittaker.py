@@ -16,11 +16,11 @@ from sl3maass.errors import (AccuracyRangeError, CancellationError,
 from sl3maass.langlands import LanglandsParams, permutations
 from sl3maass.quadrature import MellinGrid2D, QuadratureGrid, inverse_mellin_line
 from sl3maass.scaled import ScaledArray, ScaledComplex
-from sl3maass.specfun import (GammaRatioSpec, _log_gamma_array,
-                              _pole_distance, bessel_k_prime_scaled,
-                              bessel_k_scaled, gamma_ratio)
+from sl3maass.specfun import (_log_gamma_array, _pole_distance,
+                              bessel_k_prime_scaled, bessel_k_scaled,
+                              gamma_ratio)
 from sl3maass import specfun, whittaker
-from sl3maass.whittaker import (SeriesBudget, WhittakerArgs,
+from sl3maass.whittaker import (WhittakerArgs,
                                 build_fixed_d_cache, build_pq_table,
                                 choose_algorithm, default_mellin_grid,
                                 mellin_kernel, pq_build, w_eval,
@@ -48,8 +48,6 @@ def test_args_validation():
         WhittakerArgs(0.0, 1.0)
     with pytest.raises(ValueError):
         WhittakerArgs(1.0, -2.0)
-    with pytest.raises(ValueError):
-        SeriesBudget(nmax=0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,7 @@ def _effective_degree(coeffs) -> int:
 
 
 def test_pq_degree_bounds():
-    p_coeffs, q_coeffs = build_pq_table(GENERIC, 40)
+    p_coeffs, q_coeffs = pq_build(_cyclic_triples(GENERIC), 40)
     assert p_coeffs.shape == q_coeffs.shape == (3, 41, 81)
     for j in range(3):
         for n in range(41):
@@ -107,7 +105,7 @@ def test_pq_recursion_off_zero(y):
     # the y P', y Q' and (2 pi y)^2 Q terms vanish at y = 0, so only y > 0
     # checks them; _pq_values must also give polyval's bits on every row
     poly = np.polynomial.polynomial
-    tables = build_pq_table(GENERIC, 40)
+    tables = pq_build(_cyclic_triples(GENERIC), 40)
     all_p, all_q = _pq_values(*tables, y)
     for delta, p_coeffs, q_coeffs, p_vals, q_vals in zip(
             _cyclic_triples(GENERIC), *tables, all_p, all_q):
@@ -131,7 +129,7 @@ def test_pq_values_by_row_blocks(y, monkeypatch, cold_memos):
     """The series evaluates P/Q rows in blocks up to its stop: every block
     equals the full-table rows bit for bit, and the series evaluates only
     the blocks it reaches."""
-    tables = build_pq_table(LIFT, 60)
+    tables = build_pq_table(LIFT)
     full_p, full_q = _pq_values(*tables, y)
     for lo in range(0, 61, 16):
         hi = min(lo + 16, 61)
@@ -247,6 +245,14 @@ def test_series_reject_degenerate():
 def test_origin_cancellation_guard():
     with pytest.raises(CancellationError):
         w_series_origin(LIFT, WhittakerArgs(6.0, 6.0))
+
+
+@pytest.mark.parametrize("y1, y2", [(1.0, 30.0), (30.0, 1.0)])
+def test_origin_range_error_raises_without_a_warning(y1, y2):
+    # the diagonal's product leaves binary64 range here; it emitted numpy's
+    # "invalid value" warning before the CancellationError
+    with pytest.raises(CancellationError, match="binary64"):
+        w_series_origin(SMALL, WhittakerArgs(y1, y2))
 
 
 def test_stade_real_at_equal_arguments_for_vanishing_gamma():
@@ -454,11 +460,11 @@ def test_series_work_per_call(monkeypatch, cold_memos):
     # no call of the K table, no log-gamma once the plan is memoized, and the
     # n-series summed as arrays: the ScaledComplex values made per call do
     # not grow with the number of terms
-    tables, pair_calls, single_calls, log_gammas, scaled = [], [], [], [], []
+    tables, pair_calls, single_calls, log_gammas, scaled, blocks = [], [], [], [], [], []
 
-    def counting_table(p, nmax):
-        tables.append(nmax)
-        return build_pq_table(p, nmax)
+    def counting_table(p):
+        tables.append(p)
+        return build_pq_table(p)
 
     def counting(calls, f):
         def spy(*args):
@@ -472,32 +478,32 @@ def test_series_work_per_call(monkeypatch, cold_memos):
         scaled.append(1)
         post_init(self)
 
-    # few terms: every slice stops within nmax = 6, so at most 7 terms;
-    # many terms: nmax = 21 is not enough, so more than 3 x 7 terms
+    # few terms: every slice stops within the first P/Q block of 16 rows;
+    # many terms: some slice runs past it, into the third block
     few, many = WhittakerArgs(0.01, 0.1), WhittakerArgs(3.0, 0.4)
-    w_series_small(LIFT, few, SeriesBudget(nmax=6))
-    with pytest.raises(NonConvergenceError):
-        w_series_small(LIFT, many, SeriesBudget(nmax=21))
-    # memoize the y-free plan and the tables, but not the y2 half at few.y2
+    # memoize the y-free plan and the tables, but not the y2 halves
     for p in (LIFT, GENERIC):
-        whittaker._series_plan(p, 60)
-        build_pq_table(p, 60)
+        whittaker._series_plan(p)
+        build_pq_table(p)
     monkeypatch.setattr(whittaker, "build_pq_table", counting_table)
     monkeypatch.setattr(whittaker, "bessel_k_pair_scaled",
                         counting(pair_calls, whittaker.bessel_k_pair_scaled))
     monkeypatch.setattr(whittaker, "_bessel_k_table", counting(single_calls, whittaker._bessel_k_table))
     monkeypatch.setattr(whittaker, "_log_gamma_array", counting(log_gammas, _log_gamma_array))
     monkeypatch.setattr(ScaledComplex, "__post_init__", counting_post_init)
-    made = []
+    monkeypatch.setattr(whittaker, "_pq_values", counting(blocks, _pq_values))
+    made, reached = [], []
     for p, a, orders in ((LIFT, few, 2), (LIFT, many, 2), (GENERIC, few, 3)):
-        for counts in (tables, pair_calls, single_calls, log_gammas, scaled):
+        for counts in (tables, pair_calls, single_calls, log_gammas, scaled, blocks):
             counts.clear()
         w_series_small(p, a)
-        assert tables == [60]
+        assert tables == [p]
         assert len(pair_calls) == orders
         assert len({abs(mu.imag) for mu, _ in pair_calls}) == orders
         assert single_calls == [] and log_gammas == []
         made.append(len(scaled))
+        reached.append(len(blocks))
+    assert reached[:2] == [1, 3]
     assert made[0] == made[1]
 
 
@@ -616,18 +622,6 @@ def test_series_golden_bits(p, y1, y2, expected, cold_memos):
         assert whittaker._series_y2_half.cache_info().hits == hits
 
 
-@pytest.mark.parametrize("field, value", [
-    ("target_eps", 2.0), ("target_eps", 1.0), ("target_eps", 0.0),
-    ("target_eps", -1.0), ("target_eps", math.nan), ("target_eps", math.inf),
-    ("nmax", 2.5), ("nmax", True),
-])
-def test_series_budget_rejects_bad_fields(field, value):
-    # a target_eps of 1 or more stops the series after three terms with a
-    # wrong value, so each field is checked where the budget is made
-    with pytest.raises(ValueError, match=field):
-        SeriesBudget(**{field: value})
-
-
 def test_pq_tables_memoized_per_params_and_nmax(monkeypatch):
     builds = []
 
@@ -642,10 +636,8 @@ def test_pq_tables_memoized_per_params_and_nmax(monkeypatch):
         for p in (LIFT, GENERIC):
             w_series_small(p, a)
     assert builds == [(_cyclic_triples(p), 60) for p in (LIFT, GENERIC)]
-    w_series_small(LIFT, a, SeriesBudget(nmax=80))
-    w_series_small(LIFT, a, SeriesBudget(nmax=80))
-    assert len(builds) == 3 and builds[-1] == (_cyclic_triples(LIFT), 80)
-    for table in build_pq_table(LIFT, 60):
+    for table in build_pq_table(LIFT):
+        assert table.shape == (3, 61, 121)
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0.0
     maxsize = build_pq_table.cache_info().maxsize
@@ -672,10 +664,8 @@ def test_memoized_series_is_bit_identical(p, y1, t):
     whittaker._series_y2_half.cache_clear()
     cold = _series_outcome(p, a)
     assert _series_outcome(p, a) == cold
-    for nmax in (40, 60, 80):
-        fresh = pq_build(_cyclic_triples(p), nmax)
-        for memo, ref in zip(build_pq_table(p, nmax), fresh):
-            assert memo.tobytes() == ref.tobytes()
+    for memo, ref in zip(build_pq_table(p), pq_build(_cyclic_triples(p), 60)):
+        assert memo.tobytes() == ref.tobytes()
 
 
 def _counting(calls, f, keep=lambda args: args):
@@ -686,7 +676,7 @@ def _counting(calls, f, keep=lambda args: args):
 
 
 def test_series_warm_call_does_only_y1_work(monkeypatch, cold_memos):
-    # at a (params, nmax, y2) seen before, a call with another y1 makes no
+    # at a (params, y2) seen before, a call with another y1 makes no
     # K pair call and evaluates only the P/Q blocks the memo does not hold
     # yet; it still fetches the tables once.  At y2 = 0.6 the LIFT series
     # reads one block at y1 = 0.01, two at 0.9 and three at 3.0
@@ -705,22 +695,6 @@ def test_series_warm_call_does_only_y1_work(monkeypatch, cold_memos):
     assert len(pair_calls) == 2
 
 
-def test_series_memo_keeps_nmax_apart(monkeypatch, cold_memos):
-    # nmax = 21 does not reach the stop at (3.0, 0.4); its 22-row table
-    # cuts the second block short.  A later call at nmax 60 and the same
-    # y2 reads every row from its own 61-row table, and equals a cold call
-    a = WhittakerArgs(3.0, 0.4)
-    with pytest.raises(NonConvergenceError):
-        w_series_small(LIFT, a, SeriesBudget(nmax=21))
-    heights = []
-    monkeypatch.setattr(whittaker, "_pq_values",
-                        _counting(heights, _pq_values, keep=lambda args: args[0].shape[1]))
-    warm = _series_outcome(LIFT, a)
-    assert heights == [61] * 3
-    whittaker._series_y2_half.cache_clear()
-    assert _series_outcome(LIFT, a) == warm
-
-
 def test_series_y2_memo_is_bounded(cold_memos):
     memo = whittaker._series_y2_half
     cap = memo.cache_info().maxsize
@@ -729,7 +703,7 @@ def test_series_y2_memo_is_bounded(cold_memos):
     for y2 in ys:
         w_series_small(SMALL, WhittakerArgs(0.01, y2))
     assert memo.cache_info().currsize == cap
-    kv_f, kp_f, _, pq_rows = memo(SMALL, 60, ys[-1])
+    kv_f, kp_f, _, pq_rows = memo(SMALL, ys[-1])
     for arr in (kv_f, kp_f, *pq_rows[0]):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
@@ -812,7 +786,7 @@ def test_origin_leading_term_structure():
     y1 = y2 = 1e-4
     lead = ScaledComplex.zero()
     for (d1, d2, d3) in permutations(p):
-        pref = gamma_ratio(GammaRatioSpec([(d2 - d3) / 2, (d2 - d1) / 2, (d3 - d1) / 2]))
+        pref = gamma_ratio([(d2 - d3) / 2, (d2 - d1) / 2, (d3 - d1) / 2])
         pw = ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
                                     + (1.0 - d2) * math.log(math.pi * y2))
         lead = lead + pref * pw * 4.0
@@ -833,7 +807,7 @@ def test_smallarg_leading_term_structure():
                          (p.beta, p.gamma, p.alpha),
                          (p.gamma, p.alpha, p.beta)]:
         mu = (d2 - d3) / 2.0
-        pref = gamma_ratio(GammaRatioSpec([(d2 - d1) / 2, (d3 - d1) / 2]))
+        pref = gamma_ratio([(d2 - d1) / 2, (d3 - d1) / 2])
         pw = ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
                                     + (1.0 + d1 / 2.0) * math.log(math.pi * y2))
         term = pref * pw * (4.0 * bessel_k_scaled(mu, x2).to_complex().real) * 2.0
