@@ -507,6 +507,12 @@ def test_series_work_per_call(monkeypatch, cold_memos):
     assert made[0] == made[1]
 
 
+def test_series_raises_at_its_term_cap():
+    # at (8.0, 4.6) some slice is still above the stop tolerance at n = 60
+    with pytest.raises(NonConvergenceError, match="nmax=60"):
+        w_series_small(LIFT, WhittakerArgs(8.0, 4.6))
+
+
 # w_series_small's values recorded from the implementation that summed one
 # slice at a time from six scalar K calls and a per-call log-gamma: the
 # series plan, the K/K' pair and the (3, rows) sums must keep every bit
