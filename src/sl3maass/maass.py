@@ -12,11 +12,15 @@ cache, since D = (m1 y1)^2 m2 y2 is invariant along the (c, d) sum; one
 batched call reads the values of a chunk of pairs the walk is certain to
 visit.  The caches' inner sums are formed in waves: when the walk reaches
 a D without a cache or column, one kernel product forms the columns of
-every uncached D of the same m1 up to the reach that the previous m1's
-largest contributing D predicts.  Those D are (m1 y1)^2 m2 y2, so a wave
-needs no (c, d) enumeration; the walk enumerates a pair only on reaching
-it, and then wraps the column in a cache, or rules the D out when its
-column bounds every term below the goal.
+the D of the same m1 up to the reach that the previous m1's largest
+contributing D predicts.  When the form knows its reach from earlier
+evaluations, the evaluation's first wave also forms the planned columns
+of every later m1 with m1 y1 <= C, so a cold evaluation mostly makes one
+product.  The columns wait in one store keyed like the caches, and a
+wave forms no D already cached or stored.  Those D are (m1 y1)^2 m2 y2,
+so a wave needs no (c, d) enumeration; the walk enumerates a pair only
+on reaching it, and then wraps the column in a cache, or rules the D out
+when its column bounds every term below the goal.
 A pair's (c, d) are a radius slice of one memoized lattice per m1, whose
 m2-free parts are formed once per m1; each chunk's terms are one array.
 """
@@ -355,6 +359,8 @@ class MaassForm:
     cache_map: dict = field(default_factory=dict, init=False, repr=False)
     # its largest contributing D so far, which plans each evaluation's first waves
     reach_d: float | None = field(default=None, init=False, repr=False)
+    # the None entries of cache_map, so that n_caches needs no recount
+    _n_ruled_out: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -441,7 +447,7 @@ def eval_maass_report(f: MaassForm, z: H3Point,
 
     caches = f.cache_map if backend == "mellin" else {}
     grid = default_mellin_grid(p, eps * 1e-2)
-    n_before, n_ruled_out, n_columns = len(caches), 0, 0
+    n_before, ruled_before, n_columns = len(caches), f._n_ruled_out, 0
 
     two_pi = 2.0 * math.pi
     terms: list[np.ndarray] = []
@@ -449,6 +455,10 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     max_m2 = 0
     max_m1 = 0
     reach_d = f.reach_d  # the previous m1's largest contributing D
+    # kernel columns by _cache_key(D), formed by the evaluation's waves and
+    # not yet wrapped in a cache; a known reach plans the first wave for every m1
+    columns: dict[float, np.ndarray] = {}
+    plan_ahead = reach_d is not None
     # ends by the m1 stop rule, as m1 past the lattice's reach have no terms
     for m1 in itertools.count(1):
         m1y1 = m1 * y1
@@ -469,9 +479,6 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                 jobs.append((cos1, math.cos(two_pi * (m2 / c) * u), m2y2 / t2))
             return jobs
 
-        # kernel columns by m2, formed by this m1's waves and not yet
-        # wrapped in a cache
-        columns: dict[int, np.ndarray] = {}
         # m2 per wave past the planned reach, or with none: 16, 32, then 64 each
         wave_sizes = itertools.chain((16, 32), itertools.repeat(64))
         # the m2 of reach_d and the stop rule's four after it, one more at
@@ -504,23 +511,37 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                     key = _cache_key(D)
                     if key not in caches:
                         kernel = mellin_kernel(p, grid)
-                        if m2 not in columns:
-                            # a wave: one kernel product forms the columns of every D
-                            # not in caches from m2 to the planned reach (or a wave
-                            # size past it) and the chunk's end, less chunk pairs without terms
+                        if key not in columns:
+                            # a wave: one kernel product forms the columns of the D from
+                            # m2 to the planned reach (or a wave size past it) and the
+                            # chunk's end, less chunk pairs without terms; a first wave
+                            # with a known reach adds every later m1 with m1 y1 <= C, up
+                            # to where its stop rule can first end it.  A key in neither
+                            # caches nor columns is formed once, at its first D
                             end = planned if m2 <= planned else m2 + next(wave_sizes) - 1
-                            Ds = {m: m1y1 * m1y1 * (m * y2)
+                            Ds = [m1y1 * m1y1 * (m * y2)
                                   for m in range(m2, min(max(end, last), m2_cap) + 1)
-                                  if m > last or chunk[m - first][1]}
-                            Ds = {m: D_m for m, D_m in Ds.items() if _cache_key(D_m) not in caches}
-                            columns.update(zip(Ds, kernel.inner(list(Ds.values())).T))
-                            n_columns += len(Ds)
+                                  if m > last or chunk[m - first][1]]
+                            if plan_ahead:
+                                for v in itertools.takewhile(lambda v: v <= C,
+                                                             (k * y1 for k in itertools.count(m1 + 1))):
+                                    stop = max(int(f.reach_d / (v * v * y2)) + 4, int(C / y2) + 1)
+                                    Ds += [v * v * (m * y2)
+                                           for m in range(1, min(stop, int(C ** 3 / (y2 * v * v)) + 1) + 1)]
+                                plan_ahead = False
+                            wave: dict[float, float] = {}
+                            for D_m in Ds:
+                                key_m = _cache_key(D_m)
+                                if key_m not in caches and key_m not in columns:
+                                    wave.setdefault(key_m, D_m)
+                            columns.update(zip(wave, kernel.inner(list(wave.values())).T))
+                            n_columns += len(wave)
                         y2_range = (D / C ** 2 * 0.99, C * 1.01)
-                        column = columns.pop(m2)
+                        column = columns.pop(key)
                         # a margin of 1e-6, far above the bound's rounding
                         if kernel.column_bound(D, column, y2_range) + 1e-6 < log_eps:
                             caches[key] = None
-                            n_ruled_out += 1
+                            f._n_ruled_out += 1
                         else:
                             caches[key] = build_fixed_d_cache(
                                 p, D, grid=grid, eps=math.exp(log_eps), inner=column,
@@ -534,8 +555,6 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                     # one batch: sub-eps terms need only absolute accuracy
                     values, floors = w_mellin_fixed_d(pair_caches, pair_y2s)
                     contributes = (values.log_abs() >= np.maximum(log_eps, floors + 2.0)).tolist()
-            for m2, _ in chunk:  # reached: its column is wrapped by now or never
-                columns.pop(m2, None)
             k = 0  # the chunk's running term index
             picked, weights = [], []
             for m2, jobs in chunk:
@@ -569,9 +588,10 @@ def eval_maass_report(f: MaassForm, z: H3Point,
 
     summed = np.concatenate(terms) if terms else np.zeros(0, dtype=complex)
     value = complex(math.fsum(summed.real.tolist()), math.fsum(summed.imag.tolist()))
+    n_ruled_out = f._n_ruled_out - ruled_before
     stats = MaassEvalStats(cutoff=C, max_contributing_m2=max_m2, max_m1=max_m1,
                            n_terms=n_terms, n_ruled_out=n_ruled_out, n_columns=n_columns,
-                           n_caches=sum(c is not None for c in caches.values()),
+                           n_caches=len(caches) - (f._n_ruled_out if caches is f.cache_map else 0),
                            n_caches_built=len(caches) - n_before - n_ruled_out)
     return value, stats
 

@@ -118,13 +118,6 @@ def _require_nondegenerate(p: LanglandsParams):
 # Algorithm 1: double K-Bessel integral
 # ---------------------------------------------------------------------------
 
-def _k_log_magnitude(m: float, x: float) -> float:
-    """Cheap log|K_{im}(x)| estimate from the saddle of the cosh integral."""
-    if x >= m:
-        return -math.sqrt(x * x - m * m) - m * math.asin(m / x)
-    return -0.5 * math.pi * m
-
-
 # w_stade's discretization error and dropped tails, relative to int |f| and to the peak;
 # _STADE_NOISE, two K factors' error (one's: < _STADE_NOISE / 2, test_k_table_against_mpmath)
 _STADE_EPS = 1e-16
@@ -157,16 +150,22 @@ def default_stade_grid(p: LanglandsParams, a: WhittakerArgs | None = None) -> Qu
 def _stade_half_width(m: float, y1: float, y2: float, h: float, cap: int) -> int:
     """w_stade's half-width in steps h at (y1, y2); NonConvergenceError past cap."""
     u0 = math.log(y2) - math.log(y1)
+    two_pi_y1, two_pi_y2, mm, below = TWO_PI * y1, TWO_PI * y2, m * m, -0.5 * math.pi * m
 
     def log_node(v: float) -> float:
-        """Estimated log|integrand| at u0 + v; past |u| = 700 it is below any floor."""
+        """Estimated log|integrand| at u0 + v; past |u| = 700 it is below any floor.
+        Each factor's log|K_{im}(x)| is estimated from the saddle of the cosh
+        integral: -sqrt(x^2 - m^2) - m asin(m/x) for x >= m, else -pi m/2."""
         u = u0 + v
-        return (_k_log_magnitude(m, TWO_PI * y1 * math.sqrt(1.0 + math.exp(min(u, 700.0))))
-                + _k_log_magnitude(m, TWO_PI * y2 * math.sqrt(1.0 + math.exp(min(-u, 700.0)))))
+        x1 = two_pi_y1 * math.sqrt(1.0 + math.exp(min(u, 700.0)))
+        x2 = two_pi_y2 * math.sqrt(1.0 + math.exp(min(-u, 700.0)))
+        return ((-math.sqrt(x1 * x1 - mm) - m * math.asin(m / x1) if x1 >= m else below)
+                + (-math.sqrt(x2 * x2 - mm) - m * math.asin(m / x2) if x2 >= m else below))
 
     # |K| can vanish at an oscillation zero, so the peak is probed at a few
-    # points; the floor is below log_node(0), so on each side the nodes
-    # below it form one tail.  Since log|K| <= -x, log_node(v) <= -x1 for
+    # points; where the floor is below log_node(0), on each side the nodes
+    # below it form one tail (not so where the peak lies past the probes:
+    # README, "w_stade fixes the half-width").  Since log|K| <= -x, log_node(v) <= -x1 for
     # v > 0 and -x2 for v < 0, and both pass the floor by |v| = 2 log(-floor
     # / (2 pi sqrt(y1 y2))): the tails start within that reach
     floor = max(log_node(s) for s in (-2.0, -1.0, 0.0, 1.0, 2.0)) + math.log(_STADE_EPS)

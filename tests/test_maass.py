@@ -661,6 +661,39 @@ def test_chunked_walk_does_no_speculative_work(monkeypatch):
             assert [m2 for k, m2 in pairs if k == m1] == list(range(1, stop + 1)), (word, m1)
 
 
+def test_known_reach_plans_every_m1_in_one_product(monkeypatch):
+    """Once E2 has set the form's reach, its S1 image forms the planned
+    columns of every m1 in its first wave: one kernel product, against
+    one per m1 wave before.  Its walk stays that of E2_WALKS: the same
+    fetches, caches, validations and queried y2."""
+    fetched, widths, evals, queried = [], [], [], []
+    form = MaassForm(params=GENERIC, eps=1e-8,
+                     coeff_fn=lambda m1, m2: fetched.append((m1, m2)) or 1.0 / (1.0 + m1 * m2))
+    mellin_kernel(GENERIC, default_mellin_grid(GENERIC, 1e-10))
+    product, validate, query = whittaker._kernel_product, whittaker.w_eval, maass.w_mellin_fixed_d
+
+    def counted(b, c, x, out):
+        widths.append(x.shape[1])
+        return product(b, c, x, out)
+
+    def counted_query(caches, y2):
+        queried.append(sum(len(ys) for ys in y2))
+        return query(caches, y2)
+
+    monkeypatch.setattr(whittaker, "_kernel_product", counted)
+    monkeypatch.setattr(whittaker, "w_eval", lambda *args: evals.append(args) or validate(*args))
+    monkeypatch.setattr(maass, "w_mellin_fixed_d", counted_query)
+    for word, fetches, n_caches, n_built, n_evals, n_y2 in E2_WALKS:
+        for log in (fetched, widths, evals, queried):
+            log.clear()
+        _, stats = eval_maass_report(form, iwasawa_act(word_matrix(word), E2_POINT) if word else E2_POINT)
+        assert fetched == fetches
+        assert (stats.n_caches, stats.n_caches_built, len(evals), sum(queried)) == (
+            n_caches, n_built, n_evals, n_y2)
+        assert stats.n_columns == sum(widths)
+    assert len(widths) == 1
+
+
 def _walk(params, eps, points, count_only):
     """The walks at points on one fresh form: (value, statistics and
     A(m1, m2) fetches) per point, and the form."""
