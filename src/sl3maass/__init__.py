@@ -9,9 +9,8 @@ from .errors import (AccuracyRangeError, CancellationError,
                      DomainError, MissingCoefficientError, NonConvergenceError,
                      NonTemperedError, NumericsError, PoleError, UnderflowError)
 from .scaled import ScaledComplex, scaled_sum
-from .specfun import (BesselOrder, bessel_k, bessel_k_mellin, bessel_k_prime,
-                      bessel_k_prime_scaled, bessel_k_scaled, gamma_ratio,
-                      log_gamma)
+from .specfun import (bessel_k, bessel_k_mellin, bessel_k_prime,
+                      bessel_k_prime_scaled, bessel_k_scaled, log_gamma)
 from .quadrature import (MellinGrid2D, QuadratureGrid, inverse_mellin_line,
                          refine_check, trapezoid_line)
 from .langlands import (EigenvaluePair, LanglandsParams, eigenvalues, from_nu,
@@ -21,7 +20,7 @@ from .whittaker import (FixedDCache, WhittakerArgs, build_fixed_d_cache,
                         default_stade_grid, pq_build, w_eval,
                         w_mellin_fixed_d, w_series_origin, w_series_small,
                         w_stade)
-from .maass import (GENERATORS, GroupWord, H3Point, MaassEvalStats, MaassForm,
+from .maass import (GENERATORS, H3Point, MaassEvalStats, MaassForm,
                     automorphy_residual, coefficient_demand, decay_cutoff,
                     enumerate_cd, eval_maass, eval_maass_report,
                     expand_coefficients, iwasawa_act, mobius, word_matrix)

@@ -16,7 +16,6 @@ through the Moebius identity (see expand_coefficients).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .langlands import LanglandsParams
@@ -33,18 +32,13 @@ class CoefficientFileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class _Parsed:
-    params: LanglandsParams
-    table: dict[tuple[int, int], complex]
-
-
 _HEADER = ("alpha_im", "beta_im", "gamma_im")
 # the number of fields after the key on each kind of line
 _FIELDS = {"alpha_im": 1, "beta_im": 1, "gamma_im": 1, "c1": 3, "c2": 4}
 
 
-def _parse(path: Path) -> _Parsed:
+def _parse(path: Path) -> tuple[LanglandsParams, dict[tuple[int, int], complex]]:
+    """(params, coefficient table) of the file at path."""
     header: dict[str, float] = {}
     c1: dict[tuple[int], complex] = {}
     c2: dict[tuple[int, int], complex] = {}
@@ -91,14 +85,14 @@ def _parse(path: Path) -> _Parsed:
     params = LanglandsParams(header["alpha_im"], header["beta_im"], header["gamma_im"])
     if c1:
         a = {n: v for (n,), v in c1.items()}
-        return _Parsed(params, expand_coefficients(a, min(max(a), DEFAULT_EXPANSION_M)))
-    return _Parsed(params, c2)
+        return params, expand_coefficients(a, min(max(a), DEFAULT_EXPANSION_M))
+    return params, c2
 
 
 def load_coefficient_file(path, eps: float = 1e-10) -> MaassForm:
     """Parse a coefficient file into a MaassForm."""
-    parsed = _parse(Path(path))
-    return MaassForm(params=parsed.params, coeffs=parsed.table, eps=eps)
+    params, table = _parse(Path(path))
+    return MaassForm(params=params, coeffs=table, eps=eps)
 
 
 def write_coefficient_file(path, form: MaassForm) -> None:

@@ -44,7 +44,6 @@ from .whittaker import (build_fixed_d_cache, default_mellin_grid, mellin_kernel,
 __all__ = [
     "H3Point",
     "MaassForm",
-    "GroupWord",
     "GENERATORS",
     "word_matrix",
     "iwasawa_act",
@@ -102,32 +101,16 @@ GENERATORS: dict[str, np.ndarray] = {
 }
 
 
-@dataclass(frozen=True)
-class GroupWord:
-    """A word over the generators, applied left-to-right as a matrix
-    product: "S1 S2 S1" means S1 @ S2 @ S1."""
-
-    letters: tuple[str, ...]
-
-    @staticmethod
-    def parse(text) -> "GroupWord":
-        if isinstance(text, GroupWord):
-            return text
-        letters = tuple(tok for tok in str(text).replace(",", " ").split() if tok)
-        for tok in letters:
-            if tok not in GENERATORS:
-                raise ValueError(f"unknown generator {tok!r}; allowed: {sorted(GENERATORS)}")
-        return GroupWord(letters)
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(3, dtype=np.int64)
-        for tok in self.letters:
-            m = m @ GENERATORS[tok]
-        return m
-
-
 def word_matrix(word) -> np.ndarray:
-    return GroupWord.parse(word).matrix()
+    """The matrix of a word over the generators, letters separated by
+    spaces or commas and applied left to right as a matrix product:
+    "S1 S2 S1" means S1 @ S2 @ S1.  An unknown letter raises ValueError."""
+    m = np.eye(3, dtype=np.int64)
+    for tok in str(word).replace(",", " ").split():
+        if tok not in GENERATORS:
+            raise ValueError(f"unknown generator {tok!r}; allowed: {sorted(GENERATORS)}")
+        m = m @ GENERATORS[tok]
+    return m
 
 
 def _reverse_cholesky(gram: np.ndarray) -> np.ndarray:
@@ -430,7 +413,9 @@ def eval_maass_report(f: MaassForm, z: H3Point,
     evaluation builds, validates, queries or forms a column for it again.
     With count_only the coefficient table is never touched, caches get no
     y2_range and so are not validated, and the returned value is
-    meaningless; only the statistics are valid, n_terms among them.
+    meaningless; only the statistics are valid, n_terms among them.  A
+    full evaluation validates such a cache when it first meets it, from
+    the cache's own inner sums, with no kernel product.
     """
     if backend not in ("mellin", "stade"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -546,10 +531,16 @@ def eval_maass_report(f: MaassForm, z: H3Point,
                             caches[key] = build_fixed_d_cache(
                                 p, D, grid=grid, eps=math.exp(log_eps), inner=column,
                                 y2_range=None if count_only else y2_range)
-                    if caches[key] is None:  # ruled out: no term contributes, none is queried
+                    cache = caches[key]
+                    if cache is None:  # ruled out: no term contributes, none is queried
                         chunk[i] = (m2, [])
                         continue
-                    pair_caches.append(caches[key])
+                    if cache.y2_range is None and not count_only:
+                        # built by a count_only evaluation: validated now, from its own column
+                        cache = caches[key] = build_fixed_d_cache(
+                            p, cache.D, grid=grid, eps=math.exp(log_eps), inner=cache.inner,
+                            y2_range=(cache.D / C ** 2 * 0.99, C * 1.01))
+                    pair_caches.append(cache)
                     pair_y2s.append([y2_arg for _, _, y2_arg in jobs])
                 if pair_caches:
                     # one batch: sub-eps terms need only absolute accuracy
@@ -607,7 +598,7 @@ def coefficient_demand(p: LanglandsParams, z: H3Point, eps: float) -> MaassEvalS
     """How many coefficients an evaluation at z would need: runs the
     truncation walk without touching any coefficient table and reports the
     largest contributing m2 (and m1)."""
-    form = MaassForm(params=p, coeff_fn=lambda m1, m2: 1.0, eps=eps)
+    form = MaassForm(params=p, eps=eps)
     _, stats = eval_maass_report(form, z, backend="mellin", count_only=True)
     return stats
 

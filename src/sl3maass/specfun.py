@@ -1,5 +1,4 @@
-"""Complex log-gamma, gamma-ratio products, and the K-Bessel function of
-purely imaginary order.
+"""Complex log-gamma and the K-Bessel function of purely imaginary order.
 
 The K-Bessel function has two independent backends:
 
@@ -10,9 +9,9 @@ The K-Bessel function has two independent backends:
   through the saddles of the integrand: their samples do not oscillate,
   and the exp(-pi|mu|/2) amplitude comes out as an explicit scale instead
   of being lost to cancellation between O(1) samples.
-  ``bessel_k_scaled`` and ``bessel_k_prime_scaled`` (or both at once,
-  ``bessel_k_pair_scaled``) take one order and a scalar or a 1-D array of
-  arguments: every argument gets its own truncation and rule key (the
+  ``bessel_k_scaled`` and ``bessel_k_pair_scaled`` (K with K', whose K'
+  is ``bessel_k_prime_scaled``) take one order and a scalar or a 1-D array
+  of arguments: every argument gets its own truncation and rule key (the
   contour, or the axis and its step), the samples of one key form
   (arguments x nodes) arrays of at most _LINE_ARGS arguments, and each
   argument's samples are reduced on their own, within an ulp of their
@@ -29,8 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +35,7 @@ from .errors import DomainError, PoleError, UnderflowError
 from .scaled import ScaledArray, ScaledComplex
 
 __all__ = [
-    "BesselOrder",
     "log_gamma",
-    "gamma_ratio",
     "bessel_k",
     "bessel_k_prime",
     "bessel_k_scaled",
@@ -116,54 +111,17 @@ def log_gamma(s):
     return complex(_log_gamma_array(np.asarray([s]))[0])
 
 
-def gamma_ratio(numerators: Sequence[complex],
-                denominators: Sequence[complex] = ()) -> ScaledComplex:
-    """Evaluate Gamma(a_1)...Gamma(a_n) / (Gamma(b_1)...Gamma(b_k)) in
-    scaled form; the empty ratio is 1.
-
-    A pole in a numerator raises PoleError; a pole in a denominator makes
-    the ratio exactly zero.
-    """
-    numerators = [complex(a) for a in numerators]
-    denominators = [complex(b) for b in denominators]
-    for b in denominators:
-        n = min(round(b.real), 0)
-        if abs(b - n) < _POLE_TOL:
-            return ScaledComplex.zero()
-    total = 0j
-    for a in numerators:
-        total += log_gamma(a)
-    for b in denominators:
-        total -= log_gamma(b)
-    return ScaledComplex.from_log(total)
-
-
 # ---------------------------------------------------------------------------
 # K-Bessel function of imaginary order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order mu of K_mu; must be purely imaginary (|Re mu| <= 1e-12)."""
-
-    mu: complex
-
-    def __post_init__(self):
-        mu = complex(self.mu)
-        if abs(mu.real) > 1e-12:
-            raise DomainError(f"K-Bessel order must be purely imaginary, got {mu}")
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def t(self) -> float:
-        """|Im mu|; K is even in the order."""
-        return abs(self.mu.imag)
-
-
-def _as_order(mu) -> BesselOrder:
-    if isinstance(mu, BesselOrder):
-        return mu
-    return BesselOrder(complex(mu))
+def _order_t(mu) -> float:
+    """|Im mu| of the order mu of K_mu, which must be purely imaginary
+    (|Re mu| <= 1e-12); K is even in the order."""
+    mu = complex(mu)
+    if abs(mu.real) > 1e-12:
+        raise DomainError(f"K-Bessel order must be purely imaginary, got {mu}")
+    return abs(mu.imag)
 
 
 # log of the real axis's cancellation, -(env + x): its samples reach e^-x and K's
@@ -225,10 +183,9 @@ def _k_envelope(m: float, x: np.ndarray) -> np.ndarray:
     return -m * np.arcsin(np.minimum(m / x, 1.0)) - np.sqrt(np.maximum((x - m) * (x + m), 0.0))
 
 
-def _bessel_contour(m: float, x: np.ndarray,
-                    derivatives: tuple[bool, ...]) -> tuple[list[np.ndarray], np.ndarray]:
-    """K_{im}(x) and/or K' (a mantissa array per entry of derivatives,
-    sharing all but the branch rule) and the log scale, from Gauss-Legendre sums
+def _bessel_contour(m: float, x: np.ndarray, prime: bool) -> tuple[list[np.ndarray], np.ndarray]:
+    """K_{im}(x), and K' with prime (a mantissa array each, sharing all
+    but the branch rule), and the log scale, from Gauss-Legendre sums
     along steepest-descent contours (Gil, Segura & Temme, ACM TOMS 30
     (2004), Algorithm 831).  K = Re int exp(f) dt from the imaginary axis
     to +inf, f = -x cosh t + i m t.  With A = sqrt(max(m^2 - x^2, 0)),
@@ -276,7 +233,7 @@ def _bessel_contour(m: float, x: np.ndarray,
     phase = m * t - x[:, None] * sinh_t
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     sums = []
-    for derivative in derivatives:
+    for derivative in ((False, True) if prime else (False,)):
         ms, ws, sh, ch, hh, mshs, mscs = _branch_grid(m, derivative)
         d = a * ch + c * sh
         ams = a + ms
@@ -324,10 +281,10 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _bessel_line(m: float, x: np.ndarray, derivatives: tuple[bool, ...], key: int,
+def _bessel_line(m: float, x: np.ndarray, prime: bool, key: int,
                  h: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """K_{im}(x) and/or K' (a mantissa array per entry of derivatives) and
-    the log scale, by the rule of one key: key < 0 is the steepest-descent
+    """K_{im}(x), and K' with prime (a mantissa array each), and the log
+    scale, by the rule of one key: key < 0 is the steepest-descent
     contour (_bessel_contour); key k >= 0 is the trapezoid rule for
     K_{im}(x) = int_0^inf exp(-x cosh s) cos(m s) ds on the real axis,
     with the step h halved k times and the log scale -x.
@@ -338,7 +295,7 @@ def _bessel_line(m: float, x: np.ndarray, derivatives: tuple[bool, ...], key: in
     2 exp(-2 pi^2 / (x h^2)), reaches e^-_TAIL_LOG (see _bessel_backend_a).
     """
     if key < 0:
-        return _bessel_contour(m, x, derivatives)
+        return _bessel_contour(m, x, prime)
     h = h * 0.5 ** key
     n = np.ceil(np.arccosh(1.0 + (_TAIL_LOG + 4.0) / x) / h).astype(np.int64) + 2
     s = np.arange(n.max() + 2) * h
@@ -347,28 +304,25 @@ def _bessel_line(m: float, x: np.ndarray, derivatives: tuple[bool, ...], key: in
     g = np.exp(-x[:, None] * (2.0 * np.sinh(0.5 * s) ** 2))
     # in place: a fresh (arguments x nodes) array costs more than its products
     g *= np.cos(m * s)
-    # K''s samples are K's times -cosh s, in place unless K's are summed too
-    if True in derivatives:
-        kp = np.multiply(g, -np.cosh(s), out=None if False in derivatives else g)
-    samples = [kp if derivative else g for derivative in derivatives]
+    # K''s samples are K's times -cosh s
+    samples = [g, g * -np.cosh(s)] if prime else [g]
     for v in samples:
         v[:, 0] *= 0.5
     return [h * _row_sums(v, n + 1) for v in samples], -x
 
 
-def _bessel_backend_a(mu, x, derivatives: tuple[bool, ...]):
-    order = _as_order(mu)
+def _bessel_backend_a(mu, x, prime: bool):
+    m = _order_t(mu)
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim > 1:
         raise ValueError(f"K-Bessel argument must be a scalar or 1-D array, got shape {xs.shape}")
     flat = xs.reshape(-1)
     if not flat.size:
-        return tuple(ScaledArray(np.zeros(0), np.zeros(0)) for _ in derivatives)
+        return tuple(ScaledArray(np.zeros(0), np.zeros(0)) for _ in range(1 + prime))
     # NaN fails the first test, inf the second
     if not (flat.min() > 0.0 and flat.max() < math.inf):
         bad = flat[~((flat > 0.0) & np.isfinite(flat))]
         raise DomainError(f"K-Bessel argument must be positive, got {bad[0]}")
-    m = order.t
     # rule key per argument (see _bessel_line): -1, or axis step halvings
     h = 1.0 / max(64.0, 4.0 * m)
     x_resolved = 2.0 * math.pi ** 2 / (_TAIL_LOG * h * h)
@@ -376,14 +330,14 @@ def _bessel_backend_a(mu, x, derivatives: tuple[bool, ...]):
     keys[_k_envelope(m, flat) + flat < -_SHIFT_THRESHOLD] = -1.0
     if keys.min() == keys.max() and len(flat) <= _LINE_ARGS:
         # one call for every argument, as in every scalar call: no scatter
-        mantissas, log_scale = _bessel_line(m, flat, derivatives, int(keys[0]), h)
+        mantissas, log_scale = _bessel_line(m, flat, prime, int(keys[0]), h)
     else:
-        mantissas = np.empty((len(derivatives),) + flat.shape)
+        mantissas = np.empty((1 + prime,) + flat.shape)
         log_scale = np.empty(flat.shape)
         for key in sorted(set(keys.tolist())):
             rows = np.flatnonzero(keys == key)
             for part in (rows[i:i + _LINE_ARGS] for i in range(0, len(rows), _LINE_ARGS)):
-                mantissas[:, part], log_scale[part] = _bessel_line(m, flat[part], derivatives,
+                mantissas[:, part], log_scale[part] = _bessel_line(m, flat[part], prime,
                                                                    int(key), h)
     if not xs.ndim:
         return tuple(ScaledComplex(complex(v[0]), float(log_scale[0])) for v in mantissas)
@@ -401,22 +355,22 @@ def bessel_k_scaled(mu, x):
     scalar calls bit for bit.  Raises DomainError if any element is not
     positive and finite.
     """
-    return _bessel_backend_a(mu, x, (False,))[0]
+    return _bessel_backend_a(mu, x, False)[0]
 
 
 def bessel_k_prime_scaled(mu, x):
     """d/dx K_mu(x) in scaled form, from the differentiated integrand;
-    takes x like bessel_k_scaled."""
-    return _bessel_backend_a(mu, x, (True,))[0]
+    takes x like bessel_k_scaled.  It is bessel_k_pair_scaled's K'."""
+    return _bessel_backend_a(mu, x, True)[1]
 
 
 def bessel_k_pair_scaled(mu, x):
     """(K_mu(x), d/dx K_mu(x)) in scaled form from one call, taking x like
-    bessel_k_scaled; both equal bessel_k_scaled and bessel_k_prime_scaled
-    bit for bit.  The two sums share the rule keys, the truncation and, on
-    the real axis, the samples (K''s are K's times -cosh s); on the contour
-    they share the saddle geometry and the segment's phases."""
-    return _bessel_backend_a(mu, x, (False, True))
+    bessel_k_scaled; K equals bessel_k_scaled bit for bit.  The two sums
+    share the rule keys, the truncation and, on the real axis, the samples
+    (K''s are K's times -cosh s); on the contour they share the saddle
+    geometry and the segment's phases."""
+    return _bessel_backend_a(mu, x, True)
 
 
 # _KTable's first-kind Chebyshev nodes, barycentric weights (Berrut & Trefethen 2004)
@@ -454,10 +408,6 @@ class _KTable:
         shift = 256.0 * np.ceil(mean / 256.0)
         return np.concatenate([f * np.exp(mean - shift), rise, centre, shift], axis=1)
 
-    def __call__(self, x: np.ndarray) -> ScaledArray:
-        """K_{im}(x) for a 1-D array of positive arguments."""
-        return ScaledArray(*self.read(x))
-
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K_{im}(x) as (mantissa, log scale) arrays."""
         j = np.floor(np.log(x) / self.width)
@@ -493,7 +443,7 @@ _bessel_k_table = functools.lru_cache(maxsize=8)(_KTable)
 def _scaled_to_float(sc: ScaledComplex, mu, x: float) -> float:
     la = sc.log_abs()
     if la < -744.0:
-        m = _as_order(mu).t
+        m = _order_t(mu)
         raise UnderflowError(
             f"exp(pi|mu|/2) K scale exp({la + 0.5 * math.pi * m:.1f}) below binary64 "
             f"range at x={x:g}; use bessel_k_scaled")
@@ -526,11 +476,11 @@ def bessel_k_mellin(mu, x: float) -> float:
     """
     from .quadrature import QuadratureGrid, inverse_mellin_line
 
-    order = _as_order(mu)
+    m = _order_t(mu)
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"K-Bessel argument must be positive, got {x}")
-    h, sigma = 0.125, max(2.0, float(x) - order.t)
-    mu_c = order.mu
+    h, sigma = 0.125, max(2.0, float(x) - m)
+    mu_c = complex(mu)
 
     def transform(s: np.ndarray) -> ScaledArray:
         return ScaledArray.from_log(_log_gamma_array((s + mu_c) / 2.0)
@@ -538,7 +488,6 @@ def bessel_k_mellin(mu, x: float) -> float:
 
     # plateau of the gamma product extends to |t| ~ 2|mu|; beyond it the
     # terms decay like exp(-pi(|t|-2m)/4) per gamma pair
-    m = order.t
     n_max = int((2.0 * m + 4.0 * (_TAIL_LOG + 8.0) / math.pi + 20.0) / h) + 8
     grid = QuadratureGrid(h=h, sigma=sigma, N=n_max)
     # 4 K_mu(2 pi y) = (1/2 pi i) int GG (pi y)^(-s) ds, so the plain

@@ -45,7 +45,7 @@ from .errors import (CancellationError, DegenerateParametersError,
 from .langlands import LanglandsParams, permutations
 from .quadrature import MellinGrid2D, QuadratureGrid, strip_error_log, strip_step
 from .scaled import ScaledArray, ScaledComplex, scaled_sum
-from .specfun import (bessel_k_pair_scaled, gamma_ratio, _bessel_k_table,
+from .specfun import (bessel_k_pair_scaled, log_gamma, _bessel_k_table,
                       _log_gamma_array, _pole_distance)
 
 __all__ = [
@@ -320,9 +320,11 @@ def w_series_origin(p: LanglandsParams, a: WhittakerArgs) -> ScaledComplex:
         q = 1.0 + (d1 - d2) / 2.0
         pm = 1.0 + (d3 - d2) / 2.0   # second m-Pochhammer base
         pn = 1.0 + (d1 - d3) / 2.0   # second n-Pochhammer base
-        pref = gamma_ratio([(d2 - d3) / 2.0, (d2 - d1) / 2.0, (d3 - d1) / 2.0])
-        pref = pref * ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
-                                             + (1.0 - d2) * math.log(math.pi * y2))
+        log_gammas = 0j  # of Gamma((d2-d3)/2) Gamma((d2-d1)/2) Gamma((d3-d1)/2)
+        for arg in ((d2 - d3) / 2.0, (d2 - d1) / 2.0, (d3 - d1) / 2.0):
+            log_gammas += log_gamma(arg)
+        pref = ScaledComplex.from_log(log_gammas) * ScaledComplex.from_log(
+            (1.0 + d1) * math.log(math.pi * y1) + (1.0 - d2) * math.log(math.pi * y2))
         pref = pref * _CONTOUR_WEIGHT * _CONTOUR_WEIGHT
 
         # u[m] = Y2^m / ((q)_m (pm)_m m!),  v[n] = Y1^n / ((q)_n (pn)_n n!),
@@ -849,7 +851,8 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
                         eps: float = 1e-12,
                         y2_range: tuple[float, float] | None = None,
                         inner: np.ndarray | None = None) -> FixedDCache:
-    """The fixed-D cache of D = y1^2 y2 on mellin_kernel(p, grid).
+    """The fixed-D cache of D = y1^2 y2 on mellin_kernel(p, grid), the grid
+    default_mellin_grid(p) when none is given.
 
     A build costs one blocked O(N1 N2) kernel product and no log-gamma
     evaluations.  `inner`, when given, is this D's column of a multi-D
@@ -857,8 +860,8 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     cache wraps it and forms no product.  The cache is validated exactly
     when y2_range (0 < lo <= hi < inf) is given: one batch query at its
     distinct ends against w_eval, whose worst deviation relative to
-    max(|W|, eps) is stored; eps is an absolute level in the scaled
-    convention and may exceed 1.
+    max(|W|, eps) is stored.  eps is only that validation floor, an
+    absolute level in the scaled convention that may exceed 1.
     """
     if not (D > 0.0) or not math.isfinite(D):
         raise ValueError(f"D must be positive and finite, got {D}")
@@ -867,7 +870,7 @@ def build_fixed_d_cache(p: LanglandsParams, D: float,
     if y2_range is not None and not (0.0 < y2_range[0] <= y2_range[1] < math.inf):
         raise ValueError(f"y2_range must satisfy 0 < lo <= hi < inf, got {y2_range}")
     if grid is None:
-        grid = default_mellin_grid(p, eps)
+        grid = default_mellin_grid(p)
     kernel = mellin_kernel(p, grid)
     if inner is None:
         inner = kernel.inner([D])[:, 0]

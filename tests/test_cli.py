@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from sl3maass.cli import main
 from sl3maass.coeffio import (CoefficientFileError, load_coefficient_file,
                               write_coefficient_file)
 from sl3maass.langlands import LanglandsParams
-from sl3maass.maass import expand_coefficients
+from sl3maass.maass import MaassForm, expand_coefficients
 from sl3maass.whittaker import (WhittakerArgs, default_stade_grid, w_eval, w_series_origin,
                                 w_stade, w_stade_report)
 
@@ -528,6 +529,32 @@ def test_coefficient_file_rejects_non_finite(tmp_path, capsys, text):
     out, err = capsys.readouterr()
     assert rc == 1
     assert "nan" not in out and f"bad.txt:{line}" in err
+
+
+@pytest.mark.parametrize("text, match", [
+    (HEADER + "c3 1 1 1.0 0.0\n", r"bad.txt:4: unknown key 'c3'"),
+    (HEADER + "c1 1 one 0.0\n", r"bad.txt:4: malformed line"),
+    (HEADER + "c1 1 1.0 0.0\nc2 0 1 1.0 0.0\n", r"bad.txt:5: indices must be >= 1"),
+    ("alpha_im -1.3\nbeta_im 2.1\nc1 1 1.0 0.0\n",
+     r"bad.txt: missing header line\(s\): \['gamma_im'\]"),
+    (HEADER + "# no rows\n", r"bad.txt: no coefficient rows"),
+], ids=["unknown-key", "malformed-number", "index-below-1", "missing-header", "no-rows"])
+def test_coefficient_file_rejections(tmp_path, capsys, text, match):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(CoefficientFileError, match=match):
+        load_coefficient_file(p)
+    rc = main(["maass-eval", "--coeffs", str(p), "--point", "0.1,0.2,-0.3,1.0,1.1",
+               "--eps", "1e-4"])
+    assert rc == 1
+    assert re.search(match, capsys.readouterr().err)
+
+
+def test_export_needs_a_coefficient_table(tmp_path):
+    form = MaassForm(params=LanglandsParams(-1.3, 2.1), eps=1e-6, coeff_fn=lambda m1, m2: 1.0)
+    with pytest.raises(CoefficientFileError, match="no explicit coefficient table"):
+        write_coefficient_file(tmp_path / "out.txt", form)
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_c1_expansion_matches_direct(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sl3maass.errors import (DomainError, MissingCoefficientError)
 from sl3maass.langlands import LanglandsParams
 from sl3maass import maass, whittaker
-from sl3maass.maass import (GENERATORS, GroupWord, H3Point, MaassForm,
+from sl3maass.maass import (GENERATORS, H3Point, MaassForm,
                             automorphy_residual, coefficient_demand,
                             decay_cutoff, enumerate_cd,
                             eval_maass, eval_maass_report,
@@ -100,12 +100,12 @@ def test_iwasawa_rejects_wrong_determinant():
 
 
 def test_group_word_parsing():
-    assert GroupWord.parse("").letters == ()
     assert np.array_equal(word_matrix(""), np.eye(3, dtype=np.int64))
-    with pytest.raises(ValueError):
-        GroupWord.parse("S3")
+    with pytest.raises(ValueError, match="unknown generator 'S3'"):
+        word_matrix("S1 S3")
     m = word_matrix("S1 S2")
     assert np.array_equal(m, GENERATORS["S1"] @ GENERATORS["S2"])
+    assert np.array_equal(word_matrix(" S1,S2 "), m)
     for name, g in GENERATORS.items():
         assert round(float(np.linalg.det(g))) == 1, name
 
@@ -537,6 +537,39 @@ def test_kernel_products_per_evaluation(monkeypatch):
     assert products == []
 
 
+def test_full_evaluation_validates_count_only_caches(monkeypatch):
+    """count_only builds its caches without validating them; a full
+    evaluation of the same form validates each one it meets, from the
+    cache's own column: the validations of a fresh form (E2_WALKS), no
+    kernel product, and the fresh form's value and residuals."""
+    def form():
+        return MaassForm(params=GENERIC, eps=1e-8, coeff_fn=lambda m1, m2: 1.0 / (1.0 + m1 * m2))
+
+    evals, products = [], []
+    validate, product = whittaker.w_eval, whittaker._kernel_product
+    monkeypatch.setattr(whittaker, "w_eval", lambda *args: evals.append(args) or validate(*args))
+    monkeypatch.setattr(whittaker, "_kernel_product",
+                        lambda *args: products.append(args) or product(*args))
+    fresh = form()
+    ref, _ = eval_maass_report(fresh, E2_POINT)
+    assert len(evals) == E2_WALKS[0][4]
+    shared = form()
+    eval_maass_report(shared, E2_POINT, count_only=True)
+    assert len(evals) == E2_WALKS[0][4]
+    evals.clear()
+    products.clear()
+    value, stats = eval_maass_report(shared, E2_POINT)
+    assert len(evals) == E2_WALKS[0][4] and products == []
+    assert stats.n_caches_built == 0 and stats.n_caches == E2_WALKS[0][2]
+    assert repr(value) == repr(ref)
+
+    def checked(f):
+        return {k: (c.y2_range, c.validation_residual) for k, c in f.cache_map.items() if c}
+
+    assert checked(shared) == checked(fresh)
+    assert None not in {y2_range for y2_range, _ in checked(shared).values()}
+
+
 def test_waves_follow_the_walks_reach(monkeypatch):
     """Each m1's waves reach as far as the previous m1's largest
     contributing D suggests.  GEN's coefficient demand at E2's point forms
@@ -793,3 +826,18 @@ def test_stats_reporting():
     assert stats.max_contributing_m2 >= 1
     assert stats.n_caches >= 1
     assert stats.n_terms >= stats.max_contributing_m2
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: H3Point(0.0, 0.0, 0.0, 1.0, 0.0), ValueError, "y2 must be positive"),
+    (lambda: iwasawa_act(np.eye(2), H3Point(0.0, 0.0, 0.0, 1.0, 1.0)), DomainError, "3x3"),
+    (lambda: enumerate_cd(2.0, 1.0, 1.0, 0.5 - 1j), ValueError, "positive imaginary part"),
+    # a form with neither coeffs nor coeff_fn, as coefficient_demand makes
+    (lambda: MaassForm(params=GENERIC, eps=1e-6).coefficient(2, 3), MissingCoefficientError,
+     r"A\(2,3\)"),
+    (lambda: eval_maass_report(MaassForm(params=GENERIC, eps=1e-6), E2_POINT, backend="origin"),
+     ValueError, "unknown backend 'origin'"),
+], ids=["y2-zero", "not-3x3", "z2-below-axis", "no-coefficients", "unknown-backend"])
+def test_argument_guards(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

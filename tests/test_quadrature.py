@@ -75,7 +75,8 @@ def test_quadrature_grid_half_width_must_be_an_int(value):
     (QuadratureGrid, dict(h=0.5, sigma=math.nan), "sigma"),
     (QuadratureGrid, dict(h=0.5, sigma=math.inf), "sigma"),
     (QuadratureGrid, dict(h=math.nan), "h"),
-], ids=["grid-sigma-nan", "grid-sigma-inf", "grid-h-nan"])
+    (QuadratureGrid, dict(h=0.5, N=0), "N"),
+], ids=["grid-sigma-nan", "grid-sigma-inf", "grid-h-nan", "grid-N-zero"])
 def test_line_fields_are_checked(make, kwargs, field):
     with pytest.raises(ValueError, match=rf"\b{field} must"):
         make(**kwargs)
@@ -207,3 +208,16 @@ def test_refine_mellin_mode():
     v, err = refine_check(gamma_transform, g, y=1.0)
     assert abs(v.to_complex().real - math.exp(-1.0)) < 1e-12
     assert err < 1e-8
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: trapezoid_line(lambda x: np.exp(-x * x), QuadratureGrid(h=0.5, N=8)), TypeError,
+     "ScaledArray of the same length"),
+    (lambda: trapezoid_line(lambda x: gaussian(x[1:]), QuadratureGrid(h=0.5, N=8)), TypeError,
+     "ScaledArray of the same length"),
+    (lambda: inverse_mellin_line(gaussian, 0.0, QuadratureGrid(h=0.5, N=8)), ValueError,
+     "y must be positive"),
+], ids=["integrand-not-scaled", "integrand-short", "mellin-y-zero"])
+def test_argument_guards(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

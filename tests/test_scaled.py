@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
-from sl3maass.scaled import ScaledComplex, scaled_sum
+from sl3maass.scaled import ScaledArray, ScaledComplex, scaled_sum
 
 
 finite_complex = st.builds(
@@ -101,3 +103,13 @@ def test_conjugate_and_neg():
     v = ScaledComplex.from_complex(2.0 - 3.0j)
     assert v.conjugate().to_complex() == (2.0 + 3.0j)
     assert (-v).to_complex() == -(2.0 - 3.0j)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ScaledComplex(complex(math.nan, 0.0)), "non-finite scaled value"),
+    (lambda: ScaledComplex(1.0, math.inf), "non-finite scaled value"),
+    (lambda: ScaledArray(np.ones((2, 2)), 0.0), "1-D mantissa"),
+], ids=["mantissa-nan", "scale-inf", "array-2d"])
+def test_argument_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

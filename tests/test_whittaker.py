@@ -19,7 +19,7 @@ from sl3maass.quadrature import MellinGrid2D, QuadratureGrid, inverse_mellin_lin
 from sl3maass.scaled import ScaledArray, ScaledComplex
 from sl3maass.specfun import (_log_gamma_array, _pole_distance,
                               bessel_k_prime_scaled, bessel_k_scaled,
-                              gamma_ratio)
+                              log_gamma)
 from sl3maass import specfun, whittaker
 from sl3maass.whittaker import (WhittakerArgs,
                                 build_fixed_d_cache, build_pq_table,
@@ -158,7 +158,7 @@ def in_integral_oracle(p: LanglandsParams, n: int, y: float) -> complex:
     a, b, g = p.triple
 
     def transform(s: np.ndarray) -> ScaledArray:
-        # 1/Gamma vanishes at the poles of the denominator (as in gamma_ratio)
+        # 1/Gamma vanishes at the poles of the denominator
         den = (s - 1.5 * a) / 2.0 - n
         pole = _pole_distance(den) < 1e-12
         out = ScaledArray.from_log(
@@ -861,7 +861,8 @@ def test_origin_leading_term_structure():
     y1 = y2 = 1e-4
     lead = ScaledComplex.zero()
     for (d1, d2, d3) in permutations(p):
-        pref = gamma_ratio([(d2 - d3) / 2, (d2 - d1) / 2, (d3 - d1) / 2])
+        pref = ScaledComplex.from_log(log_gamma((d2 - d3) / 2) + log_gamma((d2 - d1) / 2)
+                                      + log_gamma((d3 - d1) / 2))
         pw = ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
                                     + (1.0 - d2) * math.log(math.pi * y2))
         lead = lead + pref * pw * 4.0
@@ -882,7 +883,7 @@ def test_smallarg_leading_term_structure():
                          (p.beta, p.gamma, p.alpha),
                          (p.gamma, p.alpha, p.beta)]:
         mu = (d2 - d3) / 2.0
-        pref = gamma_ratio([(d2 - d1) / 2, (d3 - d1) / 2])
+        pref = ScaledComplex.from_log(log_gamma((d2 - d1) / 2) + log_gamma((d3 - d1) / 2))
         pw = ScaledComplex.from_log((1.0 + d1) * math.log(math.pi * y1)
                                     + (1.0 + d1 / 2.0) * math.log(math.pi * y2))
         term = pref * pw * (4.0 * bessel_k_scaled(mu, x2).to_complex().real) * 2.0
@@ -1030,9 +1031,14 @@ def test_cache_validates_coinciding_ends_once(monkeypatch):
 def test_default_mellin_grid_rejects_bad_eps(eps):
     with pytest.raises(ValueError, match="eps"):
         default_mellin_grid(GENERIC, eps)
-    # a cache without a grid takes it from its eps, so eps >= 1 fails too
-    with pytest.raises(ValueError, match="eps"):
-        build_fixed_d_cache(GENERIC, 1.0, eps=eps)
+    # a cache's eps is only its validation floor: without a grid it takes
+    # default_mellin_grid(p) at any positive finite eps, and rejects the rest
+    if eps > 0.0 and math.isfinite(eps):
+        grids = {build_fixed_d_cache(GENERIC, 1.0, eps=v).kernel.grid for v in (eps, 1e-3)}
+        assert grids == {default_mellin_grid(GENERIC)}
+    else:
+        with pytest.raises(ValueError, match="eps"):
+            build_fixed_d_cache(GENERIC, 1.0, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -1505,3 +1511,16 @@ def test_scaling_convention_shared():
     u1 = v1.scaled_by(-shift)
     u2 = v2.scaled_by(-shift)
     assert abs(v1.rel_diff(v2) - u1.rel_diff(u2)) < 1e-14
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: pq_build([GENERIC.triple], -1), "nmax must be non-negative"),
+    (lambda: build_fixed_d_cache(GENERIC, 0.0), "D must be positive and finite"),
+    (lambda: build_fixed_d_cache(GENERIC, math.nan), "D must be positive and finite"),
+    (lambda: build_fixed_d_cache(GENERIC, math.inf), "D must be positive and finite"),
+    (lambda: build_fixed_d_cache(GENERIC, 1.0, inner=np.zeros(3, dtype=complex)),
+     "inner must have shape"),
+], ids=["pq-nmax-negative", "cache-D-zero", "cache-D-nan", "cache-D-inf", "cache-inner-shape"])
+def test_argument_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
